@@ -22,6 +22,7 @@ from .errors import (
     Graph6Error,
     GraphConstructionError,
     HypothesisError,
+    InvariantViolation,
     SizeLimitError,
     SzlabError,
 )

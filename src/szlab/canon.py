@@ -6,6 +6,21 @@ least over all labelings reachable from the refinement search tree.  Color
 refinement is label-invariant, so two graphs receive equal codes exactly when
 they are isomorphic.  Intended scale is n <= 16; enumeration workloads stay
 at n <= 8.
+
+The search skips subtrees that are automorphic images of subtrees already
+explored (McKay 1981; McKay & Piperno, arXiv:1301.1493), which leaves the
+minimum over the leaves unchanged.  Two leaves with equal codes a and b give
+the automorphism x -> lab_b^-1(lab_a(x)); each leaf is compared with the
+first leaf and the least leaf so far.  At a node whose individualized
+vertices are P, a child v is skipped when an automorphism generated by the
+stored ones that fix P pointwise maps an already explored child w to v.
+Refinement and individualization are label-equivariant, so such a map
+carries the subtree of w onto the subtree of v with equal leaf codes.
+Refinement also keeps the order of cells, so a leaf's labeling determines the
+path to it, and the automorphism maps the earlier leaf's path onto the new
+one.  Where the two paths part, at node P with children w (earlier) and v,
+the subtree of v is therefore the image of the finished subtree of w, and
+the search returns to P at once.
 """
 
 from __future__ import annotations
@@ -46,8 +61,12 @@ def _canonical_labeling(g: Graph) -> list[int]:
     neigh = g._neigh
     pos = _triangle_positions(g.n)
     total = n * (n - 1) // 2
-    best_bits: int | None = None
-    best: list[int] | None = None
+    # (bits, labeling, path) of the first leaf reached and of the least leaf
+    # so far; a path is the sequence of individualized vertices.
+    first: tuple[int, list[int], tuple[int, ...]] | None = None
+    best: tuple[int, list[int], tuple[int, ...]] | None = None
+    # Automorphisms found by equal leaf codes, as vertex maps x -> gen[x].
+    generators: list[list[int]] = []
 
     def encode(colors: list[int]) -> int:
         bits = 0
@@ -55,8 +74,32 @@ def _canonical_labeling(g: Graph) -> list[int]:
             bits |= 1 << (total - 1 - pos[colors[u]][colors[v]])
         return bits
 
-    def search(colors: list[int]) -> None:
-        nonlocal best_bits, best
+    def leaf(colors: list[int], path: tuple[int, ...]) -> int:
+        """Record a leaf; return the depth at which the search resumes."""
+        nonlocal first, best
+        bits = encode(colors)
+        if first is None:
+            first = best = (bits, colors, path)
+            return len(path)
+        for ref_bits, ref, ref_path in (first, best):
+            if bits == ref_bits:
+                # Both labelings give the same graph, so ref^-1 . colors maps
+                # the graph onto itself, and ref's path onto this one.
+                inverse = [0] * n
+                for v, c in enumerate(ref):
+                    inverse[c] = v
+                generators.append([inverse[c] for c in colors])
+                common = 0
+                while path[common] == ref_path[common]:
+                    common += 1
+                return common
+        if bits < best[0]:
+            best = (bits, colors, path)
+        return len(path)
+
+    def search(colors: list[int], fixed: tuple[int, ...]) -> int:
+        """Search below the node that individualized `fixed`; return the
+        depth at which the search resumes (< len(fixed) abandons this node)."""
         colors = _refine(neigh, colors)
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
@@ -67,21 +110,44 @@ def _canonical_labeling(g: Graph) -> list[int]:
                 target = cells[c]
                 break
         if target is None:
-            bits = encode(colors)
-            if best_bits is None or bits < best_bits:
-                best_bits = bits
-                best = colors[:]
-            return
+            return leaf(colors, fixed)
+        # Orbits of the stored generators that fix `fixed` pointwise, as a
+        # union-find forest extended only by generators found since the
+        # previous child.
+        orbit = list(range(n))
+        used = 0
+
+        def find(x: int) -> int:
+            while orbit[x] != x:
+                orbit[x] = orbit[orbit[x]]
+                x = orbit[x]
+            return x
+
+        explored: list[int] = []
         for v in target:
+            if explored:
+                for gen in generators[used:]:
+                    if all(gen[p] == p for p in fixed):
+                        for x in range(n):
+                            a, b = find(x), find(gen[x])
+                            if a != b:
+                                orbit[a] = b
+                used = len(generators)
+                root = find(v)
+                if any(find(w) == root for w in explored):
+                    continue
+            explored.append(v)
             # Individualize v inside its cell, then re-rank so color values
             # stay label-invariant.
             sigs = [(colors[u], 0 if u == v else 1) for u in range(n)]
             rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            search([rank[s] for s in sigs])
+            resume = search([rank[s] for s in sigs], fixed + (v,))
+            if resume < len(fixed):
+                return resume
+        return len(fixed)
 
-    search([0] * n)
-    assert best is not None
-    return best
+    search([0] * n, ())
+    return best[1]
 
 
 def canonical_form(g: Graph) -> Graph:

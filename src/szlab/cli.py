@@ -257,7 +257,7 @@ def cmd_extremal(args) -> int:
     families = []
     for n in ns:
         members = extremal_family(n)
-        lines = sorted(canonical_code(mem.graph).decode("ascii") for mem in members)
+        lines = sorted(mem.canonical for mem in members)
         gaps_ok = all(gap(mem.graph) == 4 * n - 8 for mem in members)
         families.append(
             {"n": n, "count": len(members), "members": lines, "all_gaps_equal_4n_minus_8": gaps_ok}

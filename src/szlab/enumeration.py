@@ -89,7 +89,8 @@ def generate(spec: EnumerationSpec) -> Iterator[Graph]:
             f"supply graphs for n={spec.n} via a graph6 stream"
         )
     n = spec.n
-    level = {canonical_code(Graph(n, [])): Graph(n, [])}
+    # The edgeless graph is its own canonical form.
+    level = {to_graph6(Graph(n, [])): Graph(n, [])}
     max_edges = n * n // 4 if spec.bipartite else n * (n - 1) // 2
     for m in range(max_edges + 1):
         for code in sorted(level):
@@ -101,7 +102,7 @@ def generate(spec: EnumerationSpec) -> Iterator[Graph]:
                 yield g
         if m == max_edges:
             break
-        nxt: dict[bytes, Graph] = {}
+        nxt: dict[str, Graph] = {}
         for code in sorted(level):
             g = level[code]
             if spec.bipartite:
@@ -114,10 +115,8 @@ def generate(spec: EnumerationSpec) -> Iterator[Graph]:
                     if not g.has_edge(u, v)
                 ]
             for u, v in additions:
-                child = Graph(n, list(g.edges) + [(u, v)])
-                ccode = canonical_code(child)
-                if ccode not in nxt:
-                    nxt[ccode] = canonical_form(child)
+                form = canonical_form(Graph(n, list(g.edges) + [(u, v)]))
+                nxt.setdefault(to_graph6(form), form)
         level = nxt
 
 
@@ -236,9 +235,7 @@ def verify_conjecture(graphs: Iterable[Graph], workers: int = 1) -> list[Verific
         equality = sorted(seen.items()) + sorted(undeduped, key=lambda t: t[1])
         match: bool | None = None
         if 4 <= n <= 16 and not undeduped and recs:
-            family_codes = sorted(
-                canonical_code(member.graph).decode("ascii") for member in extremal_family(n)
-            )
+            family_codes = sorted(member.canonical for member in extremal_family(n))
             match = sorted(seen) == family_codes
         reports.append(
             VerificationReport(

@@ -30,3 +30,7 @@ class HypothesisError(SzlabError, ValueError):
 
 class SizeLimitError(SzlabError, ValueError):
     """Input exceeds a documented size limit (canonical labeling, built-in enumeration)."""
+
+
+class InvariantViolation(SzlabError):
+    """A mathematical check inside a computation failed; its result is not to be trusted."""

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_code
-from .errors import GraphConstructionError
+from .errors import GraphConstructionError, InvariantViolation
 from .graphs import Graph, block_decomposition, is_bipartite, is_connected, shortest_cycle
 from .invariants import gap
 
@@ -66,10 +66,14 @@ def _tree_from_levels(levels: list[int]) -> RootedTree:
 
 @dataclass(frozen=True)
 class ExtremalGraph:
-    """A family member; attach_vertex is the shared cycle/tree-root vertex."""
+    """A family member; attach_vertex is the shared cycle/tree-root vertex.
+
+    canonical is the member's canonical graph6 code (see canon.canonical_code).
+    """
 
     graph: Graph
     attach_vertex: int
+    canonical: str
 
 
 def extremal_family(n: int) -> list[ExtremalGraph]:
@@ -85,13 +89,13 @@ def extremal_family(n: int) -> list[ExtremalGraph]:
         relabel = lambda t: 0 if t == 0 else t + 3
         edges.extend((relabel(p), relabel(c)) for p, c in tree.edges())
         g = Graph(n, edges)
-        assert is_connected(g) and is_bipartite(g) and g.m == g.n
-        assert is_extremal_form(g)
-        code = canonical_code(g)
-        assert code not in seen, "distinct rooted trees produced isomorphic members"
+        if not is_extremal_form(g):
+            raise InvariantViolation(f"member {g.edges} is not a 4-cycle plus a hanging tree")
+        code = canonical_code(g).decode("ascii")
+        if code in seen:
+            raise InvariantViolation(f"distinct rooted trees produced isomorphic members: {code}")
         seen.add(code)
-        members.append(ExtremalGraph(g, 0))
-    assert len(members) == len(rooted_trees(n - 3))
+        members.append(ExtremalGraph(g, 0, code))
     return members
 
 

@@ -23,7 +23,7 @@ import io
 import json
 from dataclasses import dataclass
 
-from .canon import canonical_code
+from .canon import MAX_CANON_VERTICES, canonical_code
 from .errors import DisconnectedGraphError, HypothesisError
 from .graphs import (
     BlockDecomposition,
@@ -253,6 +253,11 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     category when one endpoint lies in it.  Pairs whose designated-side
     endpoint is the connecting cut vertex carry surplus >= 0 and are kept in
     the designated category so the categories partition all pairs exactly.
+
+    The designated block is the largest block; ties are broken by canonical
+    code, then by sorted vertex list.  Tied blocks above the canonical
+    labeling limit are broken by sorted vertex list alone: only that case
+    depends on the input's labeling.
     """
     if not is_connected(g):
         raise HypothesisError("connected violated")
@@ -266,14 +271,18 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     big = [i for i in range(decomp.k) if sizes[i] >= 4]
     # m >= n forces a cycle, and bipartite blocks with a cycle have >= 4 vertices.
     assert big, "no block of size >= 4 under m >= n and bipartite hypotheses"
-    root = min(
-        big,
-        key=lambda i: (
-            -sizes[i],
-            canonical_code(_induced_block(g, decomp.blocks[i])),
-            sorted(decomp.blocks[i]),
-        ),
-    )
+    largest = max(sizes[i] for i in big)
+    tied = [i for i in big if sizes[i] == largest]
+    if len(tied) > 1 and largest <= MAX_CANON_VERTICES:
+        root = min(
+            tied,
+            key=lambda i: (
+                canonical_code(_induced_block(g, decomp.blocks[i])),
+                sorted(decomp.blocks[i]),
+            ),
+        )
+    else:
+        root = min(tied, key=lambda i: sorted(decomp.blocks[i]))
 
     tree = _block_cut_tree(decomp)
     parent: dict[tuple, tuple | None] = {("B", root): None}

@@ -1,11 +1,16 @@
+import hashlib
+import random
+import time
 from itertools import permutations
 
 import pytest
 
 from szlab.canon import canonical_code, canonical_form, is_isomorphic
+from szlab.enumeration import EnumerationSpec, generate
 from szlab.errors import SizeLimitError
+from szlab.extremal import extremal_family
 from szlab.formats import parse_graph6
-from szlab.graphs import Graph, path_graph, star_graph
+from szlab.graphs import Graph, complete_bipartite, path_graph, star_graph
 
 from .oracles import (
     all_labeled_trees,
@@ -99,3 +104,62 @@ def test_code_invariant_under_random_relabeling_n8(enumerated):
 def test_codes_distinct_across_n8_classes(enumerated):
     codes = {canonical_code(g) for g in enumerated[8]}
     assert len(codes) == len(enumerated[8]) == 182
+
+
+def test_golden_codes():
+    """Pins the canonical form itself, not only the classification.
+
+    The digest covers every bipartite class for n = 1..7, seeded
+    relabelings of those classes and the extremal family for n = 4..11, and
+    was recorded with the exhaustive (unpruned) search.
+    """
+    digest = hashlib.sha256()
+    classes = [
+        g for n in range(1, 8) for g in generate(EnumerationSpec(n, min_edges=0, connected=False))
+    ]
+    assert len(classes) == 149
+    for g in classes:
+        digest.update(canonical_code(g))
+    rng = random.Random(2012)
+    for g in classes:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        digest.update(canonical_code(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])))
+    for n in range(4, 12):
+        for member in extremal_family(n):
+            digest.update(canonical_code(member.graph))
+    assert digest.hexdigest() == "21665eaa28f599fdca3c6c1166ad3914d3d08693067d3c6c72c313e585aa8af8"
+
+
+def _c4_with_pendants(spread: bool) -> Graph:
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    edges += [(i % 4 if spread else 0, 4 + i) for i in range(12)]
+    return Graph(16, edges)
+
+
+_K44 = complete_bipartite(4, 4)
+HARD_CASES = {
+    "edgeless16": Graph(16, []),
+    "star15": star_graph(15),
+    "k88": complete_bipartite(8, 8),
+    "c4_12_pendants": _c4_with_pendants(spread=False),
+    "c4_12_pendants_spread": _c4_with_pendants(spread=True),
+    "two_k44": Graph(16, list(_K44.edges) + [(u + 8, v + 8) for u, v in _K44.edges]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HARD_CASES))
+def test_hard_cases_within_budget(name):
+    """High-symmetry graphs at the size limit: an exhaustive search visits up
+    to 15! leaves here; automorphism pruning must keep each under 2 s."""
+    g = HARD_CASES[name]
+    perm = list(range(g.n))
+    random.Random(16).shuffle(perm)
+    relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    codes = []
+    for h in (g, relabeled):
+        start = time.perf_counter()
+        codes.append(canonical_code(h))
+        assert time.perf_counter() - start < 2.0
+    assert codes[0] == codes[1]
+    assert parse_graph6(codes[0].decode("ascii")).degree_sequence() == g.degree_sequence()

@@ -1,7 +1,7 @@
 import pytest
 
 from szlab.canon import canonical_code, is_isomorphic
-from szlab.errors import GraphConstructionError
+from szlab.errors import GraphConstructionError, InvariantViolation
 from szlab.extremal import extremal_family, is_extremal_form, rooted_trees, verify_extremal_gaps
 from szlab.graphs import Graph, cycle_graph, is_bipartite, is_connected
 from szlab.invariants import gap
@@ -102,3 +102,20 @@ def test_verify_extremal_gaps():
     assert gap(extremal_family(5)[0].graph) == 12
     for member in extremal_family(12):
         assert gap(member.graph) == 40
+
+
+def test_member_carries_its_canonical_code():
+    for n in range(4, 10):
+        for member in extremal_family(n):
+            assert member.canonical == canonical_code(member.graph).decode("ascii")
+
+
+def test_family_rejects_isomorphic_members(monkeypatch):
+    # A generator that yields one rooted tree twice must be caught by an
+    # explicit check (it also holds under python -O).
+    import szlab.extremal as extremal
+
+    trees = rooted_trees(3)
+    monkeypatch.setattr(extremal, "rooted_trees", lambda k: trees + trees[:1])
+    with pytest.raises(InvariantViolation, match="isomorphic members"):
+        extremal_family(6)

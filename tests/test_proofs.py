@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -220,3 +221,37 @@ def test_gap_decomposition_json_shape(c4_pendant):
     csv_lines = gap_decomposition(c4_pendant).pairs_csv().splitlines()
     assert csv_lines[0].startswith("x,y,distance")
     assert len(csv_lines) == 1 + 10
+
+
+def _relabeled(n, edges, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def test_gap_decomposition_block_above_canon_limit():
+    # A 20-cycle block with hanging trees: the largest block is unique, so
+    # no canonical labeling of it is needed.
+    edges = [(i, (i + 1) % 20) for i in range(20)]
+    edges += [(0, 20), (20, 21), (21, 22), (5, 23), (5, 24), (24, 25), (13, 26)]
+    g = _relabeled(27, edges, 20)
+    d = gap_decomposition(g)
+    assert d.blocks.block_sizes[d.root_block] == 20
+    assert sum(d.surplus.surpluses.values()) == d.total == gap(g) >= 4 * g.n - 8
+    assert d.total == sum(d.within_block) + sum(d.cross_root.values()) + d.cross_other
+
+
+def test_gap_decomposition_tied_blocks_above_canon_limit():
+    # Two 18-cycle blocks sharing a vertex tie for largest; the tie falls
+    # back to the sorted vertex list.
+    edges = [(i, (i + 1) % 18) for i in range(18)]
+    ring = [0, *range(18, 35)]
+    edges += [(ring[i], ring[(i + 1) % 18]) for i in range(18)]
+    edges += [(9, 35)]
+    g = _relabeled(36, edges, 18)
+    d = gap_decomposition(g)
+    sizes = d.blocks.block_sizes
+    tied = [i for i in range(d.blocks.k) if sizes[i] == 18]
+    assert len(tied) == 2
+    assert d.root_block == min(tied, key=lambda i: sorted(d.blocks.blocks[i]))
+    assert sum(d.surplus.surpluses.values()) == d.total == gap(g) >= 4 * g.n - 8
