@@ -142,29 +142,12 @@ def cmd_decompose(args) -> int:
     else:
         payload = decomp.to_json_dict()
         if args.pairs:
-            dist = _pair_rows(decomp)
-            payload["pairs"] = dist
+            payload["pairs"] = [
+                {"x": x, "y": y, "distance": d, "surplus": s, "category": cat[0]}
+                for x, y, d, s, cat in decomp.pair_rows()
+            ]
         print(json.dumps(payload, sort_keys=False))
     return EXIT_OK
-
-
-def _pair_rows(decomp) -> list[dict]:
-    from szlab.graphs import all_pairs_distances
-
-    dist = all_pairs_distances(decomp.graph)
-    rows = []
-    for (x, y), s in sorted(decomp.surplus.surpluses.items()):
-        cat = decomp.pair_category[(x, y)]
-        rows.append(
-            {
-                "x": x,
-                "y": y,
-                "distance": dist.d(x, y),
-                "surplus": s,
-                "category": cat[0],
-            }
-        )
-    return rows
 
 
 def _per_graph_rows(graphs) -> list[list]:

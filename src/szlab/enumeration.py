@@ -188,7 +188,8 @@ def _examine(g6: str) -> dict:
         return rec
     report = compute_invariants(g)
     rec.update(wiener=report.wiener, szeged=report.szeged, gap=report.gap)
-    if g.n <= 16:
+    # Only equality graphs are deduplicated, so only they need a canonical code.
+    if report.gap == 4 * g.n - 8 and g.n <= 16:
         rec["canonical"] = canonical_code(g).decode("ascii")
     else:
         rec["canonical"] = None

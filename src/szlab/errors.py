@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that raises one."""
 
 
 class SzlabError(Exception):
@@ -34,3 +34,9 @@ class SizeLimitError(SzlabError, ValueError):
 
 class InvariantViolation(SzlabError):
     """A mathematical check inside a computation failed; its result is not to be trusted."""
+
+
+def ensure(condition: bool, message: str) -> None:
+    """Raise InvariantViolation unless `condition` holds; unlike `assert`, kept under `python -O`."""
+    if not condition:
+        raise InvariantViolation(message)

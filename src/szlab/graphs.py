@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import DisconnectedGraphError, GraphConstructionError
+from .errors import DisconnectedGraphError, GraphConstructionError, ensure
 
 
 class Graph:
@@ -264,9 +264,8 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         raise DisconnectedGraphError("block decomposition requires a connected graph")
     n = g.n
     if n == 0 or g.m == 0:
-        decomp = BlockDecomposition((), (), frozenset())
-        assert sum(decomp.block_sizes) == max(n + decomp.k - 1, 0)
-        return decomp
+        # Connected with no edge: at most one vertex, so no block.
+        return BlockDecomposition((), (), frozenset())
 
     disc = [-1] * n
     low = [0] * n
@@ -333,7 +332,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
         tuple(e for _, _, e in indexed),
         frozenset(cuts),
     )
-    assert sum(decomp.block_sizes) == n + decomp.k - 1
+    ensure(sum(decomp.block_sizes) == n + decomp.k - 1, "block sizes break sum(n_i) = n + k - 1")
     return decomp
 
 

@@ -2,10 +2,15 @@
 
 Everything is integer arithmetic; the revised Szeged index is carried as an
 integer scaled by 4 (its denominator always divides 4) and exposed as a
-Fraction.  Two independent computation routes exist on purpose: the Szeged
-index sums per-edge partition products, while the pair-contribution table
-sums the 0/1 contribution of every vertex pair over every edge; their
-agreement is a structural identity worth checking on every graph.
+Fraction.  Two computation routes exist on purpose.  The Szeged index sums
+per-edge partition products n_u * n_v.  The separation kernel instead gives
+every vertex x two edge-index bitmasks: A_x marks the edges uv with
+d(x,u) < d(x,v), B_x those with d(x,v) < d(x,u).  An edge separates x from y
+exactly when it lies in (A_x & B_y) | (B_x & A_y), so per-pair separation
+counts are popcounts, and their sum over all pairs is the Szeged index again
+(the pair-contribution identity).  The two routes are checked against each
+other on every surplus map; `tests/oracles.py` is the outside check, built on
+Floyd-Warshall distances and brute loops.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DisconnectedGraphError, GraphConstructionError
+from .errors import DisconnectedGraphError, GraphConstructionError, ensure
 from .graphs import DistanceMatrix, Graph, all_pairs_distances, is_bipartite
 
 
@@ -83,6 +88,30 @@ def revised_szeged(g: Graph) -> Fraction:
     return Fraction(revised_szeged_times4(g), 4)
 
 
+def _edge_sides(row: tuple[int, ...], edges) -> tuple[int, int]:
+    """The masks (A_x, B_x) of the vertex x whose distance row is `row`.
+
+    Bit i of A_x is set when x is strictly closer to the first endpoint of
+    edges[i], bit i of B_x when it is strictly closer to the second.  With
+    `_separating` this is the package's one separation predicate.
+    """
+    a = b = 0
+    bit = 1
+    for u, v in edges:
+        du, dv = row[u], row[v]
+        if du < dv:
+            a |= bit
+        elif dv < du:
+            b |= bit
+        bit <<= 1
+    return a, b
+
+
+def _separating(sx: tuple[int, int], sy: tuple[int, int]) -> int:
+    """Edge-index mask of the edges whose partition puts x and y on opposite sides."""
+    return (sx[0] & sy[1]) | (sx[1] & sy[0])
+
+
 def mu(g: Graph, dist: DistanceMatrix, x: int, y: int, e: tuple[int, int]) -> int:
     """1 when x and y fall strictly on opposite sides of edge e, else 0."""
     if x == y:
@@ -90,38 +119,34 @@ def mu(g: Graph, dist: DistanceMatrix, x: int, y: int, e: tuple[int, int]) -> in
     u, v = e
     if not g.has_edge(u, v):
         raise GraphConstructionError(f"({u}, {v}) is not an edge")
-    dx, dy = dist.rows[x], dist.rows[y]
-    if dx[u] < dx[v] and dy[v] < dy[u]:
-        return 1
-    if dx[v] < dx[u] and dy[u] < dy[v]:
-        return 1
-    return 0
+    return _separating(_edge_sides(dist.rows[x], (e,)), _edge_sides(dist.rows[y], (e,)))
 
 
 class MuTable:
-    """Per-(pair, edge) 0/1 contributions with cached per-pair sums.
+    """Per-(pair, edge) 0/1 contributions, held as two edge masks per vertex.
 
     The grand total over all pairs and edges reproduces the Szeged index.
     """
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...], ones: frozenset):
-        self.n = n
+    def __init__(self, dist: DistanceMatrix, edges: tuple[tuple[int, int], ...]):
+        self.n = dist.n
         self.edges = edges
-        self._ones = ones
-        sums: dict[tuple[int, int], int] = {}
-        for x in range(n):
-            for y in range(x + 1, n):
-                sums[(x, y)] = 0
-        for pair, _e in ones:
-            sums[pair] += 1
-        self.pair_sums = sums
-        self.total = len(ones)
+        self.edge_index = {e: i for i, e in enumerate(edges)}
+        self.sides = sides = [_edge_sides(row, edges) for row in dist.rows]
+        self.pair_sums = {
+            (x, y): _separating(sides[x], sides[y]).bit_count()
+            for x in range(self.n)
+            for y in range(x + 1, self.n)
+        }
+        self.total = sum(self.pair_sums.values())
+
+    def separating(self, x: int, y: int) -> int:
+        """Edge-index mask (bit i for edges[i]) of the edges separating x and y."""
+        return _separating(self.sides[x], self.sides[y])
 
     def value(self, x: int, y: int, e: tuple[int, int]) -> int:
-        pair = (x, y) if x < y else (y, x)
         u, v = e
-        key = (u, v) if u < v else (v, u)
-        return 1 if (pair, key) in self._ones else 0
+        return self.separating(x, y) >> self.edge_index[(u, v) if u < v else (v, u)] & 1
 
     def pair_sum(self, x: int, y: int) -> int:
         return self.pair_sums[(x, y) if x < y else (y, x)]
@@ -131,15 +156,7 @@ def mu_table(g: Graph, dist: DistanceMatrix | None = None) -> MuTable:
     if dist is None:
         dist = all_pairs_distances(g)
     _require_connected(dist)
-    ones = set()
-    for x in range(g.n):
-        dx = dist.rows[x]
-        for y in range(x + 1, g.n):
-            dy = dist.rows[y]
-            for u, v in g.edges:
-                if (dx[u] < dx[v] and dy[v] < dy[u]) or (dx[v] < dx[u] and dy[u] < dy[v]):
-                    ones.add(((x, y), (u, v)))
-    return MuTable(g.n, g.edges, frozenset(ones))
+    return MuTable(dist, g.edges)
 
 
 def gap(g: Graph) -> int:
@@ -200,6 +217,6 @@ def compute_invariants(g: Graph) -> InvariantReport:
     sz = sum(p.n_u * p.n_v for p in parts)
     sz4 = sum((2 * p.n_u + p.n_0) * (2 * p.n_v + p.n_0) for p in parts)
     if is_bipartite(g):
-        assert all(p.n_0 == 0 for p in parts)
-        assert sz4 == 4 * sz
+        ensure(all(p.n_0 == 0 for p in parts), "bipartite graph with an equidistant vertex")
+        ensure(sz4 == 4 * sz, "bipartite graph with Sz* != Sz")
     return InvariantReport(g.n, g.m, w, sz, sz4, sz - w, parts)

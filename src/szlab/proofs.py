@@ -22,12 +22,14 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from typing import Iterator
 
 from .canon import MAX_CANON_VERTICES, canonical_code
-from .errors import DisconnectedGraphError, HypothesisError
+from .errors import DisconnectedGraphError, HypothesisError, ensure
 from .graphs import (
     BlockDecomposition,
     CycleInfo,
+    DistanceMatrix,
     Graph,
     all_pairs_distances,
     block_decomposition,
@@ -35,16 +37,17 @@ from .graphs import (
     is_connected,
     shortest_cycle,
 )
-from .invariants import gap
+from .invariants import edge_partitions, mu_table, wiener
 
 
 @dataclass(frozen=True)
 class SurplusMap:
-    """Per-pair surpluses; their total equals Sz - W."""
+    """Per-pair surpluses (their total equals Sz - W) and the distances they came from."""
 
     n: int
     surpluses: dict[tuple[int, int], int]
     total: int
+    dist: DistanceMatrix
 
     def surplus(self, x: int, y: int) -> int:
         return self.surpluses[(x, y) if x < y else (y, x)]
@@ -60,21 +63,13 @@ def surplus_map(g: Graph) -> SurplusMap:
     dist = all_pairs_distances(g)
     if not dist.all_reachable:
         raise DisconnectedGraphError("surplus map requires a connected graph")
-    edges = g.edges
-    surpluses: dict[tuple[int, int], int] = {}
-    for x in range(g.n):
-        dx = dist.rows[x]
-        for y in range(x + 1, g.n):
-            dy = dist.rows[y]
-            count = 0
-            for u, v in edges:
-                if (dx[u] < dx[v] and dy[v] < dy[u]) or (dx[v] < dx[u] and dy[u] < dy[v]):
-                    count += 1
-            surpluses[(x, y)] = count - dx[y]
+    rows = dist.rows
+    surpluses = {(x, y): c - rows[x][y] for (x, y), c in mu_table(g, dist).pair_sums.items()}
     total = sum(surpluses.values())
     # Independent route: per-edge partition products minus the distance sum.
-    assert total == gap(g)
-    return SurplusMap(g.n, surpluses, total)
+    szeged = sum(p.n_u * p.n_v for p in edge_partitions(g, dist))
+    ensure(total == szeged - wiener(dist), "pair surpluses do not sum to Sz - W")
+    return SurplusMap(g.n, surpluses, total, dist)
 
 
 @dataclass(frozen=True)
@@ -120,7 +115,7 @@ def check_antipodal_cycle(g: Graph) -> AntipodalCheck:
     For cycle v_1..v_p (p even, bipartite) and each i, the pair
     (v_i, v_{i+p/2}) must have contribution 1 on all p cycle edges; its
     surplus is therefore at least p/2.  Only the per-edge equalities and the
-    inequality (total separations >= p) are asserted, since edges outside the
+    inequality (total separations >= p) are checked, since edges outside the
     cycle may separate the pair as well.
     """
     if not is_bipartite(g):
@@ -129,31 +124,25 @@ def check_antipodal_cycle(g: Graph) -> AntipodalCheck:
     if cyc is None:
         raise HypothesisError("acyclic input: no cycle to check")
     p = cyc.length
-    assert p % 2 == 0
+    ensure(p % 2 == 0, "odd shortest cycle in a bipartite graph")
     verts = cyc.vertices
+    dist = all_pairs_distances(g)
+    table = mu_table(g, dist)
     cycle_edges = []
     for i in range(p):
         a, b = verts[i], verts[(i + 1) % p]
         cycle_edges.append((a, b) if a < b else (b, a))
-    dist = all_pairs_distances(g)
     failures = []
     half = p // 2
     for i in range(half):
         x, y = verts[i], verts[i + half]
-        dx, dy = dist.rows[x], dist.rows[y]
-        on_cycle = 0
-        for u, v in cycle_edges:
-            if (dx[u] < dx[v] and dy[v] < dy[u]) or (dx[v] < dx[u] and dy[u] < dy[v]):
-                on_cycle += 1
-            else:
-                failures.append(((x, y) if x < y else (y, x), (u, v)))
-        everywhere = 0
-        for u, v in g.edges:
-            if (dx[u] < dx[v] and dy[v] < dy[u]) or (dx[v] < dx[u] and dy[u] < dy[v]):
-                everywhere += 1
-        if on_cycle == p:
-            assert everywhere >= p
-            assert everywhere - dx[y] >= half
+        sep = table.separating(x, y)
+        missed = [e for e in cycle_edges if not sep >> table.edge_index[e] & 1]
+        failures.extend(((x, y) if x < y else (y, x), e) for e in missed)
+        if not missed:
+            everywhere = sep.bit_count()
+            ensure(everywhere >= p, "cycle edges separate a pair more often than all edges")
+            ensure(everywhere - dist.d(x, y) >= half, "antipodal pair surplus below p/2")
     return AntipodalCheck(not failures, cyc, half, tuple(failures))
 
 
@@ -220,16 +209,18 @@ class GapDecomposition:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=False)
 
+    def pair_rows(self) -> Iterator[tuple[int, int, int, int, tuple]]:
+        """(x, y, distance, surplus, category) for every pair x < y, in order."""
+        rows = self.surplus.dist.rows
+        for (x, y), s in sorted(self.surplus.surpluses.items()):
+            yield x, y, rows[x][y], s, self.pair_category[(x, y)]
+
     def pairs_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "y", "distance", "separations", "surplus", "category", "block"])
-        dist = all_pairs_distances(self.graph)
-        for (x, y), s in sorted(self.surplus.surpluses.items()):
-            cat = self.pair_category[(x, y)]
-            block = cat[1] if len(cat) > 1 else ""
-            d = dist.d(x, y)
-            writer.writerow([x, y, d, s + d, s, cat[0], block])
+        for x, y, d, s, cat in self.pair_rows():
+            writer.writerow([x, y, d, s + d, s, cat[0], cat[1] if len(cat) > 1 else ""])
         return buf.getvalue()
 
 
@@ -246,7 +237,7 @@ def _block_cut_tree(decomp: BlockDecomposition) -> dict:
 
 
 def gap_decomposition(g: Graph) -> GapDecomposition:
-    """Decompose Sz - W over block categories and assert every lower bound.
+    """Decompose Sz - W over block categories and check every lower bound.
 
     Hypotheses: connected, bipartite, m >= n.  Pairs sharing a block belong
     to that (unique) block; remaining pairs attach to the designated block's
@@ -270,7 +261,7 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     sizes = decomp.block_sizes
     big = [i for i in range(decomp.k) if sizes[i] >= 4]
     # m >= n forces a cycle, and bipartite blocks with a cycle have >= 4 vertices.
-    assert big, "no block of size >= 4 under m >= n and bipartite hypotheses"
+    ensure(bool(big), "no block of size >= 4 under m >= n and bipartite hypotheses")
     largest = max(sizes[i] for i in big)
     tied = [i for i in big if sizes[i] == largest]
     if len(tied) > 1 and largest <= MAX_CANON_VERTICES:
@@ -340,7 +331,7 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     for (x, y), s in smap.surpluses.items():
         common = set(vertex_blocks[x]) & set(vertex_blocks[y])
         if common:
-            assert len(common) == 1
+            ensure(len(common) == 1, "a pair shares two blocks")
             b = common.pop()
             within[b] += s
             category[(x, y)] = ("within", b)
@@ -353,17 +344,17 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
             category[(x, y)] = ("cross_other", (home[x], home[y]))
 
     total = sum(within) + sum(cross_root.values()) + cross_other
-    assert len(category) == g.n * (g.n - 1) // 2
-    assert total == smap.total
+    ensure(len(category) == g.n * (g.n - 1) // 2, "pair categories do not cover every pair")
+    ensure(total == smap.total, "category subtotals do not reconcile with Sz - W")
 
     for i in range(decomp.k):
         if sizes[i] >= 4:
-            assert within[i] >= 4 * sizes[i] - 8
+            ensure(within[i] >= 4 * sizes[i] - 8, f"block {i}: within surplus below 4n_i - 8")
         else:
-            assert sizes[i] == 2 and within[i] == 0
+            ensure(sizes[i] == 2 and within[i] == 0, f"bridge block {i} with nonzero surplus")
     for i, sub in cross_root.items():
-        assert sub >= sizes[root] * (sizes[i] - 1)
-    assert cross_other >= 0
+        ensure(sub >= sizes[root] * (sizes[i] - 1), f"block {i}: cross surplus below n_1(n_i - 1)")
+    ensure(cross_other >= 0, "negative cross-other surplus")
 
     floor_ok, witness_ok = _check_cross_refinement(decomp, root, root_gate, toward_root_cut, smap)
     return GapDecomposition(

@@ -1,0 +1,114 @@
+"""Failure injection: corrupted partitions, surpluses or structure raise InvariantViolation.
+
+The mathematical checks are explicit raises, not `assert`, so they must
+fire under `python -O` as well; the last test reruns this module that way.
+These tests therefore check with `pytest.raises` only.
+"""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+from szlab import graphs, invariants, proofs
+from szlab.errors import InvariantViolation
+from szlab.graphs import CycleInfo, DistanceMatrix, Graph, block_decomposition
+from szlab.invariants import compute_invariants
+from szlab.proofs import SurplusMap, check_antipodal_cycle, gap_decomposition, surplus_map
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _shifted_partitions(monkeypatch, module, **delta):
+    real = invariants.edge_partitions
+
+    def corrupted(g, dist=None):
+        return tuple(
+            replace(p, **{k: getattr(p, k) + v for k, v in delta.items()}) for p in real(g, dist)
+        )
+
+    monkeypatch.setattr(module, "edge_partitions", corrupted)
+
+
+def _with_surpluses(monkeypatch, changes: dict, total_shift: int = 0):
+    real = proofs.surplus_map
+
+    def corrupted(g):
+        smap = real(g)
+        surpluses = dict(smap.surpluses)
+        for pair, delta in changes.items():
+            surpluses[pair] += delta
+        total = sum(surpluses.values()) + total_shift
+        return SurplusMap(smap.n, surpluses, total, smap.dist)
+
+    monkeypatch.setattr(proofs, "surplus_map", corrupted)
+
+
+def test_surplus_map_rejects_corrupted_partition(monkeypatch, c4_pendant):
+    _shifted_partitions(monkeypatch, proofs, n_u=1)
+    with pytest.raises(InvariantViolation, match="Sz - W"):
+        surplus_map(c4_pendant)
+
+
+def test_compute_invariants_rejects_equidistant_vertex_on_bipartite(monkeypatch, c4):
+    _shifted_partitions(monkeypatch, invariants, n_0=1)
+    with pytest.raises(InvariantViolation, match="equidistant"):
+        compute_invariants(c4)
+
+
+def test_gap_decomposition_rejects_corrupted_total(monkeypatch, c4_pendant):
+    _with_surpluses(monkeypatch, {}, total_shift=1)
+    with pytest.raises(InvariantViolation, match="reconcile"):
+        gap_decomposition(c4_pendant)
+
+
+def test_gap_decomposition_rejects_within_block_deficit(monkeypatch, c4_pendant):
+    # (0, 2) is an antipodal pair of the 4-cycle block.
+    _with_surpluses(monkeypatch, {(0, 2): -8})
+    with pytest.raises(InvariantViolation, match="within surplus"):
+        gap_decomposition(c4_pendant)
+
+
+def test_gap_decomposition_rejects_cross_block_deficit(monkeypatch, c4_pendant):
+    # (2, 4) joins the pendant vertex to the far side of the cycle block.
+    _with_surpluses(monkeypatch, {(2, 4): -2})
+    with pytest.raises(InvariantViolation, match="cross surplus"):
+        gap_decomposition(c4_pendant)
+
+
+def test_antipodal_check_rejects_odd_cycle(monkeypatch, c4):
+    monkeypatch.setattr(proofs, "shortest_cycle", lambda g: CycleInfo((0, 1, 2)))
+    with pytest.raises(InvariantViolation, match="odd"):
+        check_antipodal_cycle(c4)
+
+
+def test_antipodal_check_rejects_corrupted_distance(monkeypatch, c4):
+    # Stretching d(0, 2) keeps every edge side but drops the pair's surplus below p/2.
+    rows = [list(r) for r in graphs.all_pairs_distances(c4).rows]
+    rows[0][2] = rows[2][0] = 4
+    corrupt = DistanceMatrix(4, tuple(tuple(r) for r in rows))
+    monkeypatch.setattr(proofs, "all_pairs_distances", lambda g: corrupt)
+    with pytest.raises(InvariantViolation, match="p/2"):
+        check_antipodal_cycle(c4)
+
+
+def test_block_decomposition_rejects_missed_vertices(monkeypatch):
+    # Told a disconnected graph is connected, the DFS covers one component only.
+    monkeypatch.setattr(graphs, "is_connected", lambda g: True)
+    with pytest.raises(InvariantViolation, match="n \\+ k - 1"):
+        block_decomposition(Graph(5, [(0, 1), (1, 2), (3, 4)]))
+
+
+def test_checks_survive_python_O():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "not python_O", str(Path(__file__))],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "8 passed" in proc.stdout, proc.stdout
