@@ -10,10 +10,8 @@ exhaustively over isomorph-free enumerations.
 from .canon import canonical_code, canonical_form, is_isomorphic
 from .enumeration import (
     EnumerationSpec,
-    StreamRecord,
     VerificationReport,
     generate,
-    ingest_graph6_stream,
     verify_conjecture,
 )
 from .errors import (

@@ -17,14 +17,17 @@ import json
 import os
 import sys
 import time
+from itertools import chain
+from typing import Iterator
 
 from .canon import canonical_code
 from .enumeration import (
     BUILTIN_ENUMERATION_LIMIT,
     EnumerationSpec,
+    examine,
+    examine_lines,
+    fold_records,
     generate,
-    ingest_graph6_stream,
-    verify_conjecture,
 )
 from .errors import (
     DisconnectedGraphError,
@@ -34,10 +37,10 @@ from .errors import (
     HypothesisError,
     SizeLimitError,
 )
-from .extremal import extremal_family
+from .extremal import family_row
 from .formats import parse_edge_list, parse_graph6
 from .graphs import Graph
-from .invariants import compute_invariants, gap
+from .invariants import compute_invariants
 from .proofs import gap_decomposition
 
 EXIT_OK = 0
@@ -150,29 +153,27 @@ def cmd_decompose(args) -> int:
     return EXIT_OK
 
 
-def _per_graph_rows(graphs) -> list[list]:
-    # Rows for the per-graph CSV: (canonical code, n, m, W, Sz, gap).
-    rows = []
-    for g in graphs:
-        try:
-            report = compute_invariants(g)
-        except DisconnectedGraphError:
-            continue
-        code = canonical_code(g).decode("ascii") if g.n <= 16 else ""
-        rows.append([code, g.n, g.m, report.wiener, report.szeged, report.gap])
-    return sorted(rows, key=lambda r: (r[1], r[0]))
-
-
-def _emit_reports(reports, graphs, args, elapsed: float) -> None:
+def _emit_reports(records, args, t0: float) -> None:
+    reports, rows = fold_records(records)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["canonical_code", "n", "m", "wiener", "szeged", "gap"])
-        writer.writerows(_per_graph_rows(graphs))
+        writer.writerows(sorted(rows, key=lambda r: (r[1], r[0])))
     else:
         payload = {"schema": 1, "reports": [r.to_json_dict() for r in reports]}
         print(json.dumps(payload, sort_keys=False))
     checked = sum(r.graphs_checked for r in reports)
-    _err(f"checked {checked} graphs in {elapsed:.2f}s")
+    _err(f"checked {checked} graphs in {time.monotonic() - t0:.2f}s")
+
+
+def _reporting_errors(records, errors: list) -> Iterator[dict]:
+    # Parse failures go to stderr as they arrive, so in line order.
+    for rec in records:
+        if "error" in rec:
+            _err(f"line {rec['lineno']}: {rec['error']}")
+            errors.append(rec)
+        else:
+            yield rec
 
 
 def cmd_verify(args) -> int:
@@ -187,19 +188,12 @@ def cmd_verify(args) -> int:
     else:
         fh = sys.stdin
     t0 = time.monotonic()
-    graphs = []
-    errors = 0
+    errors: list[dict] = []
     with fh:
-        for rec in ingest_graph6_stream(fh):
-            if rec.error is not None:
-                _err(f"line {rec.lineno}: {rec.error}")
-                errors += 1
-            else:
-                graphs.append(rec.graph)
-    reports = verify_conjecture(graphs, workers=_workers(args))
-    _emit_reports(reports, graphs, args, time.monotonic() - t0)
+        records = examine_lines(fh, _workers(args), rows=args.format == "csv")
+        _emit_reports(_reporting_errors(records, errors), args, t0)
     if errors:
-        _err(f"{errors} unparseable line(s) skipped")
+        _err(f"{len(errors)} unparseable line(s) skipped")
     return EXIT_OK
 
 
@@ -217,14 +211,9 @@ def cmd_enumerate(args) -> int:
             )
             return EXIT_LIMIT
     t0 = time.monotonic()
-    reports = []
-    graphs = []
-    for n in ns:
-        spec = EnumerationSpec(n=n, min_edges=args.min_edges)
-        batch_graphs = list(generate(spec))
-        reports.extend(verify_conjecture(batch_graphs, workers=_workers(args)))
-        graphs.extend(batch_graphs)
-    _emit_reports(reports, graphs, args, time.monotonic() - t0)
+    batches = (generate(EnumerationSpec(n=n, min_edges=args.min_edges)) for n in ns)
+    records = (examine(graphs, _workers(args), rows=args.format == "csv") for graphs in batches)
+    _emit_reports(chain.from_iterable(records), args, t0)
     return EXIT_OK
 
 
@@ -237,14 +226,7 @@ def cmd_extremal(args) -> int:
     if not ns or ns[0] < 4:
         _err("extremal family is defined for n >= 4")
         return EXIT_PARSE
-    families = []
-    for n in ns:
-        members = extremal_family(n)
-        lines = sorted(mem.canonical for mem in members)
-        gaps_ok = all(gap(mem.graph) == 4 * n - 8 for mem in members)
-        families.append(
-            {"n": n, "count": len(members), "members": lines, "all_gaps_equal_4n_minus_8": gaps_ok}
-        )
+    families = [family_row(n) for n in ns]
     if args.format == "json":
         print(json.dumps({"schema": 1, "families": families}, sort_keys=False))
     else:

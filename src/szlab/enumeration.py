@@ -11,15 +11,15 @@ post-filters so the same generator also serves tree workloads.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
 from .canon import canonical_code, canonical_form
 from .errors import Graph6Error, SizeLimitError
 from .extremal import extremal_family
-from .formats import parse_graph6, to_graph6
+from .formats import is_standard_graph6, parse_graph6, to_graph6
 from .graphs import Graph, bipartition, Bipartition, is_bipartite, is_connected
 from .invariants import compute_invariants
 
@@ -121,27 +121,6 @@ def generate(spec: EnumerationSpec) -> Iterator[Graph]:
 
 
 @dataclass(frozen=True)
-class StreamRecord:
-    """One parsed graph6 line, or its error, with line-number provenance."""
-
-    lineno: int
-    graph: Graph | None
-    error: str | None
-
-
-def ingest_graph6_stream(lines: Iterable[str]) -> Iterator[StreamRecord]:
-    """Parse one graph6 record per line; failures are reported, not fatal."""
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        try:
-            yield StreamRecord(lineno, parse_graph6(text), None)
-        except Graph6Error as exc:
-            yield StreamRecord(lineno, None, str(exc))
-
-
-@dataclass(frozen=True)
 class EqualityEntry:
     canonical: str | None
     graph6: str
@@ -180,20 +159,121 @@ class VerificationReport:
         return json.dumps(self.to_json_dict(), sort_keys=False)
 
 
-def _examine(g6: str) -> dict:
-    g = parse_graph6(g6)
-    ok = is_connected(g) and is_bipartite(g) and g.m >= g.n
-    rec: dict = {"graph6": g6, "n": g.n, "m": g.m, "ok": ok}
-    if not ok:
+def _examine(g: Graph, text: str | None = None, rows: bool = False) -> dict:
+    """One graph's record: whether it meets the hypotheses, its gap, and the names reports use.
+
+    `text` is the stripped graph6 line the graph came from, if any.  With
+    `rows`, every connected graph also gets its per-graph CSV row.
+    """
+    connected = is_connected(g)
+    ok = connected and is_bipartite(g) and g.m >= g.n
+    rec: dict = {"n": g.n, "ok": ok}
+    if not (ok or rows and connected):
         return rec
     report = compute_invariants(g)
-    rec.update(wiener=report.wiener, szeged=report.szeged, gap=report.gap)
-    # Only equality graphs are deduplicated, so only they need a canonical code.
-    if report.gap == 4 * g.n - 8 and g.n <= 16:
-        rec["canonical"] = canonical_code(g).decode("ascii")
-    else:
-        rec["canonical"] = None
+    bound = 4 * g.n - 8
+    # Only equality graphs are deduplicated, so only they (and CSV rows) need a canonical code.
+    code = None
+    if g.n <= 16 and (rows or ok and report.gap == bound):
+        code = canonical_code(g).decode("ascii")
+    if rows:
+        rec["row"] = [code or "", g.n, g.m, report.wiener, report.szeged, report.gap]
+    if ok:
+        rec.update(gap=report.gap, canonical=code)
+    if ok and report.gap <= bound:
+        standard = text is not None and is_standard_graph6(text, g.n)
+        rec["graph6"] = text if standard else to_graph6(g)
     return rec
+
+
+def _examine_line(item: tuple[int, str], rows: bool = False) -> dict:
+    lineno, text = item[0], item[1].strip()
+    try:
+        g = parse_graph6(text)
+    except Graph6Error as exc:
+        return {"lineno": lineno, "error": str(exc)}
+    return {"lineno": lineno, **_examine(g, text, rows)}
+
+
+def examine_lines(lines: Iterable[str], workers: int = 1, rows: bool = False) -> Iterator[dict]:
+    """Records of the non-blank graph6 lines in line order, each line parsed once, by a worker.
+
+    Every record carries its "lineno"; an unparseable line gives one with
+    only an "error" besides.  With workers > 1 the lines stream through a
+    process pool in chunks.
+    """
+    items = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip())
+    examine_one = partial(_examine_line, rows=rows)
+    if workers <= 1:
+        yield from map(examine_one, items)
+        return
+    with Pool(processes=workers) as pool:
+        yield from pool.imap(examine_one, items, chunksize=16)
+
+
+def examine(graphs: Iterable[Graph], workers: int = 1, rows: bool = False) -> Iterator[dict]:
+    """Records of the graphs in order; a graph is encoded as graph6 only to reach a pool."""
+    if workers > 1:
+        return examine_lines(map(to_graph6, graphs), workers, rows)
+    return (_examine(g, rows=rows) for g in graphs)
+
+
+@dataclass
+class _Tally:
+    checked: int = 0
+    rejected: int = 0
+    min_gap: int | None = None
+    violations: list[str] = field(default_factory=list)
+    classes: dict[str, str] = field(default_factory=dict)  # canonical code -> first graph6
+    uncoded: list[str] = field(default_factory=list)  # equality graphs above the canon limit
+
+
+def fold_records(
+    records: Iterable[dict], stats: dict | None = None
+) -> tuple[list[VerificationReport], list[list]]:
+    """Fold records as they arrive into one report per n present, plus the CSV rows they carry.
+
+    Besides the rows, only per-n tallies and the equality classes are kept.
+    """
+    tallies: dict[int, _Tally] = {}
+    rows = []
+    for rec in records:
+        if "row" in rec:
+            rows.append(rec["row"])
+        t = tallies.setdefault(rec["n"], _Tally())
+        if not rec["ok"]:
+            t.rejected += 1
+            continue
+        t.checked += 1
+        t.min_gap = rec["gap"] if t.min_gap is None else min(t.min_gap, rec["gap"])
+        bound = 4 * rec["n"] - 8
+        if rec["gap"] < bound:
+            t.violations.append(rec["graph6"])
+        elif rec["gap"] == bound and rec["canonical"] is None:
+            t.uncoded.append(rec["graph6"])
+        elif rec["gap"] == bound:
+            # Isomorphic duplicates in the input collapse to one equality entry.
+            t.classes.setdefault(rec["canonical"], rec["graph6"])
+    reports = []
+    for n, t in sorted(tallies.items()):
+        match: bool | None = None
+        if 4 <= n <= 16 and not t.uncoded and t.checked:
+            match = sorted(t.classes) == sorted(member.canonical for member in extremal_family(n))
+        equality = sorted(t.classes.items()) + [(None, g6) for g6 in sorted(t.uncoded)]
+        reports.append(
+            VerificationReport(
+                n=n,
+                graphs_checked=t.checked,
+                rejected=t.rejected,
+                min_gap=t.min_gap,
+                bound=4 * n - 8,
+                violations=tuple(sorted(t.violations)),
+                equality_graphs=tuple(EqualityEntry(c, g6) for c, g6 in equality),
+                extremal_match=match,
+                stats=dict(stats or {}),
+            )
+        )
+    return reports, rows
 
 
 def verify_conjecture(graphs: Iterable[Graph], workers: int = 1) -> list[VerificationReport]:
@@ -202,53 +282,4 @@ def verify_conjecture(graphs: Iterable[Graph], workers: int = 1) -> list[Verific
     Inputs failing the hypotheses (connected, bipartite, m >= n) are tallied
     as rejected.  Reports are identical for any worker count.
     """
-    t0 = time.monotonic()
-    lines = [to_graph6(g) for g in graphs]
-    if workers > 1 and len(lines) > 1:
-        with Pool(processes=workers) as pool:
-            records = pool.map(_examine, lines, chunksize=16)
-    else:
-        records = [_examine(g6) for g6 in lines]
-
-    by_n: dict[int, list[dict]] = {}
-    rejected: dict[int, int] = {}
-    for rec in records:
-        if rec["ok"]:
-            by_n.setdefault(rec["n"], []).append(rec)
-        else:
-            rejected[rec["n"]] = rejected.get(rec["n"], 0) + 1
-    reports = []
-    for n in sorted(set(by_n) | set(rejected)):
-        recs = by_n.get(n, [])
-        bound = 4 * n - 8
-        min_gap = min((r["gap"] for r in recs), default=None)
-        violations = tuple(sorted(r["graph6"] for r in recs if r["gap"] < bound))
-        # Isomorphic duplicates in the input collapse to one equality entry.
-        seen: dict[str, str] = {}
-        undeduped = []
-        for r in recs:
-            if r["gap"] != bound:
-                continue
-            if r["canonical"] is None:
-                undeduped.append((None, r["graph6"]))
-            elif r["canonical"] not in seen:
-                seen[r["canonical"]] = r["graph6"]
-        equality = sorted(seen.items()) + sorted(undeduped, key=lambda t: t[1])
-        match: bool | None = None
-        if 4 <= n <= 16 and not undeduped and recs:
-            family_codes = sorted(member.canonical for member in extremal_family(n))
-            match = sorted(seen) == family_codes
-        reports.append(
-            VerificationReport(
-                n=n,
-                graphs_checked=len(recs),
-                rejected=rejected.get(n, 0),
-                min_gap=min_gap,
-                bound=bound,
-                violations=violations,
-                equality_graphs=tuple(EqualityEntry(c, g6) for c, g6 in equality),
-                extremal_match=match,
-                stats={"seconds": time.monotonic() - t0, "workers": workers},
-            )
-        )
-    return reports
+    return fold_records(examine(graphs, workers), {"workers": workers})[0]

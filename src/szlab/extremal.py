@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_code
-from .errors import GraphConstructionError, InvariantViolation
+from .errors import GraphConstructionError, InvariantViolation, ensure
 from .graphs import Graph, block_decomposition, is_bipartite, is_connected, shortest_cycle
 from .invariants import gap
 
@@ -112,14 +112,17 @@ def is_extremal_form(g: Graph) -> bool:
     return sum(1 for v in cyc.vertices if v in cuts) <= 1
 
 
+def family_row(n: int) -> dict:
+    """The family for n as sorted canonical codes, after checking that every gap is 4n - 8."""
+    members = extremal_family(n)
+    gaps_ok = all(gap(m.graph) == 4 * n - 8 for m in members)
+    ensure(gaps_ok, f"a family member on {n} vertices has a gap other than 4n - 8")
+    codes = sorted(m.canonical for m in members)
+    return {"n": n, "count": len(codes), "members": codes, "all_gaps_equal_4n_minus_8": True}
+
+
 def verify_extremal_gaps(n_max: int) -> list[dict]:
-    """Assert gap == 4n - 8 for every family member with 4 <= n <= n_max."""
+    """`family_row` for every 4 <= n <= n_max; a gap other than 4n - 8 raises."""
     if n_max < 4:
         raise GraphConstructionError(f"n_max must be >= 4, got {n_max}")
-    rows = []
-    for n in range(4, n_max + 1):
-        members = extremal_family(n)
-        gaps = [gap(member.graph) for member in members]
-        assert all(value == 4 * n - 8 for value in gaps)
-        rows.append({"n": n, "count": len(members), "all_gaps_equal_4n_minus_8": True})
-    return rows
+    return [family_row(n) for n in range(4, n_max + 1)]

@@ -88,6 +88,14 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
+def is_standard_graph6(text: str, n: int) -> bool:
+    """Whether `text`, a stripped record parse_graph6 read as n vertices, is what to_graph6 writes.
+
+    Parsing is strict, so only a `>>graph6<<` prefix or a long header for n <= 62 can differ.
+    """
+    return not text.startswith(_HEADER_PREFIX) and (text[0] == "~") == (n > 62)
+
+
 def format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.m}"]
     lines.extend(f"{u} {v}" for u, v in g.edges)

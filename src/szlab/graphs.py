@@ -105,61 +105,96 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs unweighted hop counts; -1 marks an unreachable pair."""
+    """All-pairs hop counts, held as balls: balls[v][k] masks the vertices within distance k of v.
 
-    n: int
-    rows: tuple[tuple[int, ...], ...]
+    k runs over 0..ecc(v), so the last ball is v's component.  `rows` (-1
+    marks an unreachable pair) is derived on first use; DistanceMatrix(n, rows)
+    builds the balls from given rows instead.
+    """
+
+    __slots__ = ("n", "balls", "_rows")
+
+    def __init__(self, n: int, rows=None, balls=None):
+        self.n, self._rows = n, rows
+        if balls is None:
+            balls = tuple(
+                tuple(
+                    sum(1 << w for w, d in enumerate(r) if 0 <= d <= k) for k in range(max(r) + 1)
+                )
+                for r in rows
+            )
+        self.balls = balls
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        if self._rows is None:
+            rows = []
+            for balls in self.balls:
+                row = [-1] * self.n
+                for k, ball in enumerate(balls):
+                    for w in _bits(ball & ~balls[k - 1] if k else ball):
+                        row[w] = k
+                rows.append(tuple(row))
+            self._rows = tuple(rows)
+        return self._rows
 
     def d(self, u: int, v: int) -> int:
         return self.rows[u][v]
 
     def reachable(self, u: int, v: int) -> bool:
-        return self.rows[u][v] >= 0
+        return bool(self.balls[u][-1] >> v & 1)
 
     @property
     def all_reachable(self) -> bool:
-        return all(x >= 0 for row in self.rows for x in row)
+        return all(b[-1] == (1 << self.n) - 1 for b in self.balls)
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """BFS from every vertex, frontier-at-a-time over adjacency bitmasks."""
-    masks = g._mask
-    rows = []
-    for s in g.vertices():
-        dist = [-1] * g.n
-        dist[s] = 0
-        seen = 1 << s
-        frontier = 1 << s
-        step = 0
-        while frontier:
-            step += 1
-            nxt = 0
-            for v in _bits(frontier):
-                nxt |= masks[v]
-            nxt &= ~seen
-            for v in _bits(nxt):
-                dist[v] = step
-            seen |= nxt
-            frontier = nxt
-        rows.append(tuple(dist))
-    return DistanceMatrix(g.n, tuple(rows))
+    """Grow the balls of every vertex at once: ball_v[k+1] = ball_v[k] | OR of ball_u[k], u ~ v.
+
+    A ball that stops growing is its whole component, so only vertices whose
+    ball grew in a round take part in the next.
+    """
+    neigh = g._neigh
+    ball = [1 << v for v in g.vertices()]
+    balls = [[b] for b in ball]
+    active = [v for v in g.vertices() if neigh[v]]
+    while active:
+        grown = []
+        for v in active:
+            b = ball[v]
+            for u in neigh[v]:
+                b |= ball[u]
+            if b != ball[v]:
+                grown.append((v, b))
+        for v, b in grown:
+            ball[v] = b
+            balls[v].append(b)
+        active = [v for v, _ in grown]
+    return DistanceMatrix(g.n, balls=tuple(map(tuple, balls)))
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    seen = 1
-    frontier = 1
+def _distances_from(g: Graph, s: int) -> list[int]:
+    """Hop counts from s by frontier-at-a-time BFS over adjacency bitmasks; -1 when unreachable."""
+    dist = [-1] * g.n
+    dist[s] = 0
+    seen = frontier = 1 << s
+    step = 0
     while frontier:
+        step += 1
         nxt = 0
         for v in _bits(frontier):
             nxt |= g._mask[v]
-        nxt &= ~seen
-        seen |= nxt
-        frontier = nxt
-    return seen == (1 << g.n) - 1
+        frontier = nxt & ~seen
+        seen |= frontier
+        for v in _bits(frontier):
+            dist[v] = step
+    return dist
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n == 0 or -1 not in _distances_from(g, 0)
 
 
 @dataclass(frozen=True)
@@ -386,9 +421,12 @@ def _lex_least_cycle(g: Graph, length: int, through: int | None) -> tuple[int, .
     first complete sequence found is the least.  `through` restricts the
     search to cycles containing that vertex.
     """
-    dist = all_pairs_distances(g)
+    # One BFS per start tried, plus one from `through`, bounds the search.
+    to_through = _distances_from(g, through) if through is not None else None
 
-    def extend(path: list[int], used: set[int], start: int) -> tuple[int, ...] | None:
+    def extend(
+        path: list[int], used: set[int], start: int, to_start: list[int]
+    ) -> tuple[int, ...] | None:
         depth = len(path)
         cur = path[-1]
         if depth == length:
@@ -399,15 +437,15 @@ def _lex_least_cycle(g: Graph, length: int, through: int | None) -> tuple[int, .
         for w in g.neighbors(cur):
             if w <= start or w in used:
                 continue
-            if dist.d(w, start) > remaining or dist.d(w, start) < 0:
+            if to_start[w] > remaining or to_start[w] < 0:
                 continue
-            if through is not None and through not in used and through != w:
-                dv = dist.d(w, through)
-                if dv < 0 or dv + dist.d(through, start) > remaining:
+            if to_through is not None and through not in used and through != w:
+                dv = to_through[w]
+                if dv < 0 or dv + to_through[start] > remaining:
                     continue
             path.append(w)
             used.add(w)
-            found = extend(path, used, start)
+            found = extend(path, used, start, to_start)
             if found is not None:
                 return found
             path.pop()
@@ -417,7 +455,7 @@ def _lex_least_cycle(g: Graph, length: int, through: int | None) -> tuple[int, .
     for start in g.vertices():
         if through is not None and through < start:
             break
-        found = extend([start], {start}, start)
+        found = extend([start], {start}, start, _distances_from(g, start))
         if found is not None:
             return found
     return None
@@ -441,11 +479,11 @@ def shortest_cycle_through(g: Graph, v: int) -> CycleInfo | None:
     # Remove v; a cycle through v is v, a, ..., b, v with the inner path
     # avoiding v, so its length is d_{G-v}(a, b) + 2.
     rest = Graph(g.n, [e for e in g.edges if v not in e])
-    dist = all_pairs_distances(rest)
     nbrs = g.neighbors(v)
     for i, a in enumerate(nbrs):
+        from_a = _distances_from(rest, a)
         for b in nbrs[i + 1 :]:
-            dab = dist.d(a, b)
+            dab = from_a[b]
             if dab >= 0 and (best is None or dab + 2 < best):
                 best = dab + 2
     if best is None:

@@ -3,7 +3,8 @@
 Everything is integer arithmetic; the revised Szeged index is carried as an
 integer scaled by 4 (its denominator always divides 4) and exposed as a
 Fraction.  Two computation routes exist on purpose.  The Szeged index sums
-per-edge partition products n_u * n_v.  The separation kernel instead gives
+per-edge partition products n_u * n_v, counted (like W) as popcounts over
+the distance balls of the edge's ends.  The separation kernel instead gives
 every vertex x two edge-index bitmasks: A_x marks the edges uv with
 d(x,u) < d(x,v), B_x those with d(x,v) < d(x,u).  An edge separates x from y
 exactly when it lies in (A_x & B_y) | (B_x & A_y), so per-pair separation
@@ -20,6 +21,7 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import and_, invert
 
 from .errors import DisconnectedGraphError, GraphConstructionError, ensure
 from .graphs import DistanceMatrix, Graph, all_pairs_distances, is_bipartite
@@ -33,7 +35,9 @@ def _require_connected(dist: DistanceMatrix) -> None:
 def wiener(dist: DistanceMatrix) -> int:
     """Sum of distances over unordered vertex pairs."""
     _require_connected(dist)
-    return sum(sum(row) for row in dist.rows) // 2
+    # sum_w d(v, w) = sum over k < ecc(v) of the vertices outside v's k-ball.
+    n = dist.n
+    return sum(n * (len(b) - 1) - sum(map(int.bit_count, b[:-1])) for b in dist.balls) // 2
 
 
 @dataclass(frozen=True)
@@ -51,16 +55,19 @@ def edge_partition(g: Graph, dist: DistanceMatrix, e: tuple[int, int]) -> EdgePa
     u, v = e
     if not g.has_edge(u, v):
         raise GraphConstructionError(f"({u}, {v}) is not an edge")
-    du, dv = dist.rows[u], dist.rows[v]
-    n_u = n_v = n_0 = 0
-    for w in g.vertices():
-        if du[w] < dv[w]:
-            n_u += 1
-        elif dv[w] < du[w]:
-            n_v += 1
-        else:
-            n_0 += 1
-    return EdgePartition(u, v, n_u, n_v, n_0)
+    bu, bv = dist.balls[u], dist.balls[v]
+    n_u, n_v = _closer(bu, bv), _closer(bv, bu)
+    return EdgePartition(u, v, n_u, n_v, g.n - n_u - n_v)
+
+
+def _closer(bu: tuple[int, ...], bv: tuple[int, ...]) -> int:
+    """How many w have d(w, u) < d(w, v), given the balls of the ends of an edge uv.
+
+    On an edge |d(w, u) - d(w, v)| <= 1, so such a w lies in ball_u[k] minus
+    ball_v[k] for exactly one k, namely d(w, u); from v's last ball on nothing
+    is outside, and ecc(u) >= ecc(v) - 1 keeps the pairing below in step.
+    """
+    return sum(map(int.bit_count, map(and_, bu, map(invert, bv[:-1]))))
 
 
 def edge_partitions(g: Graph, dist: DistanceMatrix | None = None) -> tuple[EdgePartition, ...]:

@@ -288,10 +288,11 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     toward_root_cut: dict[int, int] = {}
     # home block of a vertex: the block containing it nearest the root block.
     home: dict[int, int] = {}
-    vertex_blocks: dict[int, list[int]] = {v: [] for v in g.vertices()}
+    # Bit i of block_mask[v] is set when block i contains v.
+    block_mask = [0] * g.n
     for i, verts in enumerate(decomp.blocks):
         for v in verts:
-            vertex_blocks[v].append(i)
+            block_mask[v] |= 1 << i
     for i in range(decomp.k):
         if i == root:
             continue
@@ -301,8 +302,8 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     for v in g.vertices():
         if v in decomp.blocks[root]:
             home[v] = root
-        elif len(vertex_blocks[v]) == 1:
-            home[v] = vertex_blocks[v][0]
+        elif block_mask[v] & (block_mask[v] - 1) == 0:
+            home[v] = block_mask[v].bit_length() - 1
         else:
             par = parent[("C", v)]
             assert par is not None and par[0] == "B"
@@ -329,10 +330,10 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     category: dict[tuple[int, int], tuple] = {}
     root_set = decomp.blocks[root]
     for (x, y), s in smap.surpluses.items():
-        common = set(vertex_blocks[x]) & set(vertex_blocks[y])
+        common = block_mask[x] & block_mask[y]
         if common:
-            ensure(len(common) == 1, "a pair shares two blocks")
-            b = common.pop()
+            ensure(common & (common - 1) == 0, "a pair shares two blocks")
+            b = common.bit_length() - 1
             within[b] += s
             category[(x, y)] = ("within", b)
         elif x in root_set or y in root_set:

@@ -1,4 +1,4 @@
-"""Failure injection: corrupted partitions, surpluses or structure raise InvariantViolation.
+"""Failure injection: corrupted partitions, surpluses, gaps or structure raise InvariantViolation.
 
 The mathematical checks are explicit raises, not `assert`, so they must
 fire under `python -O` as well; the last test reruns this module that way.
@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from szlab import graphs, invariants, proofs
+from szlab import extremal, graphs, invariants, proofs
 from szlab.errors import InvariantViolation
+from szlab.extremal import verify_extremal_gaps
 from szlab.graphs import CycleInfo, DistanceMatrix, Graph, block_decomposition
 from szlab.invariants import compute_invariants
 from szlab.proofs import SurplusMap, check_antipodal_cycle, gap_decomposition, surplus_map
@@ -95,6 +96,12 @@ def test_antipodal_check_rejects_corrupted_distance(monkeypatch, c4):
         check_antipodal_cycle(c4)
 
 
+def test_extremal_gaps_reject_corrupted_gap(monkeypatch):
+    monkeypatch.setattr(extremal, "gap", lambda g: 4 * g.n - 9)
+    with pytest.raises(InvariantViolation, match="4n - 8"):
+        verify_extremal_gaps(5)
+
+
 def test_block_decomposition_rejects_missed_vertices(monkeypatch):
     # Told a disconnected graph is connected, the DFS covers one component only.
     monkeypatch.setattr(graphs, "is_connected", lambda g: True)
@@ -111,4 +118,4 @@ def test_checks_survive_python_O():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "8 passed" in proc.stdout, proc.stdout
+    assert "9 passed" in proc.stdout, proc.stdout

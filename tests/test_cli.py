@@ -4,7 +4,7 @@ import sys
 
 from szlab.cli import main
 from szlab.formats import to_graph6
-from szlab.graphs import Graph, cycle_graph
+from szlab.graphs import Graph, complete_bipartite, cycle_graph, path_graph
 
 
 def run_cli(capsys, *argv):
@@ -178,6 +178,71 @@ def test_verify_from_file(tmp_path, capsys):
     assert "line 3" in err
     ns = {r["n"]: r for r in payload["reports"]}
     assert ns[4]["min_gap"] == 8
+
+
+def _mixed_stream() -> list[str]:
+    """Blank and malformed lines, K4, a tree, a disconnected graph, relabelled equality graphs."""
+    c4_pendant = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4)]
+
+    def relabelled(n, edges, perm):
+        return to_graph6(Graph(n, [(perm[u], perm[v]) for u, v in edges]))
+
+    return [
+        "",
+        to_graph6(cycle_graph(4)),
+        "C",
+        "   ",
+        relabelled(4, cycle_graph(4).edges, [2, 0, 3, 1]),
+        to_graph6(Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])),
+        to_graph6(path_graph(4)),
+        to_graph6(Graph(4, [(0, 1), (2, 3)])),
+        "broken~line",
+        relabelled(5, c4_pendant, [4, 3, 2, 1, 0]),
+        relabelled(5, c4_pendant, [1, 2, 3, 4, 0]),
+        to_graph6(complete_bipartite(2, 3)),
+        "",
+    ]
+
+
+def test_verify_stream_same_for_any_worker_count(tmp_path, capsys):
+    stream = tmp_path / "mixed.g6"
+    stream.write_text("\n".join(_mixed_stream()) + "\n")
+    for fmt in ("json", "csv"):
+        runs = []
+        for workers in ("1", "2"):
+            argv = ["verify", "--file", str(stream), "--format", fmt, "--workers", workers]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0
+            runs.append((out, [ln for ln in err.splitlines() if "checked" not in ln]))
+        assert runs[0] == runs[1]
+        out, err = runs[0]
+        assert err[0].startswith("szlab: line 3: ") and err[1].startswith("szlab: line 9: ")
+        assert err[2:] == ["szlab: 2 unparseable line(s) skipped"]
+    # The CSV lists every connected graph: K4 and the tree too, not the disconnected one.
+    rows = out.splitlines()
+    assert rows[0] == "canonical_code,n,m,wiener,szeged,gap"
+    n_m = sorted(tuple(map(int, r.split(",")[1:3])) for r in rows[1:])
+    assert n_m == [(4, 3), (4, 4), (4, 4), (4, 6), (5, 5), (5, 5), (5, 6)]
+    code, out, _ = run_cli(capsys, "verify", "--file", str(stream), "--workers", "2")
+    by_n = {r["n"]: r for r in json.loads(out)["reports"]}
+    assert (by_n[4]["graphs_checked"], by_n[4]["rejected"]) == (2, 3)
+    assert (by_n[5]["graphs_checked"], len(by_n[5]["equality_graphs"])) == (3, 1)
+
+
+def test_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
+    import szlab.enumeration as enumeration
+
+    lines = _mixed_stream()
+    parsed, encoded = [], []
+    parse, encode = enumeration.parse_graph6, enumeration.to_graph6
+    monkeypatch.setattr(enumeration, "parse_graph6", lambda t: parsed.append(t) or parse(t))
+    monkeypatch.setattr(enumeration, "to_graph6", lambda g: encoded.append(g) or encode(g))
+    stream = tmp_path / "mixed.g6"
+    stream.write_text("\n".join(lines) + "\n")
+    code, _, _ = run_cli(capsys, "verify", "--file", str(stream), "--workers", "1")
+    assert code == 0
+    assert len(parsed) == sum(1 for ln in lines if ln.strip())
+    assert encoded == []
 
 
 def test_enumerate_full_range(capsys):

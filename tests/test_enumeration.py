@@ -5,8 +5,8 @@ import pytest
 from szlab.canon import canonical_code
 from szlab.enumeration import (
     EnumerationSpec,
+    examine_lines,
     generate,
-    ingest_graph6_stream,
     verify_conjecture,
 )
 from szlab.errors import SizeLimitError
@@ -69,19 +69,18 @@ def test_generate_over_limit():
         next(generate(EnumerationSpec(n=9)))
 
 
-def test_ingest_graph6_stream():
-    lines = ["Cr", "D?{", "Bw"]
-    records = list(ingest_graph6_stream(lines))
+def test_examine_lines_stream():
+    records = list(examine_lines(["Cr", "D?{", "Bw"]))
     assert len(records) == 3
-    assert all(r.error is None for r in records)
+    assert all("error" not in r for r in records)
 
-    records = list(ingest_graph6_stream(["Cr", "C", "Cr"]))
-    assert [r.lineno for r in records] == [1, 2, 3]
-    assert records[1].graph is None and records[1].error
-    assert records[0].graph is not None and records[2].graph is not None
+    records = list(examine_lines(["Cr", "C", "Cr"]))
+    assert [r["lineno"] for r in records] == [1, 2, 3]
+    assert set(records[1]) == {"lineno", "error"} and records[1]["error"]
+    assert records[0]["n"] == records[2]["n"] == 4
 
-    assert list(ingest_graph6_stream([])) == []
-    assert list(ingest_graph6_stream(["", "  "])) == []
+    assert list(examine_lines([])) == []
+    assert list(examine_lines(["", "  "])) == []
 
 
 def test_verify_conjecture_n4(enumerated):
@@ -129,6 +128,21 @@ def test_verify_conjecture_worker_counts_agree(enumerated):
     solo = [r.to_json() for r in verify_conjecture(graphs, workers=1)]
     multi = [r.to_json() for r in verify_conjecture(graphs, workers=3)]
     assert solo == multi
+
+
+def test_verify_conjecture_examines_graphs_directly(enumerated, monkeypatch):
+    # With one worker no graph goes through graph6; only the equality graphs
+    # are encoded, to name them in the report.
+    import szlab.enumeration as enumeration
+
+    graphs = [g for g in enumerated[6] if g.m >= 6]
+    parsed, encoded = [], []
+    parse, encode = enumeration.parse_graph6, enumeration.to_graph6
+    monkeypatch.setattr(enumeration, "parse_graph6", lambda t: parsed.append(t) or parse(t))
+    monkeypatch.setattr(enumeration, "to_graph6", lambda g: encoded.append(g) or encode(g))
+    r = verify_conjecture(graphs, workers=1)[0]
+    assert parsed == []
+    assert len(encoded) == len(r.equality_graphs) == 2
 
 
 def test_report_json_payload_is_stable(enumerated):

@@ -1,18 +1,30 @@
-"""The separation kernel against the brute-force oracles on random graphs.
+"""The separation kernel and the ball-mask distances against the brute-force oracles.
 
 `surplus_map`, `mu_table(...).pair_sums` and `mu` all derive from the
-per-vertex edge-side masks; `tests/oracles.py` recomputes the same numbers
-from Floyd-Warshall distances and plain loops.
+per-vertex edge-side masks; W and the edge partitions are popcounts over the
+distance balls.  `tests/oracles.py` recomputes the same numbers from
+Floyd-Warshall distances and plain loops.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szlab.graphs import Graph, all_pairs_distances, is_bipartite
-from szlab.invariants import mu, mu_table
+from szlab.errors import DisconnectedGraphError
+from szlab.graphs import DistanceMatrix, Graph, all_pairs_distances, is_bipartite
+from szlab.invariants import edge_partition, mu, mu_table, revised_szeged_times4, wiener
 from szlab.proofs import surplus_map
 
-from .oracles import floyd_warshall, mu_brute, mu_pair_sum_brute, surplus_brute
+from .oracles import (
+    INF,
+    edge_partition_brute,
+    floyd_warshall,
+    mu_brute,
+    mu_pair_sum_brute,
+    revised_szeged_times4_brute,
+    surplus_brute,
+    wiener_brute,
+)
 
 
 @st.composite
@@ -55,3 +67,54 @@ def test_triangle_surpluses_are_zero():
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert not is_bipartite(triangle)
     assert surplus_map(triangle).surpluses == {(0, 1): 0, (0, 2): 0, (1, 2): 0}
+
+
+@st.composite
+def graphs_up_to_16(draw):
+    """A random spanning tree or forest on 1..16 vertices plus extra edges.
+
+    With `forest`, a vertex may start a new component instead of hanging
+    below an earlier one; `bipartite` keeps extra edges between depths of
+    opposite parity.
+    """
+    n = draw(st.integers(1, 16))
+    bipartite = draw(st.booleans())
+    forest = draw(st.booleans())
+    depth = [0] * n
+    pairs = []
+    for v in range(1, n):
+        p = draw(st.integers(0, v if forest else v - 1))
+        if p < v:
+            depth[v] = depth[p] + 1
+            pairs.append((p, v))
+    allowed = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if not bipartite or (depth[u] + depth[v]) % 2 == 1
+    ]
+    extra = draw(st.lists(st.sampled_from(allowed), max_size=2 * n)) if allowed else []
+    return Graph(n, pairs + extra)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(graphs_up_to_16())
+def test_ball_distances_match_oracles(g):
+    rows = tuple(tuple(-1 if x == INF else x for x in row) for row in floyd_warshall(g))
+    dist = all_pairs_distances(g)
+    assert dist.rows == rows
+    connected = all(x >= 0 for row in rows for x in row)
+    assert dist.all_reachable == connected
+    # The same counts from balls rebuilt out of Floyd-Warshall rows.
+    from_rows = DistanceMatrix(g.n, rows)
+    for e in g.edges:
+        expected = edge_partition_brute(g, e)
+        for d in (dist, from_rows):
+            p = edge_partition(g, d, e)
+            assert (p.n_u, p.n_v, p.n_0) == expected
+    if connected:
+        assert wiener(dist) == wiener(from_rows) == wiener_brute(g)
+        assert revised_szeged_times4(g) == revised_szeged_times4_brute(g)
+    else:
+        with pytest.raises(DisconnectedGraphError):
+            wiener(dist)

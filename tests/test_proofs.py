@@ -117,6 +117,22 @@ def test_antipodal_cycle_c4_pendant(c4_pendant):
     assert res.passed and res.cycle.length == 4
 
 
+def test_antipodal_cycle_builds_distances_once(monkeypatch):
+    from szlab import graphs, invariants, proofs
+
+    calls = []
+    real = graphs.all_pairs_distances
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    for module in (graphs, invariants, proofs):
+        monkeypatch.setattr(module, "all_pairs_distances", counted)
+    assert check_antipodal_cycle(cycle_graph(8)).passed
+    assert len(calls) == 1
+
+
 def test_antipodal_cycle_gates(c5, p3):
     with pytest.raises(HypothesisError, match="bipartite"):
         check_antipodal_cycle(c5)
