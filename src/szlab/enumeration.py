@@ -20,7 +20,7 @@ from .canon import canonical_code, canonical_form
 from .errors import Graph6Error, SizeLimitError
 from .extremal import extremal_family
 from .formats import is_standard_graph6, parse_graph6, to_graph6
-from .graphs import Graph, bipartition, Bipartition, is_bipartite, is_connected
+from .graphs import Graph, bfs_forest, is_connected
 from .invariants import compute_invariants
 
 BUILTIN_ENUMERATION_LIMIT = 8
@@ -28,12 +28,11 @@ BUILTIN_ENUMERATION_LIMIT = 8
 
 @dataclass(frozen=True)
 class EnumerationSpec:
-    """What to generate: vertex count, minimum edges, and structural filters."""
+    """What to generate: vertex count, minimum edges, and whether only connected graphs are kept."""
 
     n: int
     min_edges: int | None = None
     connected: bool = True
-    bipartite: bool = True
 
     def __post_init__(self):
         if self.n < 1:
@@ -48,33 +47,14 @@ class EnumerationSpec:
 
 def _bipartite_safe_additions(g: Graph) -> list[tuple[int, int]]:
     # An edge keeps the graph bipartite iff it joins different components or
-    # opposite sides of one component's 2-coloring.
-    bip = bipartition(g)
-    assert isinstance(bip, Bipartition)
-    comp = [-1] * g.n
-    cid = 0
-    for v in g.vertices():
-        if comp[v] != -1:
-            continue
-        stack = [v]
-        comp[v] = cid
-        while stack:
-            a = stack.pop()
-            for b in g.neighbors(a):
-                if comp[b] == -1:
-                    comp[b] = cid
-                    stack.append(b)
-        cid += 1
-    side = {v: 0 for v in bip.side_a}
-    side.update({v: 1 for v in bip.side_b})
-    out = []
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.has_edge(u, v):
-                continue
-            if comp[u] != comp[v] or side[u] != side[v]:
-                out.append((u, v))
-    return out
+    # vertices of opposite BFS-depth parity in one component.
+    root, depth = bfs_forest(g)
+    return [
+        (u, v)
+        for u in range(g.n)
+        for v in range(u + 1, g.n)
+        if not g.has_edge(u, v) and (root[u] != root[v] or (depth[u] ^ depth[v]) & 1)
+    ]
 
 
 def generate(spec: EnumerationSpec) -> Iterator[Graph]:
@@ -91,7 +71,7 @@ def generate(spec: EnumerationSpec) -> Iterator[Graph]:
     n = spec.n
     # The edgeless graph is its own canonical form.
     level = {to_graph6(Graph(n, [])): Graph(n, [])}
-    max_edges = n * n // 4 if spec.bipartite else n * (n - 1) // 2
+    max_edges = n * n // 4
     for m in range(max_edges + 1):
         for code in sorted(level):
             g = level[code]
@@ -105,16 +85,7 @@ def generate(spec: EnumerationSpec) -> Iterator[Graph]:
         nxt: dict[str, Graph] = {}
         for code in sorted(level):
             g = level[code]
-            if spec.bipartite:
-                additions = _bipartite_safe_additions(g)
-            else:
-                additions = [
-                    (u, v)
-                    for u in range(n)
-                    for v in range(u + 1, n)
-                    if not g.has_edge(u, v)
-                ]
-            for u, v in additions:
+            for u, v in _bipartite_safe_additions(g):
                 form = canonical_form(Graph(n, list(g.edges) + [(u, v)]))
                 nxt.setdefault(to_graph6(form), form)
         level = nxt
@@ -138,7 +109,6 @@ class VerificationReport:
     violations: tuple[str, ...]
     equality_graphs: tuple[EqualityEntry, ...]
     extremal_match: bool | None
-    stats: dict = field(default_factory=dict, compare=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -165,12 +135,11 @@ def _examine(g: Graph, text: str | None = None, rows: bool = False) -> dict:
     `text` is the stripped graph6 line the graph came from, if any.  With
     `rows`, every connected graph also gets its per-graph CSV row.
     """
-    connected = is_connected(g)
-    ok = connected and is_bipartite(g) and g.m >= g.n
-    rec: dict = {"n": g.n, "ok": ok}
-    if not (ok or rows and connected):
-        return rec
+    if not is_connected(g) or not rows and g.m < g.n:
+        return {"n": g.n, "ok": False}
     report = compute_invariants(g)
+    ok = report.bipartite and g.m >= g.n
+    rec: dict = {"n": g.n, "ok": ok}
     bound = 4 * g.n - 8
     # Only equality graphs are deduplicated, so only they (and CSV rows) need a canonical code.
     code = None
@@ -228,9 +197,7 @@ class _Tally:
     uncoded: list[str] = field(default_factory=list)  # equality graphs above the canon limit
 
 
-def fold_records(
-    records: Iterable[dict], stats: dict | None = None
-) -> tuple[list[VerificationReport], list[list]]:
+def fold_records(records: Iterable[dict]) -> tuple[list[VerificationReport], list[list]]:
     """Fold records as they arrive into one report per n present, plus the CSV rows they carry.
 
     Besides the rows, only per-n tallies and the equality classes are kept.
@@ -270,7 +237,6 @@ def fold_records(
                 violations=tuple(sorted(t.violations)),
                 equality_graphs=tuple(EqualityEntry(c, g6) for c, g6 in equality),
                 extremal_match=match,
-                stats=dict(stats or {}),
             )
         )
     return reports, rows
@@ -282,4 +248,4 @@ def verify_conjecture(graphs: Iterable[Graph], workers: int = 1) -> list[Verific
     Inputs failing the hypotheses (connected, bipartite, m >= n) are tallied
     as rejected.  Reports are identical for any worker count.
     """
-    return fold_records(examine(graphs, workers), {"workers": workers})[0]
+    return fold_records(examine(graphs, workers))[0]

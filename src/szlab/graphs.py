@@ -216,52 +216,40 @@ class OddCycleWitness:
         return len(self.vertices)
 
 
+def bfs_forest(g: Graph) -> tuple[list[int], list[int]]:
+    """For each vertex, the smallest vertex of its component and the hop count from that vertex."""
+    root, depth = [-1] * g.n, [-1] * g.n
+    for s in g.vertices():
+        if root[s] == -1:
+            for v, d in enumerate(_distances_from(g, s)):
+                if d >= 0:
+                    root[v], depth[v] = s, d
+    return root, depth
+
+
 def bipartition(g: Graph) -> Bipartition | OddCycleWitness:
-    """2-color each component (smallest vertex on side A), or return an odd cycle.
+    """2-color by BFS-depth parity (smallest vertex of each component on side A), or return an odd cycle.
 
     Works on disconnected graphs; absence of a bipartition is a normal result,
     not an error.
     """
-    color = [-1] * g.n
-    parent = [-1] * g.n
-    for root in g.vertices():
-        if color[root] != -1:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            nxt_queue = []
-            for v in queue:
-                for w in g.neighbors(v):
-                    if color[w] == -1:
-                        color[w] = color[v] ^ 1
-                        parent[w] = v
-                        nxt_queue.append(w)
-                    elif color[w] == color[v]:
-                        return OddCycleWitness(_close_odd_cycle(parent, v, w))
-            queue = nxt_queue
-    side_a = frozenset(v for v in g.vertices() if color[v] == 0)
-    side_b = frozenset(v for v in g.vertices() if color[v] == 1)
-    return Bipartition(side_a, side_b)
+    _, depth = bfs_forest(g)
+    for u, v in g.edges:
+        if depth[u] == depth[v]:
+            # Step both ends up their BFS trees in lockstep until they meet;
+            # the two branches plus edge uv close a cycle of odd length.
+            left, right = [u], [v]
+            while left[-1] != right[-1]:
+                left.append(_step_up(g, depth, left[-1]))
+                right.append(_step_up(g, depth, right[-1]))
+            return OddCycleWitness(tuple(left + right[-2::-1]))
+    side_a = frozenset(v for v in g.vertices() if depth[v] % 2 == 0)
+    return Bipartition(side_a, frozenset(g.vertices()) - side_a)
 
 
-def _close_odd_cycle(parent: list[int], v: int, w: int) -> tuple[int, ...]:
-    # Walk both BFS ancestries to the lowest common ancestor; the two branch
-    # paths plus edge vw close an odd cycle.
-    path_v, path_w = [v], [w]
-    anc_v = {v}
-    x = v
-    while parent[x] != -1:
-        x = parent[x]
-        path_v.append(x)
-        anc_v.add(x)
-    x = w
-    while x not in anc_v:
-        x = parent[x]
-        path_w.append(x)
-    lca = path_w[-1]
-    cycle = path_v[: path_v.index(lca)] + [lca] + list(reversed(path_w[:-1]))
-    return tuple(cycle)
+def _step_up(g: Graph, depth: list[int], v: int) -> int:
+    """The smallest neighbor of v one BFS level closer to its component's smallest vertex."""
+    return next(w for w in g.neighbors(v) if depth[w] < depth[v])
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -175,7 +175,10 @@ def gap(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """One graph's invariants plus its per-edge partition table."""
+    """One graph's invariants, its per-edge partition table, and whether it is bipartite.
+
+    `bipartite` decides the verifier's hypotheses; it stays out of the JSON and CSV.
+    """
 
     n: int
     m: int
@@ -184,6 +187,7 @@ class InvariantReport:
     revised_szeged_times4: int
     gap: int
     per_edge: tuple[EdgePartition, ...]
+    bipartite: bool
 
     @property
     def revised_szeged(self) -> Fraction:
@@ -223,7 +227,8 @@ def compute_invariants(g: Graph) -> InvariantReport:
     w = wiener(dist)
     sz = sum(p.n_u * p.n_v for p in parts)
     sz4 = sum((2 * p.n_u + p.n_0) * (2 * p.n_v + p.n_0) for p in parts)
-    if is_bipartite(g):
+    bipartite = is_bipartite(g)
+    if bipartite:
         ensure(all(p.n_0 == 0 for p in parts), "bipartite graph with an equidistant vertex")
         ensure(sz4 == 4 * sz, "bipartite graph with Sz* != Sz")
-    return InvariantReport(g.n, g.m, w, sz, sz4, sz - w, parts)
+    return InvariantReport(g.n, g.m, w, sz, sz4, sz - w, parts, bipartite)

@@ -31,6 +31,7 @@ from .graphs import (
     CycleInfo,
     DistanceMatrix,
     Graph,
+    _bits,
     all_pairs_distances,
     block_decomposition,
     is_bipartite,
@@ -224,18 +225,6 @@ class GapDecomposition:
         return buf.getvalue()
 
 
-def _block_cut_tree(decomp: BlockDecomposition) -> dict:
-    """Adjacency of the bipartite tree on block nodes ('B', i) and cut nodes ('C', v)."""
-    adj: dict[tuple, list[tuple]] = {}
-    for i, verts in enumerate(decomp.blocks):
-        adj.setdefault(("B", i), [])
-        for v in sorted(verts):
-            if v in decomp.cut_vertices:
-                adj[("B", i)].append(("C", v))
-                adj.setdefault(("C", v), []).append(("B", i))
-    return adj
-
-
 def gap_decomposition(g: Graph) -> GapDecomposition:
     """Decompose Sz - W over block categories and check every lower bound.
 
@@ -244,6 +233,13 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     category when one endpoint lies in it.  Pairs whose designated-side
     endpoint is the connecting cut vertex carry surplus >= 0 and are kept in
     the designated category so the categories partition all pairs exactly.
+
+    One outward walk of the block-cut tree from the designated block names,
+    for each vertex, its home: the first block that reaches it.  A block
+    entered through cut vertex w records w as its cut toward the designated
+    block, and its root gate (the designated block's cut vertex on its path)
+    is inherited from the block it was entered from, or is w itself when that
+    block is the designated one.
 
     The designated block is the largest block; ties are broken by canonical
     code, then by sorted vertex list.  Tied blocks above the canonical
@@ -275,53 +271,25 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     else:
         root = min(tied, key=lambda i: sorted(decomp.blocks[i]))
 
-    tree = _block_cut_tree(decomp)
-    parent: dict[tuple, tuple | None] = {("B", root): None}
-    order = [("B", root)]
-    for node in order:
-        for nb in tree.get(node, ()):
-            if nb not in parent:
-                parent[nb] = node
-                order.append(nb)
-
-    # w_i: the cut vertex of block i on the tree path toward the root block.
-    toward_root_cut: dict[int, int] = {}
-    # home block of a vertex: the block containing it nearest the root block.
-    home: dict[int, int] = {}
     # Bit i of block_mask[v] is set when block i contains v.
     block_mask = [0] * g.n
     for i, verts in enumerate(decomp.blocks):
         for v in verts:
             block_mask[v] |= 1 << i
-    for i in range(decomp.k):
-        if i == root:
-            continue
-        par = parent[("B", i)]
-        assert par is not None and par[0] == "C"
-        toward_root_cut[i] = par[1]
-    for v in g.vertices():
-        if v in decomp.blocks[root]:
-            home[v] = root
-        elif block_mask[v] & (block_mask[v] - 1) == 0:
-            home[v] = block_mask[v].bit_length() - 1
-        else:
-            par = parent[("C", v)]
-            assert par is not None and par[0] == "B"
-            home[v] = par[1]
-
-    # w_1(i): the cut vertex inside the root block on the path toward block i,
-    # i.e. the last cut node before the root on i's tree path.
+    # The outward walk: `order` grows as blocks are entered.
+    home: dict[int, int] = {}
+    toward_root_cut: dict[int, int] = {}
     root_gate: dict[int, int] = {}
-    for i in range(decomp.k):
-        if i == root:
-            continue
-        node: tuple = ("B", i)
-        while parent[node] != ("B", root):
-            nxt = parent[node]
-            assert nxt is not None
-            node = nxt
-        assert node[0] == "C"
-        root_gate[i] = node[1]
+    order = [root]
+    for b in order:
+        for v in decomp.blocks[b]:
+            if v in home:
+                continue
+            home[v] = b
+            for i in _bits(block_mask[v] & ~(1 << b)):
+                toward_root_cut[i] = v
+                root_gate[i] = root_gate.get(b, v)
+                order.append(i)
 
     smap = surplus_map(g)
     within = [0] * decomp.k

@@ -2,7 +2,8 @@
 
 Nothing here shares an algorithm with the package: distances come from
 Floyd-Warshall instead of BFS, isomorphism from permutation backtracking
-instead of canonical codes, girth from per-edge deletion, rooted-tree
+instead of canonical codes, girth from per-edge deletion, 2-colorings by
+trying every coloring instead of BFS-depth parity, rooted-tree
 counting from labeled Prufer trees deduplicated by recursive subtree
 encoding.  Keep it that way; the tests rely on the two routes being
 independent.
@@ -11,7 +12,7 @@ independent.
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from szlab.graphs import Graph
 
@@ -113,6 +114,15 @@ def girth_brute(g: Graph) -> int | None:
             if best is None or cand < best:
                 best = cand
     return best
+
+
+def two_colorings(g: Graph) -> list[tuple[int, ...]]:
+    """Every proper 2-coloring (color of vertex v at index v), in lexicographic order.
+
+    The first one, if any, gives color 0 to the smallest vertex of every
+    component: flipping a component that breaks this yields a smaller one.
+    """
+    return [c for c in product((0, 1), repeat=g.n) if all(c[u] != c[v] for u, v in g.edges)]
 
 
 def brute_isomorphic(g: Graph, h: Graph) -> bool:

@@ -3,8 +3,10 @@ import json
 import pytest
 
 from szlab.canon import canonical_code
+from szlab import graphs as graphs_module
 from szlab.enumeration import (
     EnumerationSpec,
+    examine,
     examine_lines,
     generate,
     verify_conjecture,
@@ -112,6 +114,25 @@ def test_verify_conjecture_rejects_bad_inputs():
     assert by_n[4].rejected == 2 and by_n[4].graphs_checked == 1
     assert by_n[5].rejected == 1 and by_n[5].graphs_checked == 0
     assert by_n[5].min_gap is None and by_n[5].extremal_match is None
+
+
+@pytest.mark.parametrize("rows", [False, True])
+def test_examine_two_colors_each_checked_graph_once(monkeypatch, rows):
+    # Disconnected graphs are rejected first, and so are trees (m < n)
+    # unless CSV rows are wanted; every other graph is 2-colored once.
+    stream = [
+        Graph(4, [(0, 1), (2, 3)]),  # disconnected
+        Graph(4, [(0, 1), (1, 2), (2, 3)]),  # tree
+        cycle_graph(5),  # odd cycle
+        cycle_graph(4),
+        complete_bipartite(2, 3),
+    ]
+    calls = []
+    real = graphs_module.bipartition
+    monkeypatch.setattr(graphs_module, "bipartition", lambda g: calls.append(g) or real(g))
+    records = list(examine(stream, rows=rows))
+    assert [r["ok"] for r in records] == [False, False, False, True, True]
+    assert calls == (stream[1:] if rows else stream[2:])
 
 
 def test_verify_conjecture_deduplicates_equality_entries():

@@ -1,5 +1,10 @@
-import pytest
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from szlab.enumeration import _bipartite_safe_additions
 from szlab.errors import DisconnectedGraphError, GraphConstructionError
 from szlab.graphs import (
     Bipartition,
@@ -21,7 +26,7 @@ from szlab.graphs import (
     star_graph,
 )
 
-from .oracles import floyd_warshall, girth_brute
+from .oracles import INF, floyd_warshall, girth_brute, two_colorings
 
 
 def test_from_edge_list_c4():
@@ -110,6 +115,41 @@ def test_bipartition_odd_cycle_witness(c5):
     for i, v in enumerate(verts):
         assert c5.has_edge(v, verts[(i + 1) % len(verts)])
     assert len(set(verts)) == len(verts)
+
+
+@st.composite
+def any_graphs(draw):
+    """Connected or not; `bipartite` keeps only edges across a random 2-coloring."""
+    n = draw(st.integers(1, 12))
+    color = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    bipartite = draw(st.booleans())
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if not bipartite or color[u] != color[v]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    return Graph(n, edges)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(any_graphs())
+def test_bipartition_and_safe_additions_match_brute_colorings(g):
+    colorings = two_colorings(g)
+    bip = bipartition(g)
+    if not colorings:
+        assert isinstance(bip, OddCycleWitness)
+        cyc = bip.vertices
+        assert bip.length % 2 == 1 and bip.length >= 3 and len(set(cyc)) == bip.length
+        assert all(g.has_edge(v, cyc[i - 1]) for i, v in enumerate(cyc))
+        return
+    assert isinstance(bip, Bipartition)
+    assert bip.side_a == {v for v in g.vertices() if colorings[0][v] == 0}
+    assert bip.side_b == {v for v in g.vertices() if colorings[0][v] == 1}
+    d = floyd_warshall(g)
+    assert all(min(w for w in g.vertices() if d[v][w] is not INF) in bip.side_a for v in g.vertices())
+    # g + uv is bipartite iff some 2-coloring of g puts u and v apart.
+    assert _bipartite_safe_additions(g) == [
+        (u, v)
+        for u, v in combinations(g.vertices(), 2)
+        if not g.has_edge(u, v) and any(c[u] != c[v] for c in colorings)
+    ]
 
 
 def test_block_decomposition_c4_pendant(c4_pendant):

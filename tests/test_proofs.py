@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -169,6 +170,36 @@ def test_gap_decomposition_c4_tail3(c4_tail3):
     assert all(d.within_block[i] == 0 for i in range(d.blocks.k) if i != root)
     assert all(sub == 4 for sub in d.cross_root.values())
     assert d.cross_other == 0
+
+
+def test_gap_decomposition_outward_walk_homes_and_gates():
+    # Designated 6-cycle 0..5; cut vertex 0 is shared by the 6-cycle, the
+    # 4-cycle 0-6-7-8 and the bridge 0-9; the bridge chain 3-10-11-12 puts
+    # block (11, 12) three levels out, entered through gate 3; bridge 7-13
+    # hangs off the 4-cycle.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 8), (8, 0),
+             (0, 9), (3, 10), (10, 11), (11, 12), (7, 13)]
+    d = gap_decomposition(Graph(14, edges))
+    assert d.root_block == 0
+    assert [sorted(b) for b in d.blocks.blocks] == [
+        [0, 1, 2, 3, 4, 5], [0, 6, 7, 8], [0, 9], [3, 10], [7, 13], [10, 11], [11, 12]
+    ]
+    # Homes: 6, 7, 8 -> 1; 9 -> 2; 10 -> 3; 13 -> 4; 11 -> 5; 12 -> 6.
+    assert Counter(cat for *_, cat in d.pair_rows()) == {
+        ("within", 0): 15, ("within", 1): 6,
+        ("within", 2): 1, ("within", 3): 1, ("within", 4): 1, ("within", 5): 1, ("within", 6): 1,
+        ("cross_root", 1): 15, ("cross_root", 2): 5, ("cross_root", 3): 5,
+        ("cross_root", 4): 6, ("cross_root", 5): 6, ("cross_root", 6): 6,
+        ("cross_other", (1, 2)): 3, ("cross_other", (1, 3)): 3, ("cross_other", (1, 4)): 2,
+        ("cross_other", (1, 5)): 3, ("cross_other", (1, 6)): 3, ("cross_other", (2, 3)): 1,
+        ("cross_other", (2, 4)): 1, ("cross_other", (2, 5)): 1, ("cross_other", (2, 6)): 1,
+        ("cross_other", (3, 4)): 1, ("cross_other", (3, 6)): 1, ("cross_other", (5, 4)): 1,
+        ("cross_other", (6, 4)): 1,
+    }
+    # Gate 3 is excluded from the near side of blocks 5 and 6; with gate 0
+    # there, the bridge pairs (3, 11) and (3, 12) would break the floor.
+    assert d.cross_pair_floor_ok and d.cross_witness_ok
+    assert d.total == 210
 
 
 def test_gap_decomposition_two_pendants_not_extremal(c4_two_pendants):
