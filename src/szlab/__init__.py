@@ -44,15 +44,13 @@ from .graphs import (
     bipartition,
     block_decomposition,
     complete_bipartite,
+    connected_and_bipartite,
     cycle_graph,
-    from_edge_list,
     girth,
     is_bipartite,
     is_connected,
-    is_two_connected,
     path_graph,
     shortest_cycle,
-    shortest_cycle_through,
     star_graph,
 )
 from .invariants import (

@@ -20,7 +20,7 @@ from .canon import canonical_code, canonical_form
 from .errors import Graph6Error, SizeLimitError
 from .extremal import extremal_family
 from .formats import is_standard_graph6, parse_graph6, to_graph6
-from .graphs import Graph, bfs_forest, is_connected
+from .graphs import Graph, bfs_forest, connected_and_bipartite, is_connected
 from .invariants import compute_invariants
 
 BUILTIN_ENUMERATION_LIMIT = 8
@@ -135,11 +135,12 @@ def _examine(g: Graph, text: str | None = None, rows: bool = False) -> dict:
     `text` is the stripped graph6 line the graph came from, if any.  With
     `rows`, every connected graph also gets its per-graph CSV row.
     """
-    if not is_connected(g) or not rows and g.m < g.n:
-        return {"n": g.n, "ok": False}
-    report = compute_invariants(g)
-    ok = report.bipartite and g.m >= g.n
+    connected, bipartite = connected_and_bipartite(g)
+    ok = connected and bipartite and g.m >= g.n
     rec: dict = {"n": g.n, "ok": ok}
+    if not connected or not (ok or rows):
+        return rec
+    report = compute_invariants(g)
     bound = 4 * g.n - 8
     # Only equality graphs are deduplicated, so only they (and CSV rows) need a canonical code.
     code = None

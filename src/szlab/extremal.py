@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .canon import canonical_code
-from .errors import GraphConstructionError, InvariantViolation, ensure
-from .graphs import Graph, block_decomposition, is_bipartite, is_connected, shortest_cycle
+from .errors import DisconnectedGraphError, GraphConstructionError, InvariantViolation, ensure
+from .graphs import Graph, block_decomposition
 from .invariants import gap
 
 
@@ -100,16 +100,19 @@ def extremal_family(n: int) -> list[ExtremalGraph]:
 
 
 def is_extremal_form(g: Graph) -> bool:
-    """Recognize the family shape: unicyclic, girth 4, tree mass on one cycle vertex."""
-    if g.n < 4 or g.m != g.n:
+    """Recognize the family shape: connected, m = n, and a 4-vertex cycle block with <= 1 cut vertex.
+
+    On a connected graph with m = n the cycle is the one block with more than
+    2 vertices, and a 4-cycle already makes the graph bipartite.
+    """
+    if g.m != g.n:
         return False
-    if not is_connected(g) or not is_bipartite(g):
+    try:
+        decomp = block_decomposition(g)
+    except DisconnectedGraphError:
         return False
-    cyc = shortest_cycle(g)
-    if cyc is None or cyc.length != 4:
-        return False
-    cuts = block_decomposition(g).cut_vertices
-    return sum(1 for v in cyc.vertices if v in cuts) <= 1
+    cycles = [b for b in decomp.blocks if len(b) > 2]
+    return len(cycles) == 1 and len(cycles[0]) == 4 and len(cycles[0] & decomp.cut_vertices) <= 1
 
 
 def family_row(n: int) -> dict:

@@ -76,11 +76,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def from_edge_list(n: int, pairs: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from an iterable of vertex pairs (duplicates collapsed)."""
-    return Graph(n, pairs)
-
-
 def cycle_graph(p: int) -> Graph:
     return Graph(p, [(i, (i + 1) % p) for i in range(p)])
 
@@ -141,9 +136,6 @@ class DistanceMatrix:
 
     def d(self, u: int, v: int) -> int:
         return self.rows[u][v]
-
-    def reachable(self, u: int, v: int) -> bool:
-        return bool(self.balls[u][-1] >> v & 1)
 
     @property
     def all_reachable(self) -> bool:
@@ -252,8 +244,18 @@ def _step_up(g: Graph, depth: list[int], v: int) -> int:
     return next(w for w in g.neighbors(v) if depth[w] < depth[v])
 
 
+def connected_and_bipartite(g: Graph) -> tuple[bool, bool]:
+    """Whether g is connected, and whether it is bipartite, from one BFS forest.
+
+    Connected when every component root is vertex 0; bipartite when every
+    edge joins BFS depths of opposite parity.
+    """
+    root, depth = bfs_forest(g)
+    return not any(root), all((depth[u] ^ depth[v]) & 1 for u, v in g.edges)
+
+
 def is_bipartite(g: Graph) -> bool:
-    return isinstance(bipartition(g), Bipartition)
+    return connected_and_bipartite(g)[1]
 
 
 @dataclass(frozen=True)
@@ -276,9 +278,6 @@ class BlockDecomposition:
     @property
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(len(b) for b in self.blocks)
-
-    def blocks_containing(self, v: int) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.blocks) if v in b)
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
@@ -359,13 +358,6 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return decomp
 
 
-def is_two_connected(g: Graph) -> bool:
-    """Connected, at least 3 vertices, and no cut vertex."""
-    if g.n < 3 or not is_connected(g):
-        return False
-    return block_decomposition(g).k == 1
-
-
 @dataclass(frozen=True)
 class CycleInfo:
     """A cyclically ordered vertex list; consecutive entries are adjacent."""
@@ -401,51 +393,33 @@ def girth(g: Graph) -> int | None:
     return best
 
 
-def _lex_least_cycle(g: Graph, length: int, through: int | None) -> tuple[int, ...] | None:
+def _lex_least_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
     """Lexicographically least closed vertex sequence of the given length.
 
     The canonical sequence starts at the cycle's smallest vertex; starts are
     tried in ascending order and the DFS explores neighbors ascending, so the
-    first complete sequence found is the least.  `through` restricts the
-    search to cycles containing that vertex.
+    first complete sequence found is the least.  One BFS per start tried
+    bounds the search.
     """
-    # One BFS per start tried, plus one from `through`, bounds the search.
-    to_through = _distances_from(g, through) if through is not None else None
 
-    def extend(
-        path: list[int], used: set[int], start: int, to_start: list[int]
-    ) -> tuple[int, ...] | None:
-        depth = len(path)
-        cur = path[-1]
-        if depth == length:
-            return tuple(path) if g.has_edge(cur, start) else None
-        # After appending w there are length - depth edges left on the route
-        # back to start (including the closing edge).
-        remaining = length - depth
-        for w in g.neighbors(cur):
-            if w <= start or w in used:
-                continue
-            if to_start[w] > remaining or to_start[w] < 0:
-                continue
-            if to_through is not None and through not in used and through != w:
-                dv = to_through[w]
-                if dv < 0 or dv + to_through[start] > remaining:
-                    continue
-            path.append(w)
-            used.add(w)
-            found = extend(path, used, start, to_start)
-            if found is not None:
-                return found
-            path.pop()
-            used.remove(w)
-        return None
+    def extend(path: list[int], to_start: list[int]) -> bool:
+        if len(path) == length:
+            return g.has_edge(path[-1], path[0])
+        # After appending w there are length - len(path) edges left on the
+        # route back to the start (including the closing edge).
+        remaining = length - len(path)
+        for w in g.neighbors(path[-1]):
+            if w > path[0] and w not in path and 0 <= to_start[w] <= remaining:
+                path.append(w)
+                if extend(path, to_start):
+                    return True
+                path.pop()
+        return False
 
     for start in g.vertices():
-        if through is not None and through < start:
-            break
-        found = extend([start], {start}, start, _distances_from(g, start))
-        if found is not None:
-            return found
+        path = [start]
+        if extend(path, _distances_from(g, start)):
+            return tuple(path)
     return None
 
 
@@ -454,28 +428,6 @@ def shortest_cycle(g: Graph) -> CycleInfo | None:
     glen = girth(g)
     if glen is None:
         return None
-    seq = _lex_least_cycle(g, glen, None)
-    assert seq is not None
-    return CycleInfo(seq)
-
-
-def shortest_cycle_through(g: Graph, v: int) -> CycleInfo | None:
-    """A shortest cycle containing v (lexicographic tie-break), or None."""
-    if not 0 <= v < g.n:
-        raise GraphConstructionError(f"vertex out of range: {v}")
-    best = None
-    # Remove v; a cycle through v is v, a, ..., b, v with the inner path
-    # avoiding v, so its length is d_{G-v}(a, b) + 2.
-    rest = Graph(g.n, [e for e in g.edges if v not in e])
-    nbrs = g.neighbors(v)
-    for i, a in enumerate(nbrs):
-        from_a = _distances_from(rest, a)
-        for b in nbrs[i + 1 :]:
-            dab = from_a[b]
-            if dab >= 0 and (best is None or dab + 2 < best):
-                best = dab + 2
-    if best is None:
-        return None
-    seq = _lex_least_cycle(g, best, v)
-    assert seq is not None
+    seq = _lex_least_cycle(g, glen)
+    ensure(seq is not None, f"no closed sequence of length {glen}, the girth")
     return CycleInfo(seq)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import and_, invert
 
 from .errors import DisconnectedGraphError, GraphConstructionError, ensure
-from .graphs import DistanceMatrix, Graph, all_pairs_distances, is_bipartite
+from .graphs import DistanceMatrix, Graph, _bits, all_pairs_distances
 
 
 def _require_connected(dist: DistanceMatrix) -> None:
@@ -175,10 +175,7 @@ def gap(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class InvariantReport:
-    """One graph's invariants, its per-edge partition table, and whether it is bipartite.
-
-    `bipartite` decides the verifier's hypotheses; it stays out of the JSON and CSV.
-    """
+    """One graph's invariants and its per-edge partition table."""
 
     n: int
     m: int
@@ -187,7 +184,6 @@ class InvariantReport:
     revised_szeged_times4: int
     gap: int
     per_edge: tuple[EdgePartition, ...]
-    bipartite: bool
 
     @property
     def revised_szeged(self) -> Fraction:
@@ -221,14 +217,16 @@ class InvariantReport:
 
 
 def compute_invariants(g: Graph) -> InvariantReport:
+    """W, Sz, Sz* and the gap from one distance computation; Sz* = Sz is checked on bipartite graphs."""
     dist = all_pairs_distances(g)
     _require_connected(dist)
     parts = edge_partitions(g, dist)
     w = wiener(dist)
     sz = sum(p.n_u * p.n_v for p in parts)
     sz4 = sum((2 * p.n_u + p.n_0) * (2 * p.n_v + p.n_0) for p in parts)
-    bipartite = is_bipartite(g)
-    if bipartite:
+    # A connected graph is bipartite iff no edge joins two vertices at equal distance from vertex 0.
+    shells = [ball & ~inner for b0 in dist.balls[:1] for inner, ball in zip((0,) + b0, b0)]
+    if not any(g.neighbor_mask(v) & shell for shell in shells for v in _bits(shell)):
         ensure(all(p.n_0 == 0 for p in parts), "bipartite graph with an equidistant vertex")
         ensure(sz4 == 4 * sz, "bipartite graph with Sz* != Sz")
-    return InvariantReport(g.n, g.m, w, sz, sz4, sz - w, parts, bipartite)
+    return InvariantReport(g.n, g.m, w, sz, sz4, sz - w, parts)

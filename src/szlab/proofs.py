@@ -34,8 +34,7 @@ from .graphs import (
     _bits,
     all_pairs_distances,
     block_decomposition,
-    is_bipartite,
-    is_connected,
+    connected_and_bipartite,
     shortest_cycle,
 )
 from .invariants import edge_partitions, mu_table, wiener
@@ -73,6 +72,15 @@ def surplus_map(g: Graph) -> SurplusMap:
     return SurplusMap(g.n, surpluses, total, dist)
 
 
+def _require_connected_bipartite(g: Graph) -> None:
+    """Raise HypothesisError naming the first of connected, bipartite that g violates."""
+    connected, bipartite = connected_and_bipartite(g)
+    if not connected:
+        raise HypothesisError("connected violated")
+    if not bipartite:
+        raise HypothesisError("bipartite violated")
+
+
 @dataclass(frozen=True)
 class SurplusCheck:
     passed: bool
@@ -88,10 +96,7 @@ def check_min_pair_surplus(g: Graph) -> SurplusCheck:
     """
     if g.n < 4:
         raise HypothesisError("n >= 4 violated")
-    if not is_connected(g):
-        raise HypothesisError("connected violated")
-    if not is_bipartite(g):
-        raise HypothesisError("bipartite violated")
+    _require_connected_bipartite(g)
     if block_decomposition(g).k != 1:
         raise HypothesisError("2-connected violated")
     smap = surplus_map(g)
@@ -119,8 +124,7 @@ def check_antipodal_cycle(g: Graph) -> AntipodalCheck:
     inequality (total separations >= p) are checked, since edges outside the
     cycle may separate the pair as well.
     """
-    if not is_bipartite(g):
-        raise HypothesisError("bipartite violated")
+    _require_connected_bipartite(g)
     cyc = shortest_cycle(g)
     if cyc is None:
         raise HypothesisError("acyclic input: no cycle to check")
@@ -246,10 +250,7 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     labeling limit are broken by sorted vertex list alone: only that case
     depends on the input's labeling.
     """
-    if not is_connected(g):
-        raise HypothesisError("connected violated")
-    if not is_bipartite(g):
-        raise HypothesisError("bipartite violated")
+    _require_connected_bipartite(g)
     if g.m < g.n:
         raise HypothesisError("m >= n violated")
 

@@ -17,9 +17,9 @@ from szlab.enumeration import EnumerationSpec, generate, verify_conjecture
 from szlab.extremal import extremal_family, rooted_trees
 from szlab.graphs import (
     all_pairs_distances,
+    block_decomposition,
     complete_bipartite,
     cycle_graph,
-    is_two_connected,
     path_graph,
     shortest_cycle,
     star_graph,
@@ -138,7 +138,7 @@ def test_criterion_6_pair_surplus_claims(enumerated):
         cyclic = 0
         for n in range(4, 9):
             for g in enumerated[n]:
-                if is_two_connected(g):
+                if block_decomposition(g).k == 1:
                     res = check_min_pair_surplus(g)
                     assert res.passed, f"pair {res.witness} on {g.edges}"
                     two_connected += 1

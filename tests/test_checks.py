@@ -2,9 +2,10 @@
 
 The mathematical checks are explicit raises, not `assert`, so they must
 fire under `python -O` as well; the last test reruns this module that way.
-These tests therefore check with `pytest.raises` only.
+These tests therefore check with `pytest.raises` and `pytest.fail` only.
 """
 
+import ast
 import os
 import re
 import subprocess
@@ -108,6 +109,25 @@ def test_block_decomposition_rejects_missed_vertices(monkeypatch):
     monkeypatch.setattr(graphs, "is_connected", lambda g: True)
     with pytest.raises(InvariantViolation, match="n \\+ k - 1"):
         block_decomposition(Graph(5, [(0, 1), (1, 2), (3, 4)]))
+
+
+def test_shortest_cycle_rejects_wrong_girth(monkeypatch, c4):
+    # No closed sequence of length 3 exists in a 4-cycle.
+    monkeypatch.setattr(graphs, "girth", lambda g: 3)
+    with pytest.raises(InvariantViolation, match="girth"):
+        graphs.shortest_cycle(c4)
+
+
+def test_package_has_no_bare_asserts():
+    # `python -O` strips assert statements, so no check in the package may be one.
+    offenders = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "szlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    if offenders:
+        pytest.fail(f"bare assert in src/szlab: {', '.join(offenders)}")
 
 
 def test_checks_survive_python_O(request):

@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from szlab.canon import canonical_code
-from szlab import graphs as graphs_module
+from szlab import enumeration
 from szlab.enumeration import (
     EnumerationSpec,
     examine,
@@ -14,7 +15,7 @@ from szlab.enumeration import (
 from szlab.errors import SizeLimitError
 from szlab.graphs import Graph, complete_bipartite, cycle_graph, is_bipartite, is_connected
 
-from .oracles import brute_force_classes, brute_isomorphic
+from .oracles import brute_force_classes, brute_isomorphic, random_tree
 
 
 def test_spec_validation():
@@ -118,8 +119,9 @@ def test_verify_conjecture_rejects_bad_inputs():
 
 @pytest.mark.parametrize("rows", [False, True])
 def test_examine_two_colors_each_checked_graph_once(monkeypatch, rows):
-    # Disconnected graphs are rejected first, and so are trees (m < n)
-    # unless CSV rows are wanted; every other graph is 2-colored once.
+    # One gate call per graph decides connected and bipartite.  Disconnected
+    # graphs never get invariants, and neither do odd cycles and trees
+    # (m < n) unless CSV rows are wanted.
     stream = [
         Graph(4, [(0, 1), (2, 3)]),  # disconnected
         Graph(4, [(0, 1), (1, 2), (2, 3)]),  # tree
@@ -127,12 +129,36 @@ def test_examine_two_colors_each_checked_graph_once(monkeypatch, rows):
         cycle_graph(4),
         complete_bipartite(2, 3),
     ]
-    calls = []
-    real = graphs_module.bipartition
-    monkeypatch.setattr(graphs_module, "bipartition", lambda g: calls.append(g) or real(g))
+    gates, computed = [], []
+    gate, compute = enumeration.connected_and_bipartite, enumeration.compute_invariants
+    monkeypatch.setattr(enumeration, "connected_and_bipartite", lambda g: gates.append(g) or gate(g))
+    monkeypatch.setattr(enumeration, "compute_invariants", lambda g: computed.append(g) or compute(g))
     records = list(examine(stream, rows=rows))
     assert [r["ok"] for r in records] == [False, False, False, True, True]
-    assert calls == (stream[1:] if rows else stream[2:])
+    assert gates == stream
+    assert computed == (stream[1:] if rows else stream[3:])
+
+
+def test_verify_rejects_non_bipartite_graphs_without_invariants(monkeypatch):
+    # Connected graphs with odd cycles: a random tree plus n // 2 random edges.
+    rng = random.Random(2012)
+    graphs = []
+    while len(graphs) < 50:
+        n = rng.randint(6, 30)
+        edges = set(random_tree(n, rng).edges)
+        while len(edges) < 3 * n // 2 - 1:
+            u, v = sorted(rng.sample(range(n), 2))
+            edges.add((u, v))
+        g = Graph(n, edges)
+        if not is_bipartite(g):
+            graphs.append(g)
+    computed = []
+    compute = enumeration.compute_invariants
+    monkeypatch.setattr(enumeration, "compute_invariants", lambda g: computed.append(g) or compute(g))
+    solo = verify_conjecture(graphs, workers=1)
+    assert computed == []
+    assert sum(r.rejected for r in solo) == 50 and all(r.graphs_checked == 0 for r in solo)
+    assert [r.to_json() for r in verify_conjecture(graphs, workers=2)] == [r.to_json() for r in solo]
 
 
 def test_verify_conjecture_deduplicates_equality_entries():

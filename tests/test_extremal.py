@@ -71,6 +71,23 @@ def test_is_extremal_form_examples(c4_pendant, c6, c4_two_pendants):
     assert gap(c4_two_pendants) > 4 * 6 - 8
 
 
+def test_is_extremal_form_matches_family_codes(enumerated):
+    # m = n: exactly the classes extremal_family(n) lists have the form.
+    for n in range(4, 9):
+        family_codes = {m.canonical for m in extremal_family(n)}
+        for g in enumerated[n]:
+            if g.m == n:
+                assert is_extremal_form(g) == (canonical_code(g).decode("ascii") in family_codes)
+
+
+def test_is_extremal_form_rejects_other_unicyclic_shapes():
+    c3_tail = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    c5_pendant = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
+    two_c4 = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
+    for g in (c3_tail, c5_pendant, two_c4):
+        assert g.m == g.n and not is_extremal_form(g)
+
+
 def test_is_extremal_form_agrees_with_gap_on_enumeration(enumerated):
     # the recognizer picks out exactly the equality graphs
     for n in range(4, 9):

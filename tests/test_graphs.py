@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from szlab import enumeration, graphs, invariants, proofs
 from szlab.enumeration import _bipartite_safe_additions
 from szlab.errors import DisconnectedGraphError, GraphConstructionError
 from szlab.graphs import (
@@ -14,15 +15,13 @@ from szlab.graphs import (
     bipartition,
     block_decomposition,
     complete_bipartite,
+    connected_and_bipartite,
     cycle_graph,
-    from_edge_list,
     girth,
     is_bipartite,
     is_connected,
-    is_two_connected,
     path_graph,
     shortest_cycle,
-    shortest_cycle_through,
     star_graph,
 )
 
@@ -30,27 +29,27 @@ from .oracles import INF, floyd_warshall, girth_brute, two_colorings
 
 
 def test_from_edge_list_c4():
-    g = from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert g.n == 4 and g.m == 4
     assert g.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
 def test_from_edge_list_path_and_k23():
-    assert from_edge_list(3, [(0, 1), (1, 2)]).m == 2
-    g = from_edge_list(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
+    assert Graph(3, [(0, 1), (1, 2)]).m == 2
+    g = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)])
     assert g.m == 6
 
 
 def test_from_edge_list_collapses_duplicates():
-    g = from_edge_list(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
+    g = Graph(3, [(0, 1), (1, 0), (0, 1), (1, 2)])
     assert g.m == 2
 
 
 def test_from_edge_list_rejects_bad_input():
     with pytest.raises(GraphConstructionError):
-        from_edge_list(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(GraphConstructionError):
-        from_edge_list(3, [(1, 1)])
+        Graph(3, [(1, 1)])
 
 
 def test_distances_c4(c4):
@@ -85,7 +84,6 @@ def test_distance_matrix_properties(enumerated, k23, p3):
 def test_distances_flag_unreachable():
     g = Graph(4, [(0, 1), (2, 3)])
     d = all_pairs_distances(g)
-    assert not d.reachable(0, 2)
     assert d.d(0, 2) == -1
     assert not d.all_reachable
 
@@ -152,6 +150,43 @@ def test_bipartition_and_safe_additions_match_brute_colorings(g):
     ]
 
 
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(any_graphs())
+def test_connected_and_bipartite_match_oracles(g):
+    connected = all(x is not INF for row in floyd_warshall(g) for x in row)
+    assert connected_and_bipartite(g) == (connected, bool(two_colorings(g)))
+
+
+def _count_calls(monkeypatch, calls, name, *modules):
+    real = getattr(graphs, name)
+    for module in modules:
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+
+def test_hypotheses_come_from_one_bfs_forest(monkeypatch, c4, c4_pendant):
+    calls = []
+    _count_calls(monkeypatch, calls, "bfs_forest", graphs)
+    _count_calls(monkeypatch, calls, "_distances_from", graphs)
+    _count_calls(monkeypatch, calls, "all_pairs_distances", graphs, invariants, proofs)
+    for check, g in [
+        (proofs.gap_decomposition, c4_pendant),
+        (proofs.check_min_pair_surplus, c4),
+        (proofs.check_antipodal_cycle, c4_pendant),
+        (enumeration._examine, c4_pendant),
+        (enumeration._examine, cycle_graph(5)),
+    ]:
+        calls.clear()
+        check(g)
+        assert calls.count("bfs_forest") == 1, check
+    calls.clear()
+    proofs.gap_decomposition(c4_pendant)
+    # The forest's one BFS, then block_decomposition's own connectivity check.
+    assert calls.count("_distances_from") == 2
+    calls.clear()
+    invariants.compute_invariants(c4_pendant)
+    assert calls == ["all_pairs_distances"]
+
+
 def test_block_decomposition_c4_pendant(c4_pendant):
     d = block_decomposition(c4_pendant)
     assert d.k == 2
@@ -170,7 +205,6 @@ def test_block_decomposition_tree():
 def test_block_decomposition_two_connected(c4):
     d = block_decomposition(c4)
     assert d.k == 1 and not d.cut_vertices
-    assert is_two_connected(c4)
 
 
 def test_block_decomposition_requires_connected():
@@ -184,10 +218,6 @@ def test_block_decomposition_degenerate_cases():
     assert not single_edge.cut_vertices
     lone_vertex = block_decomposition(Graph(1, []))
     assert lone_vertex.k == 0
-
-
-def test_shortest_cycle_through_acyclic_vertex(c4_pendant):
-    assert shortest_cycle_through(c4_pendant, 4) is None
 
 
 def test_block_identity_and_cut_membership(enumerated):
@@ -237,27 +267,6 @@ def test_shortest_cycle_is_valid_cycle(enumerated):
             # bipartite graphs only have even cycles
             if is_bipartite(g):
                 assert cyc.length % 2 == 0
-
-
-def test_shortest_cycle_through_vertex():
-    # 4-cycle 0-1-2-3 plus the ear 0-4-5-6-2: vertex 5 only lies on 6-cycles.
-    g = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (2, 6)])
-    assert shortest_cycle(g).length == 4
-    assert shortest_cycle_through(g, 5).length == 6
-    assert shortest_cycle_through(g, 1).length == 4
-    assert shortest_cycle_through(path_graph(4), 1) is None
-    assert 5 in shortest_cycle_through(g, 5).vertices
-
-
-def test_shortest_cycle_through_all_vertices(enumerated):
-    for g in enumerated[7]:
-        for v in g.vertices():
-            cyc = shortest_cycle_through(g, v)
-            if cyc is None:
-                continue
-            assert v in cyc.vertices
-            for i, a in enumerate(cyc.vertices):
-                assert g.has_edge(a, cyc.vertices[(i + 1) % cyc.length])
 
 
 def test_complete_bipartite_shape():

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from szlab.errors import HypothesisError
-from szlab.graphs import Graph, cycle_graph, is_two_connected, path_graph
+from szlab.graphs import Graph, block_decomposition, cycle_graph, path_graph
 from szlab.invariants import gap
 from szlab.proofs import (
     check_antipodal_cycle,
@@ -78,7 +78,7 @@ def test_min_pair_surplus_exhaustive(enumerated):
     count = 0
     for n in range(4, 9):
         for g in enumerated[n]:
-            if not is_two_connected(g):
+            if block_decomposition(g).k != 1:
                 continue
             res = check_min_pair_surplus(g)
             assert res.passed, f"pair {res.witness} fails on {g.edges}"
@@ -92,7 +92,7 @@ def test_two_connected_bound_equality_only_c4(enumerated):
     c4_code = canonical_code(cycle_graph(4))
     for n in range(4, 9):
         for g in enumerated[n]:
-            if not is_two_connected(g):
+            if block_decomposition(g).k != 1:
                 continue
             value = gap(g)
             assert value >= 4 * n - 8
@@ -214,6 +214,24 @@ def test_gap_decomposition_hypothesis_gates(p3, c5):
         gap_decomposition(c5)
     with pytest.raises(HypothesisError, match="connected"):
         gap_decomposition(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+
+
+def test_hypothesis_errors_name_the_first_violation():
+    disconnected_tree = Graph(6, [(0, 1), (1, 2), (3, 4)])
+    disconnected_c3 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    c5_pendant = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
+    cases = [
+        (gap_decomposition, disconnected_tree, "connected"),
+        (gap_decomposition, disconnected_c3, "connected"),
+        (check_min_pair_surplus, disconnected_c3, "connected"),
+        (check_min_pair_surplus, Graph(3, [(0, 1)]), "n >= 4"),
+        (check_min_pair_surplus, c5_pendant, "bipartite"),
+        (check_antipodal_cycle, disconnected_c3, "connected"),
+        (check_antipodal_cycle, disconnected_tree, "connected"),
+    ]
+    for check, g, first in cases:
+        with pytest.raises(HypothesisError, match=f"^{first} violated$"):
+            check(g)
 
 
 def test_gap_decomposition_categories_partition_pairs(c4_tail3):
