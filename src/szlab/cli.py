@@ -6,7 +6,11 @@ runtime statistics and diagnostics go to stderr.
 
 Exit codes: 0 success; 2 parse/usage failure (and extremal below n = 4);
 3 disconnected input to compute; 4 hypothesis violation in decompose;
-5 enumeration above the built-in limit.
+5 enumeration above the built-in limit.  Commands keep only their happy
+path: `main` maps the typed errors they let through to exit codes in one
+table.  A bad `--n` or `--min-edges` is an argparse usage error (exit 2).
+`InvariantViolation` is deliberately left unmapped, so a failed mathematical
+check keeps its traceback.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from itertools import chain
 from typing import Iterator
 
@@ -29,14 +34,7 @@ from .enumeration import (
     fold_records,
     generate,
 )
-from .errors import (
-    DisconnectedGraphError,
-    EdgeListFormatError,
-    Graph6Error,
-    GraphConstructionError,
-    HypothesisError,
-    SizeLimitError,
-)
+from .errors import DisconnectedGraphError, Graph6Error, HypothesisError, InvariantViolation, SzlabError
 from .extremal import family_row
 from .formats import parse_edge_list, parse_graph6
 from .graphs import Graph
@@ -72,12 +70,21 @@ def _read_one_graph(args) -> Graph:
     return parse_graph6(first)
 
 
-def _parse_range(spec: str) -> range:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return range(int(lo), int(hi) + 1)
-    value = int(spec)
-    return range(value, value + 1)
+def _int_at_least(low: int, text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _n_range(spec: str) -> range:
+    """A single n or a range A..B, every bound >= 1."""
+    lo, sep, hi = spec.partition("..")
+    start = _int_at_least(1, lo)
+    return range(start, (_int_at_least(1, hi) if sep else start) + 1)
 
 
 def _workers(args) -> int:
@@ -93,16 +100,7 @@ def _workers(args) -> int:
 
 
 def cmd_compute(args) -> int:
-    try:
-        g = _read_one_graph(args)
-    except (Graph6Error, EdgeListFormatError, GraphConstructionError, OSError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    try:
-        report = compute_invariants(g)
-    except DisconnectedGraphError as exc:
-        _err(str(exc))
-        return EXIT_DISCONNECTED
+    report = compute_invariants(_read_one_graph(args))
     if args.format == "csv":
         sys.stdout.write(report.to_csv())
     elif args.format == "human":
@@ -117,16 +115,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    try:
-        g = _read_one_graph(args)
-    except (Graph6Error, EdgeListFormatError, GraphConstructionError, OSError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    try:
-        decomp = gap_decomposition(g)
-    except HypothesisError as exc:
-        _err(str(exc))
-        return EXIT_HYPOTHESIS
+    decomp = gap_decomposition(_read_one_graph(args))
     if args.format == "csv":
         sys.stdout.write(decomp.pairs_csv())
     elif args.format == "human":
@@ -177,16 +166,9 @@ def _reporting_errors(records, errors: list) -> Iterator[dict]:
 
 
 def cmd_verify(args) -> int:
-    if args.file:
-        try:
-            # Undecodable bytes become U+FFFD and fail graph6 parsing per
-            # line instead of aborting the whole stream.
-            fh = open(args.file, encoding="ascii", errors="replace")
-        except OSError as exc:
-            _err(str(exc))
-            return EXIT_PARSE
-    else:
-        fh = sys.stdin
+    # Undecodable bytes become U+FFFD and fail graph6 parsing per line
+    # instead of aborting the whole stream.
+    fh = open(args.file, encoding="ascii", errors="replace") if args.file else sys.stdin
     t0 = time.monotonic()
     errors: list[dict] = []
     with fh:
@@ -198,12 +180,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    try:
-        ns = _parse_range(args.n)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    for n in ns:
+    for n in args.n:
         if n > BUILTIN_ENUMERATION_LIMIT:
             _err(
                 f"n={n} exceeds the built-in enumeration limit "
@@ -211,22 +188,18 @@ def cmd_enumerate(args) -> int:
             )
             return EXIT_LIMIT
     t0 = time.monotonic()
-    batches = (generate(EnumerationSpec(n=n, min_edges=args.min_edges)) for n in ns)
-    records = (examine(graphs, _workers(args), rows=args.format == "csv") for graphs in batches)
-    _emit_reports(chain.from_iterable(records), args, t0)
+    # Every n goes through one `examine` call, so one pool serves the whole run.
+    specs = (EnumerationSpec(n=n, min_edges=args.min_edges) for n in args.n)
+    graphs = chain.from_iterable(map(generate, specs))
+    _emit_reports(examine(graphs, _workers(args), rows=args.format == "csv"), args, t0)
     return EXIT_OK
 
 
 def cmd_extremal(args) -> int:
-    try:
-        ns = _parse_range(args.n)
-    except ValueError as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    if not ns or ns[0] < 4:
+    if not args.n or args.n[0] < 4:
         _err("extremal family is defined for n >= 4")
         return EXIT_PARSE
-    families = [family_row(n) for n in ns]
+    families = [family_row(n) for n in args.n]
     if args.format == "json":
         print(json.dumps({"schema": 1, "families": families}, sort_keys=False))
     else:
@@ -239,13 +212,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_canon(args) -> int:
-    try:
-        g = _read_one_graph(args)
-        code = canonical_code(g)
-    except (Graph6Error, EdgeListFormatError, GraphConstructionError, SizeLimitError, OSError) as exc:
-        _err(str(exc))
-        return EXIT_PARSE
-    print(code.decode("ascii"))
+    print(canonical_code(_read_one_graph(args)).decode("ascii"))
     return EXIT_OK
 
 
@@ -280,14 +247,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="exhaustively verify the bound for a range of n")
-    p.add_argument("--n", required=True, help="single n or range A..B")
-    p.add_argument("--min-edges", type=int, dest="min_edges")
+    p.add_argument("--n", required=True, type=_n_range, help="single n or range A..B")
+    p.add_argument("--min-edges", type=partial(_int_at_least, 0), dest="min_edges")
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--workers", type=int)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("extremal", help="emit the equality family for n (graph6 + summary)")
-    p.add_argument("--n", required=True, help="single n or range A..B")
+    p.add_argument("--n", required=True, type=_n_range, help="single n or range A..B")
     p.add_argument("--format", choices=["json", "human"], default="human")
     p.set_defaults(func=cmd_extremal)
 
@@ -298,9 +265,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The one error-to-exit table, first match wins.  InvariantViolation is left
+# out on purpose: a failed mathematical check must stay loud.
+_EXIT_CODES = (
+    (HypothesisError, EXIT_HYPOTHESIS),
+    (DisconnectedGraphError, EXIT_DISCONNECTED),
+    ((SzlabError, OSError), EXIT_PARSE),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvariantViolation:
+        raise
+    except (SzlabError, OSError) as exc:
+        _err(str(exc))
+        return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 if __name__ == "__main__":

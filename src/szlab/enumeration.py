@@ -20,7 +20,7 @@ from .canon import canonical_code, canonical_form
 from .errors import Graph6Error, SizeLimitError
 from .extremal import extremal_family
 from .formats import is_standard_graph6, parse_graph6, to_graph6
-from .graphs import Graph, bfs_forest, connected_and_bipartite, is_connected
+from .graphs import Graph, bfs_forest, connected_and_bipartite
 from .invariants import compute_invariants
 
 BUILTIN_ENUMERATION_LIMIT = 8
@@ -45,10 +45,9 @@ class EnumerationSpec:
         return self.n if self.min_edges is None else self.min_edges
 
 
-def _bipartite_safe_additions(g: Graph) -> list[tuple[int, int]]:
-    # An edge keeps the graph bipartite iff it joins different components or
-    # vertices of opposite BFS-depth parity in one component.
-    root, depth = bfs_forest(g)
+def _bipartite_safe_additions(g: Graph, root: list[int], depth: list[int]) -> list[tuple[int, int]]:
+    # Given g's BFS forest, an edge keeps the graph bipartite iff it joins
+    # different components or vertices of opposite depth parity in one component.
     return [
         (u, v)
         for u in range(g.n)
@@ -71,21 +70,15 @@ def generate(spec: EnumerationSpec) -> Iterator[Graph]:
     n = spec.n
     # The edgeless graph is its own canonical form.
     level = {to_graph6(Graph(n, [])): Graph(n, [])}
-    max_edges = n * n // 4
-    for m in range(max_edges + 1):
-        for code in sorted(level):
-            g = level[code]
-            keep = m >= spec.effective_min_edges
-            if spec.connected and not is_connected(g):
-                keep = False
-            if keep:
-                yield g
-        if m == max_edges:
-            break
+    while level:
         nxt: dict[str, Graph] = {}
         for code in sorted(level):
             g = level[code]
-            for u, v in _bipartite_safe_additions(g):
+            # One BFS forest per class: its roots say whether g is connected.
+            root, depth = bfs_forest(g)
+            if g.m >= spec.effective_min_edges and not (spec.connected and any(root)):
+                yield g
+            for u, v in _bipartite_safe_additions(g, root, depth):
                 form = canonical_form(Graph(n, list(g.edges) + [(u, v)]))
                 nxt.setdefault(to_graph6(form), form)
         level = nxt

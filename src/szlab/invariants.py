@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_, invert
+from typing import NamedTuple
 
 from .errors import DisconnectedGraphError, GraphConstructionError, ensure
 from .graphs import DistanceMatrix, Graph, _bits, all_pairs_distances
@@ -40,8 +41,7 @@ def wiener(dist: DistanceMatrix) -> int:
     return sum(n * (len(b) - 1) - sum(map(int.bit_count, b[:-1])) for b in dist.balls) // 2
 
 
-@dataclass(frozen=True)
-class EdgePartition:
+class EdgePartition(NamedTuple):
     """Counts of vertices strictly closer to u, strictly closer to v, equidistant."""
 
     u: int
@@ -78,21 +78,17 @@ def edge_partitions(g: Graph, dist: DistanceMatrix | None = None) -> tuple[EdgeP
 
 def szeged(g: Graph) -> int:
     """Sum over edges of n_u * n_v."""
-    dist = all_pairs_distances(g)
-    _require_connected(dist)
-    return sum(p.n_u * p.n_v for p in edge_partitions(g, dist))
+    return compute_invariants(g).szeged
 
 
 def revised_szeged_times4(g: Graph) -> int:
     """4 * Sz*, exact: sum over edges of (2 n_u + n_0)(2 n_v + n_0)."""
-    dist = all_pairs_distances(g)
-    _require_connected(dist)
-    return sum((2 * p.n_u + p.n_0) * (2 * p.n_v + p.n_0) for p in edge_partitions(g, dist))
+    return compute_invariants(g).revised_szeged_times4
 
 
 def revised_szeged(g: Graph) -> Fraction:
     """Szeged variant crediting half the equidistant count to each side."""
-    return Fraction(revised_szeged_times4(g), 4)
+    return compute_invariants(g).revised_szeged
 
 
 def _edge_sides(row: tuple[int, ...], edges) -> tuple[int, int]:
@@ -168,9 +164,7 @@ def mu_table(g: Graph, dist: DistanceMatrix | None = None) -> MuTable:
 
 def gap(g: Graph) -> int:
     """Szeged index minus Wiener index."""
-    dist = all_pairs_distances(g)
-    _require_connected(dist)
-    return sum(p.n_u * p.n_v for p in edge_partitions(g, dist)) - wiener(dist)
+    return compute_invariants(g).gap
 
 
 @dataclass(frozen=True)

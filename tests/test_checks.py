@@ -10,7 +10,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -30,7 +29,7 @@ def _shifted_partitions(monkeypatch, module, **delta):
 
     def corrupted(g, dist=None):
         return tuple(
-            replace(p, **{k: getattr(p, k) + v for k, v in delta.items()}) for p in real(g, dist)
+            p._replace(**{k: getattr(p, k) + v for k, v in delta.items()}) for p in real(g, dist)
         )
 
     monkeypatch.setattr(module, "edge_partitions", corrupted)

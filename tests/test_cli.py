@@ -2,7 +2,12 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+import szlab.cli as cli
+import szlab.enumeration as enumeration
 from szlab.cli import main
+from szlab.errors import InvariantViolation
 from szlab.formats import to_graph6
 from szlab.graphs import Graph, complete_bipartite, cycle_graph, path_graph
 
@@ -295,3 +300,37 @@ def test_workers_env_fallback(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert "ignoring" in err
     assert out == out2
+
+
+@pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "x"], ["--n", "4", "--min-edges", "-1"]])
+def test_enumerate_bad_arguments_are_usage_errors(capsys, argv):
+    # argparse rejects them: exit 2 with a usage line, never a ValueError traceback.
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "Traceback" not in err
+
+
+def test_canon_above_size_limit_exit_2(capsys):
+    code, out, err = run_cli(capsys, "canon", "--graph6", to_graph6(path_graph(17)))
+    assert code == 2 and out == ""
+    assert "16" in err
+
+
+def test_invariant_violation_is_not_mapped_to_an_exit_code(monkeypatch):
+    def broken(g):
+        raise InvariantViolation("corrupted check")
+
+    monkeypatch.setattr(cli, "compute_invariants", broken)
+    with pytest.raises(InvariantViolation, match="corrupted check"):
+        main(["compute", "--graph6", "Cr"])
+
+
+def test_enumerate_uses_one_pool_per_run(capsys, monkeypatch):
+    pools = []
+    real = enumeration.Pool
+    monkeypatch.setattr(enumeration, "Pool", lambda **kw: pools.append(kw) or real(**kw))
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "4..6", "--workers", "2")
+    assert code == 0 and len(pools) == 1
+    assert [r["n"] for r in json.loads(out)["reports"]] == [4, 5, 6]

@@ -12,6 +12,7 @@ from szlab.graphs import (
     Graph,
     OddCycleWitness,
     all_pairs_distances,
+    bfs_forest,
     bipartition,
     block_decomposition,
     complete_bipartite,
@@ -143,7 +144,7 @@ def test_bipartition_and_safe_additions_match_brute_colorings(g):
     d = floyd_warshall(g)
     assert all(min(w for w in g.vertices() if d[v][w] is not INF) in bip.side_a for v in g.vertices())
     # g + uv is bipartite iff some 2-coloring of g puts u and v apart.
-    assert _bipartite_safe_additions(g) == [
+    assert _bipartite_safe_additions(g, *bfs_forest(g)) == [
         (u, v)
         for u, v in combinations(g.vertices(), 2)
         if not g.has_edge(u, v) and any(c[u] != c[v] for c in colorings)
