@@ -8,8 +8,10 @@ path works for every graph size this package targets.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator
 
 from .errors import DisconnectedGraphError, GraphConstructionError, ensure
 
@@ -228,12 +230,8 @@ def bipartition(g: Graph) -> Bipartition | OddCycleWitness:
     _, depth = bfs_forest(g)
     for u, v in g.edges:
         if depth[u] == depth[v]:
-            # Step both ends up their BFS trees in lockstep until they meet;
-            # the two branches plus edge uv close a cycle of odd length.
-            left, right = [u], [v]
-            while left[-1] != right[-1]:
-                left.append(_step_up(g, depth, left[-1]))
-                right.append(_step_up(g, depth, right[-1]))
+            # The two tree paths plus edge uv close a cycle of odd length.
+            left, right = _tree_paths(depth, partial(_step_up, g, depth), u, v)
             return OddCycleWitness(tuple(left + right[-2::-1]))
     side_a = frozenset(v for v in g.vertices() if depth[v] % 2 == 0)
     return Bipartition(side_a, frozenset(g.vertices()) - side_a)
@@ -241,7 +239,22 @@ def bipartition(g: Graph) -> Bipartition | OddCycleWitness:
 
 def _step_up(g: Graph, depth: list[int], v: int) -> int:
     """The smallest neighbor of v one BFS level closer to its component's smallest vertex."""
-    return next(w for w in g.neighbors(v) if depth[w] < depth[v])
+    d = depth[v]
+    for w in g._neigh[v]:
+        if depth[w] < d:
+            return w
+
+
+def _tree_paths(depth: list[int], up: Callable, u: int, v: int) -> tuple[list[int], list[int]]:
+    """The tree paths from u and from v (parents by `up`) to the vertex where they meet."""
+    left, right = [u], [v]
+    while left[-1] != right[-1]:
+        du, dv = depth[left[-1]], depth[right[-1]]
+        if du >= dv:
+            left.append(up(left[-1]))
+        if dv >= du:
+            right.append(up(right[-1]))
+    return left, right
 
 
 def connected_and_bipartite(g: Graph) -> tuple[bool, bool]:
@@ -281,80 +294,48 @@ class BlockDecomposition:
 
 
 def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Iterative lowpoint DFS; raises on disconnected input."""
-    if not is_connected(g):
+    """Blocks as the classes of edges sharing a fundamental cycle of the BFS tree from vertex 0.
+
+    Each non-tree edge is unioned with the tree edges (v to _step_up(v)) on the
+    two tree paths from its ends to where they meet.  A fundamental cycle is
+    simple, so each class lies in one block.  A simple cycle is the sum mod 2 of
+    the fundamental cycles of its non-tree edges, so its part inside any one
+    class has even degree at every vertex and is either empty or the whole
+    cycle: edges sharing a simple cycle share a class.  The classes are thus
+    the blocks, and the cut vertices are the vertices in two or more blocks.
+    The walks cost O(m * depth), not a DFS's O(n + m); the callers go on to
+    build an O(n^2) surplus map.  Raises on disconnected input.
+    """
+    depth = _distances_from(g, 0) if g.n else []
+    if -1 in depth:
         raise DisconnectedGraphError("block decomposition requires a connected graph")
-    n = g.n
-    if n == 0 or g.m == 0:
-        # Connected with no edge: at most one vertex, so no block.
+    if not g.m:  # connected with no edge: at most one vertex, so no block
         return BlockDecomposition((), (), frozenset())
+    # up[0] = 0; every other vertex v names its tree edge (v, up[v]) in the union-find.
+    up = [_step_up(g, depth, v) if depth[v] else v for v in g.vertices()]
+    leader = list(g.vertices())
 
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    edge_stack: list[tuple[int, int]] = []
-    raw_blocks: list[list[tuple[int, int]]] = []
-    cuts: set[int] = set()
-    timer = 0
-    root = 0
-    root_children = 0
+    def find(v: int) -> int:
+        while leader[v] != v:
+            leader[v] = leader[leader[v]]
+            v = leader[v]
+        return v
 
-    disc[root] = low[root] = timer
-    timer += 1
-    stack = [(root, iter(g.neighbors(root)))]
-    while stack:
-        v, it = stack[-1]
-        pushed = False
-        for w in it:
-            if disc[w] == -1:
-                parent[w] = v
-                if v == root:
-                    root_children += 1
-                edge_stack.append((v, w))
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, iter(g.neighbors(w))))
-                pushed = True
-                break
-            if w != parent[v] and disc[w] < disc[v]:
-                edge_stack.append((v, w))
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        if pushed:
-            continue
-        stack.pop()
-        if not stack:
-            continue
-        u = stack[-1][0]
-        if low[v] < low[u]:
-            low[u] = low[v]
-        if low[v] >= disc[u]:
-            # u separates the subtree at v; everything stacked since (u, v)
-            # is one block.
-            comp = []
-            while True:
-                e = edge_stack.pop()
-                comp.append(e)
-                if e == (u, v):
-                    break
-            raw_blocks.append(comp)
-            if u != root:
-                cuts.add(u)
-    if root_children > 1:
-        cuts.add(root)
-
-    indexed = []
-    for comp in raw_blocks:
-        verts = frozenset(x for e in comp for x in e)
-        edges = frozenset((a, b) if a < b else (b, a) for a, b in comp)
-        indexed.append((tuple(sorted(verts)), verts, edges))
-    indexed.sort(key=lambda t: t[0])
-    decomp = BlockDecomposition(
-        tuple(v for _, v, _ in indexed),
-        tuple(e for _, _, e in indexed),
-        frozenset(cuts),
-    )
-    ensure(sum(decomp.block_sizes) == n + decomp.k - 1, "block sizes break sum(n_i) = n + k - 1")
+    for u, v in g.edges:
+        if up[u] != v and up[v] != u:
+            left, right = _tree_paths(depth, up.__getitem__, u, v)
+            r = find(u)
+            for w in left[:-1] + right[:-1]:
+                leader[find(w)] = r
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for u, v in g.edges:
+        groups.setdefault(find(v if up[v] == u else u), []).append((u, v))
+    # Blocks share at most one vertex, so no two sorted vertex lists are equal.
+    indexed = sorted((sorted({x for e in es for x in e}), es) for es in groups.values())
+    blocks = tuple(frozenset(verts) for verts, _ in indexed)
+    cuts = frozenset(v for v, c in Counter(v for b in blocks for v in b).items() if c > 1)
+    decomp = BlockDecomposition(blocks, tuple(frozenset(es) for _, es in indexed), cuts)
+    ensure(sum(decomp.block_sizes) == g.n + decomp.k - 1, "block sizes break sum(n_i) = n + k - 1")
     return decomp
 
 

@@ -225,7 +225,7 @@ class GapDecomposition:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["x", "y", "distance", "separations", "surplus", "category", "block"])
         for x, y, d, s, cat in self.pair_rows():
-            writer.writerow([x, y, d, s + d, s, cat[0], cat[1] if len(cat) > 1 else ""])
+            writer.writerow([x, y, d, s + d, s, cat[0], cat[1]])
         return buf.getvalue()
 
 
@@ -240,10 +240,9 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
 
     One outward walk of the block-cut tree from the designated block names,
     for each vertex, its home: the first block that reaches it.  A block
-    entered through cut vertex w records w as its cut toward the designated
-    block, and its root gate (the designated block's cut vertex on its path)
-    is inherited from the block it was entered from, or is w itself when that
-    block is the designated one.
+    entered through cut vertex w inherits its root gate (the designated
+    block's cut vertex on its path) from the block it was entered from, or
+    takes w itself when that block is the designated one.
 
     The designated block is the largest block; ties are broken by canonical
     code, then by sorted vertex list.  Tied blocks above the canonical
@@ -279,7 +278,6 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
             block_mask[v] |= 1 << i
     # The outward walk: `order` grows as blocks are entered.
     home: dict[int, int] = {}
-    toward_root_cut: dict[int, int] = {}
     root_gate: dict[int, int] = {}
     order = [root]
     for b in order:
@@ -288,7 +286,6 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
                 continue
             home[v] = b
             for i in _bits(block_mask[v] & ~(1 << b)):
-                toward_root_cut[i] = v
                 root_gate[i] = root_gate.get(b, v)
                 order.append(i)
 
@@ -298,6 +295,10 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     cross_other = 0
     category: dict[tuple[int, int], tuple] = {}
     root_set = decomp.blocks[root]
+    # A cross pair whose designated-side end is not its far block's root gate has
+    # surplus >= 1, and each far vertex has such a partner with surplus >= 2.
+    floor_ok = True
+    witnessed: set[int] = set()
     for (x, y), s in smap.surpluses.items():
         common = block_mask[x] & block_mask[y]
         if common:
@@ -306,9 +307,14 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
             within[b] += s
             category[(x, y)] = ("within", b)
         elif x in root_set or y in root_set:
-            far = y if x in root_set else x
-            cross_root[home[far]] += s
-            category[(x, y)] = ("cross_root", home[far])
+            near, far = (x, y) if x in root_set else (y, x)
+            b = home[far]
+            cross_root[b] += s
+            category[(x, y)] = ("cross_root", b)
+            if near != root_gate[b]:
+                floor_ok = floor_ok and s >= 1
+                if s >= 2:
+                    witnessed.add(far)
         else:
             cross_other += s
             category[(x, y)] = ("cross_other", (home[x], home[y]))
@@ -326,7 +332,6 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
         ensure(sub >= sizes[root] * (sizes[i] - 1), f"block {i}: cross surplus below n_1(n_i - 1)")
     ensure(cross_other >= 0, "negative cross-other surplus")
 
-    floor_ok, witness_ok = _check_cross_refinement(decomp, root, root_gate, toward_root_cut, smap)
     return GapDecomposition(
         g,
         decomp,
@@ -338,35 +343,8 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
         smap,
         category,
         floor_ok,
-        witness_ok,
+        len(witnessed) == g.n - len(root_set),
     )
-
-
-def _check_cross_refinement(
-    decomp: BlockDecomposition,
-    root: int,
-    root_gate: dict[int, int],
-    toward_root_cut: dict[int, int],
-    smap: SurplusMap,
-) -> tuple[bool, bool]:
-    # Per cross pair (gates excluded on both sides) the surplus is >= 1, and
-    # each far vertex admits a designated-side partner with surplus >= 2.
-    floor_ok = True
-    witness_ok = True
-    root_set = decomp.blocks[root]
-    for i in range(decomp.k):
-        if i == root:
-            continue
-        gate = root_gate[i]
-        w_i = toward_root_cut[i]
-        far_side = [y for y in decomp.blocks[i] if y != w_i]
-        near_side = [x for x in root_set if x != gate]
-        for y in far_side:
-            if not all(smap.surplus(x, y) >= 1 for x in near_side):
-                floor_ok = False
-            if not any(smap.surplus(z, y) >= 2 for z in near_side):
-                witness_ok = False
-    return floor_ok, witness_ok
 
 
 def _induced_block(g: Graph, verts: frozenset[int]) -> Graph:

@@ -4,6 +4,8 @@ import time
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szlab.canon import canonical_code, canonical_form, is_isomorphic
 from szlab.enumeration import EnumerationSpec, generate
@@ -19,6 +21,7 @@ from .oracles import (
     mask_to_graph,
     pair_positions,
 )
+from .test_kernel import graphs_up_to_16
 
 
 def test_relabelings_share_code():
@@ -99,6 +102,14 @@ def test_code_invariant_under_random_relabeling_n8(enumerated):
             rng.shuffle(perm)
             relabeled = Graph(8, [(perm[u], perm[v]) for u, v in g.edges])
             assert canonical_code(relabeled) == code
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_code_invariant_under_relabeling_property(data):
+    g = data.draw(graphs_up_to_16())
+    perm = data.draw(st.permutations(range(g.n)))
+    assert canonical_code(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])) == canonical_code(g)
 
 
 def test_codes_distinct_across_n8_classes(enumerated):

@@ -104,10 +104,13 @@ def test_extremal_gaps_reject_corrupted_gap(monkeypatch):
 
 
 def test_block_decomposition_rejects_missed_vertices(monkeypatch):
-    # Told a disconnected graph is connected, the DFS covers one component only.
-    monkeypatch.setattr(graphs, "is_connected", lambda g: True)
+    # Given each component's own BFS depths, the disconnected graph looks
+    # connected; the classes then miss the link between the two trees.
+    g = Graph(5, [(0, 1), (1, 2), (3, 4)])
+    depth = graphs.bfs_forest(g)[1]
+    monkeypatch.setattr(graphs, "_distances_from", lambda g, s: depth)
     with pytest.raises(InvariantViolation, match="n \\+ k - 1"):
-        block_decomposition(Graph(5, [(0, 1), (1, 2), (3, 4)]))
+        block_decomposition(g)
 
 
 def test_shortest_cycle_rejects_wrong_girth(monkeypatch, c4):

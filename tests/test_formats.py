@@ -1,5 +1,10 @@
+import random
+from itertools import combinations
+
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szlab.errors import EdgeListFormatError, Graph6Error
 from szlab.formats import format_edge_list, parse_edge_list, parse_graph6, to_graph6
@@ -47,6 +52,27 @@ def test_round_trip_large_n():
     assert parse_graph6(line) == g
     ref = nx.from_graph6_bytes(line.encode("ascii"))
     assert ref.number_of_nodes() == 70
+
+
+@st.composite
+def graphs_up_to_70(draw):
+    """n = 0..70, half of them past 62 (the `~` long header), at one of five edge densities."""
+    n = draw(st.one_of(st.integers(0, 62), st.integers(63, 70)))
+    p = draw(st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(graphs_up_to_70())
+def test_graph6_round_trip_property(g):
+    line = to_graph6(g)
+    assert line.startswith("~") == (g.n > 62)
+    assert parse_graph6(line) == g
+    assert parse_graph6(">>graph6<<" + line) == g
+    ref = nx.from_graph6_bytes(line.encode("ascii"))
+    assert ref.number_of_nodes() == g.n
+    assert sorted(tuple(sorted(e)) for e in ref.edges()) == list(g.edges)
 
 
 def test_malformed_header_rejected():

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from szlab.graphs import (
 )
 
 from .oracles import INF, floyd_warshall, girth_brute, two_colorings
+from .test_kernel import connected_graphs
 
 
 def test_from_edge_list_c4():
@@ -181,7 +183,7 @@ def test_hypotheses_come_from_one_bfs_forest(monkeypatch, c4, c4_pendant):
         assert calls.count("bfs_forest") == 1, check
     calls.clear()
     proofs.gap_decomposition(c4_pendant)
-    # The forest's one BFS, then block_decomposition's own connectivity check.
+    # The forest's one BFS, then the BFS tree block_decomposition is built on.
     assert calls.count("_distances_from") == 2
     calls.clear()
     invariants.compute_invariants(c4_pendant)
@@ -219,6 +221,38 @@ def test_block_decomposition_degenerate_cases():
     assert not single_edge.cut_vertices
     lone_vertex = block_decomposition(Graph(1, []))
     assert lone_vertex.k == 0
+
+
+def _assert_blocks_match_networkx(g):
+    ref = nx.Graph(g.edges)
+    ref.add_nodes_from(g.vertices())
+    d = block_decomposition(g)
+    assert sorted(map(sorted, d.blocks)) == sorted(map(sorted, nx.biconnected_components(ref)))
+    assert sorted(map(sorted, d.block_edges)) == sorted(
+        sorted(tuple(sorted(e)) for e in edges) for edges in nx.biconnected_component_edges(ref)
+    )
+    assert d.cut_vertices == set(nx.articulation_points(ref))
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True)
+@given(connected_graphs(max_n=16))
+def test_blocks_match_networkx(g):
+    _assert_blocks_match_networkx(g)
+
+
+@pytest.mark.parametrize(
+    "ref",
+    [
+        nx.cycle_graph(41),
+        nx.ladder_graph(12),
+        nx.grid_2d_graph(4, 5),
+        nx.barbell_graph(5, 3),
+    ],
+    ids=["cycle41", "ladder12", "grid4x5", "barbell5_3"],
+)
+def test_blocks_match_networkx_on_fixed_graphs(ref):
+    ref = nx.convert_node_labels_to_integers(ref, ordering="sorted")
+    _assert_blocks_match_networkx(Graph(ref.number_of_nodes(), ref.edges))
 
 
 def test_block_identity_and_cut_membership(enumerated):

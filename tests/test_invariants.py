@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from szlab.canon import canonical_code
 from szlab.errors import DisconnectedGraphError, GraphConstructionError
@@ -31,6 +33,7 @@ from .oracles import (
     szeged_brute,
     wiener_brute,
 )
+from .test_kernel import connected_graphs
 
 
 def test_wiener_frozen_values(c4, k23, p3):
@@ -199,6 +202,17 @@ def test_random_trees_match_oracle():
         w = wiener(all_pairs_distances(g))
         assert w == wiener_brute(g)
         assert szeged(g) == w
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_indices_invariant_under_relabeling(data):
+    g = data.draw(connected_graphs(max_n=16))
+    perm = data.draw(st.permutations(range(g.n)))
+    before = compute_invariants(g)
+    after = compute_invariants(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    fields = ("wiener", "szeged", "revised_szeged_times4", "gap")
+    assert [getattr(after, f) for f in fields] == [getattr(before, f) for f in fields]
 
 
 def test_invariant_report_json_and_csv(c4_pendant):

@@ -28,9 +28,9 @@ from .oracles import (
 
 
 @st.composite
-def connected_graphs(draw):
+def connected_graphs(draw, max_n=12):
     """A random spanning tree plus extra edges; `bipartite` keeps tree-depth parity."""
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     bipartite = draw(st.booleans())
     parent = [draw(st.integers(0, v - 1)) for v in range(1, n)]
     depth = [0] * n
