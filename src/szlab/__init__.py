@@ -7,7 +7,7 @@ equality family (a 4-cycle plus a hanging tree), and verifies the bound
 exhaustively over isomorph-free enumerations.
 """
 
-from .canon import canonical_code, canonical_form, is_isomorphic
+from .canon import CanonicalForm, canonical_code, canonical_form, is_isomorphic
 from .enumeration import (
     EnumerationSpec,
     VerificationReport,

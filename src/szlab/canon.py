@@ -5,7 +5,7 @@ adjacency bits (column-major, the graph6 bit order) are lexicographically
 least over all labelings reachable from the refinement search tree.  Color
 refinement is label-invariant, so two graphs receive equal codes exactly when
 they are isomorphic.  Intended scale is n <= 16; enumeration workloads stay
-at n <= 8.
+at n <= 10.
 
 The search skips subtrees that are automorphic images of subtrees already
 explored (McKay 1981; McKay & Piperno, arXiv:1301.1493), which leaves the
@@ -21,6 +21,24 @@ path to it, and the automorphism maps the earlier leaf's path onto the new
 one.  Where the two paths part, at node P with children w (earlier) and v,
 the subtree of v is therefore the image of the finished subtree of w, and
 the search returns to P at once.
+
+The same search yields Aut(G).  `canonical_form` returns a `CanonicalForm`
+whose `generators` are the stored automorphisms carried into canonical
+labels (lab . gen . lab^-1, so each maps the form onto itself) and whose
+`group_order` is |Aut(G)|.  Let P_0, P_1, ... be the nodes of the first
+path, w_d the first child of P_d, and Aut_P the automorphisms fixing P
+pointwise.  Orbit-stabilizer gives
+|Aut_P_d| = |orbit of w_d under Aut_P_d| * |Aut_P_d+1|, and Aut_P is trivial
+at the leaf, whose colors are all distinct, so |Aut(G)| is the product of
+those orbit sizes, each read off as the orbit of w_d under the stored
+generators that fix P_d.  Those orbits are complete (McKay 1981).  A
+first-path node is never abandoned: every leaf met inside its subtree shares
+P_d with the first leaf, so a return stops at P_d or below.  Every map
+stored there carries one path through P_d onto another, so it fixes P_d.
+And every child v in the true orbit of w_d has a leaf with the first leaf's
+code below it; the search of v is either skipped, because stored maps
+already join v to an explored child, or meets such a leaf, in its own
+subtree or in the image of a pruned one, and stores a map carrying w_d to v.
 """
 
 from __future__ import annotations
@@ -53,11 +71,23 @@ def _triangle_positions(n: int) -> list[list[int]]:
     return pos
 
 
-def _canonical_labeling(g: Graph) -> list[int]:
-    """Map old vertex -> new label minimizing the triangle bit string."""
+class CanonicalForm(Graph):
+    """A canonically labeled graph with generators of its automorphism group
+    (vertex maps x -> gen[x] in the form's own labels) and the group's order."""
+
+    __slots__ = ("generators", "group_order")
+
+    def __init__(self, n: int, pairs, generators: list[list[int]], group_order: int):
+        super().__init__(n, pairs)
+        self.generators, self.group_order = generators, group_order
+
+
+def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
+    """Map old vertex -> new label minimizing the triangle bit string, the
+    stored automorphism generators in new labels, and |Aut(g)|."""
     n = g.n
     if n <= 1:
-        return list(range(n))
+        return list(range(n)), [], 1
     neigh = g._neigh
     pos = _triangle_positions(g.n)
     total = n * (n - 1) // 2
@@ -147,15 +177,32 @@ def _canonical_labeling(g: Graph) -> list[int]:
         return len(fixed)
 
     search([0] * n, ())
-    return best[1]
+    # |Aut| from the first path; `fixing` holds the generators that fix the
+    # vertices individualized above the current node.
+    order, fixing = 1, generators
+    for w in first[2]:
+        orbit, todo = {w}, [w]
+        while todo:
+            x = todo.pop()
+            for gen in fixing:
+                if gen[x] not in orbit:
+                    orbit.add(gen[x])
+                    todo.append(gen[x])
+        order *= len(orbit)
+        fixing = [gen for gen in fixing if gen[w] == w]
+    lab = best[1]
+    inverse = [0] * n
+    for v, c in enumerate(lab):
+        inverse[c] = v
+    return lab, [[lab[gen[v]] for v in inverse] for gen in generators], order
 
 
-def canonical_form(g: Graph) -> Graph:
-    """The canonically relabeled representative of g's isomorphism class."""
+def canonical_form(g: Graph) -> CanonicalForm:
+    """The canonically relabeled representative of g's isomorphism class, with its automorphisms."""
     if g.n > MAX_CANON_VERTICES:
         raise SizeLimitError(f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got {g.n}")
-    lab = _canonical_labeling(g)
-    return Graph(g.n, [(lab[u], lab[v]) for u, v in g.edges])
+    lab, generators, order = _canonical_labeling(g)
+    return CanonicalForm(g.n, [(lab[u], lab[v]) for u, v in g.edges], generators, order)
 
 
 def canonical_code(g: Graph) -> bytes:

@@ -146,7 +146,7 @@ def _emit_reports(records, args, t0: float) -> None:
     reports, rows = fold_records(records)
     if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["canonical_code", "n", "m", "wiener", "szeged", "gap"])
+        writer.writerow(["canonical_code", "n", "m", "wiener", "szeged", "gap", "scope"])
         writer.writerows(sorted(rows, key=lambda r: (r[1], r[0])))
     else:
         payload = {"schema": 1, "reports": [r.to_json_dict() for r in reports]}

@@ -6,6 +6,15 @@ each edge count (the stored representative is the canonical labeling itself,
 so kept graphs reproduce their own code).  Bipartite-breaking additions are
 pruned at the source; connectivity and the minimum edge count are
 post-filters so the same generator also serves tree workloads.
+
+Each representative carries the automorphism generators its canon search
+found, and only one addition per orbit of the group they generate is
+canonized (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
+1998).  This misses no class: an automorphism s of G maps G+e onto G+s(e),
+and s maps bipartite-safe additions to bipartite-safe additions, so every
+addition is isomorphic to its orbit's representative, even if the
+generators span only a subgroup of Aut(G).  Every class on m + 1 edges still
+arises, as before, from deleting any one of its edges.
 """
 
 from __future__ import annotations
@@ -16,14 +25,14 @@ from functools import partial
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
-from .canon import canonical_code, canonical_form
+from .canon import CanonicalForm, canonical_code, canonical_form
 from .errors import Graph6Error, SizeLimitError
 from .extremal import extremal_family
 from .formats import is_standard_graph6, parse_graph6, to_graph6
 from .graphs import Graph, bfs_forest, connected_and_bipartite
 from .invariants import compute_invariants
 
-BUILTIN_ENUMERATION_LIMIT = 8
+BUILTIN_ENUMERATION_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -56,11 +65,33 @@ def _bipartite_safe_additions(g: Graph, root: list[int], depth: list[int]) -> li
     ]
 
 
-def generate(spec: EnumerationSpec) -> Iterator[Graph]:
+def _one_per_orbit(pairs: list[tuple[int, int]], generators: list[list[int]]) -> list[tuple[int, int]]:
+    # Union-find over the pairs, joining each pair to its image under every
+    # generator; each orbit keeps its first pair.
+    index = {p: i for i, p in enumerate(pairs)}
+    parent = list(range(len(pairs)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for gen in generators:
+        for i, (u, v) in enumerate(pairs):
+            a, b = gen[u], gen[v]
+            a, b = find(i), find(index[(a, b) if a < b else (b, a)])
+            parent[max(a, b)] = min(a, b)
+    return [p for i, p in enumerate(pairs) if parent[i] == i]
+
+
+def generate(spec: EnumerationSpec) -> Iterator[CanonicalForm]:
     """One canonical representative per isomorphism class, deterministic order.
 
-    Order is by edge count, then by canonical code.  Built-in limit is
-    n <= 8; larger runs must be fed externally as graph6 streams.
+    Order is by edge count, then by canonical code.  Each representative is
+    a `CanonicalForm`, so it carries its automorphism generators and |Aut|.
+    Built-in limit is n <= 10; larger runs must be fed externally as graph6
+    streams.
     """
     if spec.n > BUILTIN_ENUMERATION_LIMIT:
         raise SizeLimitError(
@@ -68,17 +99,17 @@ def generate(spec: EnumerationSpec) -> Iterator[Graph]:
             f"supply graphs for n={spec.n} via a graph6 stream"
         )
     n = spec.n
-    # The edgeless graph is its own canonical form.
-    level = {to_graph6(Graph(n, [])): Graph(n, [])}
+    start = canonical_form(Graph(n, []))
+    level = {to_graph6(start): start}
     while level:
-        nxt: dict[str, Graph] = {}
+        nxt: dict[str, CanonicalForm] = {}
         for code in sorted(level):
             g = level[code]
             # One BFS forest per class: its roots say whether g is connected.
             root, depth = bfs_forest(g)
             if g.m >= spec.effective_min_edges and not (spec.connected and any(root)):
                 yield g
-            for u, v in _bipartite_safe_additions(g, root, depth):
+            for u, v in _one_per_orbit(_bipartite_safe_additions(g, root, depth), g.generators):
                 form = canonical_form(Graph(n, list(g.edges) + [(u, v)]))
                 nxt.setdefault(to_graph6(form), form)
         level = nxt
@@ -126,7 +157,9 @@ def _examine(g: Graph, text: str | None = None, rows: bool = False) -> dict:
     """One graph's record: whether it meets the hypotheses, its gap, and the names reports use.
 
     `text` is the stripped graph6 line the graph came from, if any.  With
-    `rows`, every connected graph also gets its per-graph CSV row.
+    `rows`, every connected graph also gets its per-graph CSV row, ending in
+    its scope: "checked", or why the report rejects it ("not_bipartite",
+    "m_below_n").
     """
     connected, bipartite = connected_and_bipartite(g)
     ok = connected and bipartite and g.m >= g.n
@@ -140,7 +173,8 @@ def _examine(g: Graph, text: str | None = None, rows: bool = False) -> dict:
     if g.n <= 16 and (rows or ok and report.gap == bound):
         code = canonical_code(g).decode("ascii")
     if rows:
-        rec["row"] = [code or "", g.n, g.m, report.wiener, report.szeged, report.gap]
+        scope = "checked" if ok else "m_below_n" if bipartite else "not_bipartite"
+        rec["row"] = [code or "", g.n, g.m, report.wiener, report.szeged, report.gap, scope]
     if ok:
         rec.update(gap=report.gap, canonical=code)
     if ok and report.gap <= bound:

@@ -5,14 +5,17 @@ Floyd-Warshall instead of BFS, isomorphism from permutation backtracking
 instead of canonical codes, girth from per-edge deletion, 2-colorings by
 trying every coloring instead of BFS-depth parity, rooted-tree
 counting from labeled Prufer trees deduplicated by recursive subtree
-encoding.  Keep it that way; the tests rely on the two routes being
-independent.
+encoding, automorphism counts by trying every permutation, labeled bipartite
+counts from a generating function.  Keep it that way; the tests rely on the
+two routes being independent.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import comb, factorial
 
 from szlab.graphs import Graph
 
@@ -196,6 +199,39 @@ def permutation_tables(n: int) -> list[list[int]]:
             table.append(index[(a, b) if a < b else (b, a)])
         tables.append(table)
     return tables
+
+
+def automorphism_count_brute(g: Graph, tables: list[list[int]]) -> int:
+    """|Aut(g)|: the permutations (as `permutation_tables(g.n)`) whose pair map keeps every edge an edge."""
+    mask = graph_to_mask(g, pair_positions(g.n))
+    edges = [k for k in range(mask.bit_length()) if mask >> k & 1]
+    return sum(all(mask >> t[k] & 1 for k in edges) for t in tables)
+
+
+def labeled_bipartite_counts(n_max: int) -> tuple[list[int], list[int]]:
+    """Labeled bipartite graphs on n = 0..n_max vertices: (all, connected).
+
+    b(n) = sum_k C(n, k) 2^(k(n-k)) counts the graphs on n labeled vertices
+    together with a proper 2-coloring.  A bipartite graph with c components
+    has 2^c of them, so B(x) = sum_n b(n) x^n / n! equals exp(2 C(x)), where
+    C is the exponential generating function of the connected ones: C is
+    log(B) / 2 and all bipartite graphs have exp(C) = sqrt(B) (Harary &
+    Palmer, Graphical Enumeration, 1973; OEIS A047864, A001832).  Exact
+    power series arithmetic over Fraction.
+    """
+    b = [
+        Fraction(sum(comb(n, k) * 2 ** (k * (n - k)) for k in range(n + 1)), factorial(n))
+        for n in range(n_max + 1)
+    ]
+    log = [Fraction(0)] * (n_max + 1)  # from B' = log(B)' B
+    root = [Fraction(1)] + [Fraction(0)] * n_max  # from root^2 = B
+    for n in range(1, n_max + 1):
+        log[n] = b[n] - sum((k * log[k] * b[n - k] for k in range(1, n)), Fraction(0)) / n
+        root[n] = (b[n] - sum((root[k] * root[n - k] for k in range(1, n)), Fraction(0))) / 2
+    every = [root[n] * factorial(n) for n in range(n_max + 1)]
+    connected = [log[n] * factorial(n) / 2 for n in range(n_max + 1)]
+    assert all(c.denominator == 1 for c in every + connected)
+    return [int(c) for c in every], [int(c) for c in connected]
 
 
 def labeled_orbits(n: int) -> list[set[int]]:

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import time
 from itertools import permutations
@@ -16,10 +17,12 @@ from szlab.graphs import Graph, complete_bipartite, path_graph, star_graph
 
 from .oracles import (
     all_labeled_trees,
+    automorphism_count_brute,
     brute_isomorphic,
     labeled_orbits,
     mask_to_graph,
     pair_positions,
+    permutation_tables,
 )
 from .test_kernel import graphs_up_to_16
 
@@ -112,6 +115,51 @@ def test_code_invariant_under_relabeling_property(data):
     assert canonical_code(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])) == canonical_code(g)
 
 
+def _group_generated(generators: list[list[int]], n: int) -> set[tuple[int, ...]]:
+    group = {tuple(range(n))}
+    todo = list(group)
+    while todo:
+        element = todo.pop()
+        for gen in generators:
+            product = tuple(gen[x] for x in element)
+            if product not in group:
+                group.add(product)
+                todo.append(product)
+    return group
+
+
+def test_group_order_matches_brute_force():
+    """|Aut| equals the permutation count on every bipartite class with
+    n <= 7, relabelled three ways; the generators are automorphisms of the
+    form and generate a group of that order."""
+    rng = random.Random(1998)
+    classes = 0
+    for n in range(1, 8):
+        tables = permutation_tables(n)
+        for g in generate(EnumerationSpec(n, min_edges=0, connected=False)):
+            classes += 1
+            order = automorphism_count_brute(g, tables)
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                form = canonical_form(Graph(n, [(perm[u], perm[v]) for u, v in g.edges]))
+                assert form.group_order == order
+                edges = set(form.edges)
+                for gen in form.generators:
+                    assert {tuple(sorted((gen[u], gen[v]))) for u, v in form.edges} == edges
+                assert len(_group_generated(form.generators, n)) == order
+    assert classes == 149
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_group_order_invariant_under_relabeling_property(data):
+    g = data.draw(graphs_up_to_16())
+    perm = data.draw(st.permutations(range(g.n)))
+    relabeled = canonical_form(Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges]))
+    assert relabeled.group_order == canonical_form(g).group_order
+
+
 def test_codes_distinct_across_n8_classes(enumerated):
     codes = {canonical_code(g) for g in enumerated[8]}
     assert len(codes) == len(enumerated[8]) == 182
@@ -174,3 +222,18 @@ def test_hard_cases_within_budget(name):
         assert time.perf_counter() - start < 2.0
     assert codes[0] == codes[1]
     assert parse_graph6(codes[0].decode("ascii")).degree_sequence() == g.degree_sequence()
+
+
+def test_group_order_at_size_limit():
+    """|Aut| of the hard cases, from their structure: symmetric groups on
+    interchangeable vertices times the symmetries of the core."""
+    f = math.factorial
+    expected = {
+        "edgeless16": f(16),
+        "star15": f(15),
+        "k88": 2 * f(8) ** 2,
+        "c4_12_pendants": 2 * f(12),  # the reflection of C4 through the hub
+        "c4_12_pendants_spread": 8 * f(3) ** 4,  # the dihedral group of C4
+        "two_k44": 2 * (2 * f(4) ** 2) ** 2,
+    }
+    assert {name: canonical_form(g).group_order for name, g in HARD_CASES.items()} == expected

@@ -130,7 +130,7 @@ def test_enumerate_output_identical_across_workers(capsys):
 
 
 def test_enumerate_over_limit_exit_5(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--n", "9")
+    code, _, err = run_cli(capsys, "enumerate", "--n", "11")
     assert code == 5
     assert "limit" in err
 
@@ -139,8 +139,9 @@ def test_enumerate_csv(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--format", "csv")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == "canonical_code,n,m,wiener,szeged,gap"
+    assert lines[0] == "canonical_code,n,m,wiener,szeged,gap,scope"
     assert len(lines) == 3  # two classes with m >= 5
+    assert all(line.endswith(",checked") for line in lines[1:])
 
 
 def test_extremal_human(capsys):
@@ -223,15 +224,36 @@ def test_verify_stream_same_for_any_worker_count(tmp_path, capsys):
         out, err = runs[0]
         assert err[0].startswith("szlab: line 3: ") and err[1].startswith("szlab: line 9: ")
         assert err[2:] == ["szlab: 2 unparseable line(s) skipped"]
-    # The CSV lists every connected graph: K4 and the tree too, not the disconnected one.
+    # The CSV lists every connected graph: K4 and the tree too, not the
+    # disconnected one, and says which of them the JSON report rejects.
     rows = out.splitlines()
-    assert rows[0] == "canonical_code,n,m,wiener,szeged,gap"
-    n_m = sorted(tuple(map(int, r.split(",")[1:3])) for r in rows[1:])
-    assert n_m == [(4, 3), (4, 4), (4, 4), (4, 6), (5, 5), (5, 5), (5, 6)]
+    assert rows[0] == "canonical_code,n,m,wiener,szeged,gap,scope"
+    n_m_scope = sorted((*map(int, r.split(",")[1:3]), r.split(",")[-1]) for r in rows[1:])
+    assert n_m_scope == [
+        (4, 3, "m_below_n"),
+        (4, 4, "checked"),
+        (4, 4, "checked"),
+        (4, 6, "not_bipartite"),
+        (5, 5, "checked"),
+        (5, 5, "checked"),
+        (5, 6, "checked"),
+    ]
     code, out, _ = run_cli(capsys, "verify", "--file", str(stream), "--workers", "2")
     by_n = {r["n"]: r for r in json.loads(out)["reports"]}
     assert (by_n[4]["graphs_checked"], by_n[4]["rejected"]) == (2, 3)
     assert (by_n[5]["graphs_checked"], len(by_n[5]["equality_graphs"])) == (3, 1)
+
+
+def test_verify_csv_scope_agrees_with_json(tmp_path, capsys):
+    # K4 is connected, so it gets a CSV row, but the JSON report rejects it.
+    stream = tmp_path / "k4.g6"
+    stream.write_text("C~\nCr\n")
+    code, out, _ = run_cli(capsys, "verify", "--file", str(stream), "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1:] == ["Cr,4,4,8,16,8,checked", "C~,4,6,6,6,0,not_bipartite"]
+    code, out, _ = run_cli(capsys, "verify", "--file", str(stream))
+    (report,) = json.loads(out)["reports"]
+    assert (report["graphs_checked"], report["rejected"]) == (1, 1)
 
 
 def test_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):

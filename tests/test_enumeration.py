@@ -1,5 +1,8 @@
 import json
+import os
 import random
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -15,7 +18,11 @@ from szlab.enumeration import (
 from szlab.errors import SizeLimitError
 from szlab.graphs import Graph, complete_bipartite, cycle_graph, is_bipartite, is_connected
 
-from .oracles import brute_force_classes, brute_isomorphic, random_tree
+from .oracles import brute_force_classes, brute_isomorphic, labeled_bipartite_counts, random_tree
+
+# Isomorphism classes of bipartite graphs on n = 1..10 vertices: all, connected.
+A033995 = [1, 2, 3, 7, 13, 35, 88, 303, 1119, 5479]
+A005142 = [1, 1, 1, 3, 5, 17, 44, 182, 730, 4032]
 
 
 def test_spec_validation():
@@ -69,7 +76,28 @@ def test_generate_matches_brute_force_classes():
 
 def test_generate_over_limit():
     with pytest.raises(SizeLimitError):
-        next(generate(EnumerationSpec(n=9)))
+        next(generate(EnumerationSpec(n=11)))
+
+
+def test_labeled_counts_oracle():
+    every, connected = labeled_bipartite_counts(8)
+    assert every[1:] == [1, 2, 7, 41, 376, 5177, 103237, 2922446]
+    assert connected[1:] == [1, 1, 3, 19, 195, 3031, 67263, 2086099]
+
+
+_SLOW = pytest.mark.skipif(not os.environ.get("SZLAB_SLOW_TESTS"), reason="set SZLAB_SLOW_TESTS=1 to run")
+
+
+@pytest.mark.parametrize("n", [*range(1, 10), pytest.param(10, marks=_SLOW)])
+def test_classes_weighted_by_automorphisms_count_labeled_graphs(n):
+    """Each class stands for n!/|Aut| labeled graphs, so a missed or doubled
+    class, or a wrong |Aut|, breaks the sum; this guards the one-child-per-orbit pruning."""
+    every, connected = labeled_bipartite_counts(n)
+    classes = list(generate(EnumerationSpec(n, min_edges=0, connected=False)))
+    joined = [g for g in classes if is_connected(g)]
+    assert (len(classes), len(joined)) == (A033995[n - 1], A005142[n - 1])
+    assert sum(Fraction(factorial(n), g.group_order) for g in classes) == every[n]
+    assert sum(Fraction(factorial(n), g.group_order) for g in joined) == connected[n]
 
 
 def test_examine_lines_stream():
