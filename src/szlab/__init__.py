@@ -39,7 +39,6 @@ from .graphs import (
     CycleInfo,
     DistanceMatrix,
     Graph,
-    OddCycleWitness,
     all_pairs_distances,
     bipartition,
     block_decomposition,

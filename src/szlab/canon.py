@@ -1,11 +1,11 @@
 """Canonical labeling by iterated degree refinement plus backtracking.
 
-The canonical form of a graph is the relabeling whose upper-triangle
-adjacency bits (column-major, the graph6 bit order) are lexicographically
-least over all labelings reachable from the refinement search tree.  Color
-refinement is label-invariant, so two graphs receive equal codes exactly when
-they are isomorphic.  Intended scale is n <= 16; enumeration workloads stay
-at n <= 10.
+The canonical form of a graph is the relabeling whose adjacency bits, read in
+graph6's pair order (`formats._pair_bit`, first pair most significant), are
+least over all labelings reachable from the refinement search tree, so its
+graph6 is the least code the search reaches.  Refinement is label-invariant:
+graphs get equal codes exactly when they are isomorphic, and a form is its
+own form.  Intended scale is n <= 16; enumeration workloads stay at n <= 10.
 
 The search skips subtrees that are automorphic images of subtrees already
 explored (McKay 1981; McKay & Piperno, arXiv:1301.1493), which leaves the
@@ -44,6 +44,7 @@ subtree or in the image of a pruned one, and stores a map carrying w_d to v.
 from __future__ import annotations
 
 from .errors import SizeLimitError
+from .formats import _pair_bit, to_graph6
 from .graphs import Graph
 
 MAX_CANON_VERTICES = 16
@@ -61,19 +62,10 @@ def _refine(neigh: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
         colors = new
 
 
-def _triangle_positions(n: int) -> list[list[int]]:
-    pos = [[0] * n for _ in range(n)]
-    idx = 0
-    for j in range(1, n):
-        for i in range(j):
-            pos[i][j] = pos[j][i] = idx
-            idx += 1
-    return pos
-
-
 class CanonicalForm(Graph):
     """A canonically labeled graph with generators of its automorphism group
-    (vertex maps x -> gen[x] in the form's own labels) and the group's order."""
+    (vertex maps x -> gen[x] in the form's own labels) and the group's order.
+    Only `canonical_form` constructs one, so its graph6 is its class's code."""
 
     __slots__ = ("generators", "group_order")
 
@@ -89,8 +81,8 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
     if n <= 1:
         return list(range(n)), [], 1
     neigh = g._neigh
-    pos = _triangle_positions(g.n)
-    total = n * (n - 1) // 2
+    # The first pair in graph6 order is the most significant bit.
+    top = n * (n - 1) // 2 - 1
     # (bits, labeling, path) of the first leaf reached and of the least leaf
     # so far; a path is the sequence of individualized vertices.
     first: tuple[int, list[int], tuple[int, ...]] | None = None
@@ -98,16 +90,12 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
     # Automorphisms found by equal leaf codes, as vertex maps x -> gen[x].
     generators: list[list[int]] = []
 
-    def encode(colors: list[int]) -> int:
-        bits = 0
-        for u, v in g.edges:
-            bits |= 1 << (total - 1 - pos[colors[u]][colors[v]])
-        return bits
-
     def leaf(colors: list[int], path: tuple[int, ...]) -> int:
         """Record a leaf; return the depth at which the search resumes."""
         nonlocal first, best
-        bits = encode(colors)
+        bits = 0
+        for u, v in g.edges:
+            bits |= 1 << (top - _pair_bit(colors[u], colors[v]))
         if first is None:
             first = best = (bits, colors, path)
             return len(path)
@@ -198,7 +186,9 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """The canonically relabeled representative of g's isomorphism class, with its automorphisms."""
+    """The canonically relabeled representative of g's class, with its automorphisms; a form is its own."""
+    if isinstance(g, CanonicalForm):
+        return g
     if g.n > MAX_CANON_VERTICES:
         raise SizeLimitError(f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got {g.n}")
     lab, generators, order = _canonical_labeling(g)
@@ -207,8 +197,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
 def canonical_code(g: Graph) -> bytes:
     """Byte string identifying g's isomorphism class (its canonical graph6)."""
-    from .formats import to_graph6
-
     return to_graph6(canonical_form(g)).encode("ascii")
 
 

@@ -192,27 +192,28 @@ def _examine_line(item: tuple[int, str], rows: bool = False) -> dict:
     return {"lineno": lineno, **_examine(g, text, rows)}
 
 
+def _in_order(fn, items: Iterable, workers: int) -> Iterator[dict]:
+    """fn over items, in order; with workers > 1 the items stream through a process pool in chunks."""
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    with Pool(processes=workers) as pool:
+        yield from pool.imap(fn, items, chunksize=16)
+
+
 def examine_lines(lines: Iterable[str], workers: int = 1, rows: bool = False) -> Iterator[dict]:
     """Records of the non-blank graph6 lines in line order, each line parsed once, by a worker.
 
     Every record carries its "lineno"; an unparseable line gives one with
-    only an "error" besides.  With workers > 1 the lines stream through a
-    process pool in chunks.
+    only an "error" besides.
     """
     items = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip())
-    examine_one = partial(_examine_line, rows=rows)
-    if workers <= 1:
-        yield from map(examine_one, items)
-        return
-    with Pool(processes=workers) as pool:
-        yield from pool.imap(examine_one, items, chunksize=16)
+    return _in_order(partial(_examine_line, rows=rows), items, workers)
 
 
 def examine(graphs: Iterable[Graph], workers: int = 1, rows: bool = False) -> Iterator[dict]:
-    """Records of the graphs in order; a graph is encoded as graph6 only to reach a pool."""
-    if workers > 1:
-        return examine_lines(map(to_graph6, graphs), workers, rows)
-    return (_examine(g, rows=rows) for g in graphs)
+    """Records of the graphs in order; a pool receives the graphs themselves, generators and all."""
+    return _in_order(partial(_examine, rows=rows), graphs, workers)
 
 
 @dataclass

@@ -4,8 +4,9 @@ graph6 layout: a size header (byte n+63 for n <= 62, or '~' plus three bytes
 carrying 18 bits for larger n), then the upper adjacency triangle in
 column-major order x(0,1), x(0,2), x(1,2), x(0,3), ... packed six bits per
 byte, most significant bit first, each byte offset by 63, final byte
-zero-padded.  Parsing is strict: wrong length, out-of-range bytes, or nonzero
-padding are rejected.
+zero-padded.  `_pair_bit` is that pair order, the one place it is written;
+canon's codes compare it too.  Parsing is strict: wrong length, out-of-range
+bytes, or nonzero padding are rejected.
 
 Edge-list format: first line "n m", then m lines "u v".
 """
@@ -18,6 +19,12 @@ from .graphs import Graph
 _HEADER_PREFIX = ">>graph6<<"
 
 
+def _pair_bit(u: int, v: int) -> int:
+    """Position of pair {u, v} in graph6's bit order: j(j-1)/2 + i for i < j."""
+    i, j = (u, v) if u < v else (v, u)
+    return j * (j - 1) // 2 + i
+
+
 def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
@@ -26,20 +33,11 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr((n >> s & 0x3F) + 63) for s in (12, 6, 0))
     else:
         raise Graph6Error(f"graph6 size header for n={n} not supported")
-    chunk = 0
-    filled = 0
-    out = [head]
-    for j in range(1, n):
-        col = g.neighbor_mask(j)
-        for i in range(j):
-            chunk = chunk << 1 | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(chr(chunk + 63))
-                chunk = filled = 0
-    if filled:
-        out.append(chr((chunk << (6 - filled)) + 63))
-    return "".join(out)
+    nbits = n * (n - 1) // 2
+    bits = bytearray(b"0" * (nbits + -nbits % 6))
+    for u, v in g.edges:
+        bits[_pair_bit(u, v)] = 49  # ord("1")
+    return head + "".join([chr(int(bits[k : k + 6], 2) + 63) for k in range(0, len(bits), 6)])
 
 
 def parse_graph6(text: str) -> Graph:
@@ -69,22 +67,16 @@ def parse_graph6(text: str) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
         raise Graph6Error(f"graph6 bit region has {len(body)} bytes, expected {nbytes} for n={n}")
+    bits = "".join([f"{b - 63:06b}" for b in body])
+    if "1" in bits[nbits:]:
+        raise Graph6Error("nonzero padding bits in final graph6 byte")
     edges = []
-    idx = 0
-    i, j = 0, 1
-    for b in body:
-        val = b - 63
-        for k in range(5, -1, -1):
-            if idx >= nbits:
-                if val >> k & 1:
-                    raise Graph6Error("nonzero padding bits in final graph6 byte")
-                continue
-            if val >> k & 1:
-                edges.append((i, j))
-            idx += 1
-            i += 1
-            if i == j:
-                i, j = 0, j + 1
+    for j in range(1, n):
+        start, stop = _pair_bit(0, j), _pair_bit(0, j + 1)
+        k = bits.find("1", start, stop)
+        while k != -1:
+            edges.append((k - start, j))
+            k = bits.find("1", k + 1, stop)
     return Graph(n, edges)
 
 

@@ -200,8 +200,8 @@ class Bipartition:
 
 
 @dataclass(frozen=True)
-class OddCycleWitness:
-    """Refusal witness for bipartition: an odd closed cycle."""
+class CycleInfo:
+    """A cyclically ordered vertex list; consecutive entries are adjacent."""
 
     vertices: tuple[int, ...]
 
@@ -221,7 +221,7 @@ def bfs_forest(g: Graph) -> tuple[list[int], list[int]]:
     return root, depth
 
 
-def bipartition(g: Graph) -> Bipartition | OddCycleWitness:
+def bipartition(g: Graph) -> Bipartition | CycleInfo:
     """2-color by BFS-depth parity (smallest vertex of each component on side A), or return an odd cycle.
 
     Works on disconnected graphs; absence of a bipartition is a normal result,
@@ -232,7 +232,7 @@ def bipartition(g: Graph) -> Bipartition | OddCycleWitness:
         if depth[u] == depth[v]:
             # The two tree paths plus edge uv close a cycle of odd length.
             left, right = _tree_paths(depth, partial(_step_up, g, depth), u, v)
-            return OddCycleWitness(tuple(left + right[-2::-1]))
+            return CycleInfo(tuple(left + right[-2::-1]))
     side_a = frozenset(v for v in g.vertices() if depth[v] % 2 == 0)
     return Bipartition(side_a, frozenset(g.vertices()) - side_a)
 
@@ -339,39 +339,24 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return decomp
 
 
-@dataclass(frozen=True)
-class CycleInfo:
-    """A cyclically ordered vertex list; consecutive entries are adjacent."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-
 def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for forests (BFS from each vertex)."""
-    best = None
+    """Length of a shortest cycle, or None for forests, read off the distance shells of each vertex.
+
+    A vertex at distance k from s with two neighbors at k - 1 closes a cycle
+    of length at most 2k; an edge inside shell k closes one of at most
+    2k + 1.  A shortest cycle is isometric, so from any of its vertices one
+    of the two shows its length exactly.
+    """
+    lengths = []
     for s in g.vertices():
-        dist = [-1] * g.n
-        par = [-1] * g.n
-        dist[s] = 0
-        queue = [s]
-        while queue:
-            nxt = []
-            for v in queue:
-                for w in g.neighbors(v):
-                    if dist[w] == -1:
-                        dist[w] = dist[v] + 1
-                        par[w] = v
-                        nxt.append(w)
-                    elif w != par[v] and dist[w] >= dist[v]:
-                        cand = dist[v] + dist[w] + 1
-                        if best is None or cand < best:
-                            best = cand
-            queue = nxt
-    return best
+        dist = _distances_from(g, s)
+        for v, k in enumerate(dist):
+            near = [dist[w] for w in g._neigh[v]]
+            if k > 0 and near.count(k - 1) > 1:
+                lengths.append(2 * k)
+            elif k > 0 and k in near:
+                lengths.append(2 * k + 1)
+    return min(lengths, default=None)
 
 
 def _lex_least_cycle(g: Graph, length: int) -> tuple[int, ...] | None:

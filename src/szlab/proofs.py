@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from typing import Iterator
 
 from .canon import MAX_CANON_VERTICES, canonical_code
-from .errors import DisconnectedGraphError, HypothesisError, ensure
+from .errors import HypothesisError, ensure
 from .graphs import (
     BlockDecomposition,
     CycleInfo,
@@ -60,9 +59,8 @@ class SurplusMap:
 
 
 def surplus_map(g: Graph) -> SurplusMap:
+    """Every pair's surplus; the mu-table raises DisconnectedGraphError on a disconnected graph."""
     dist = all_pairs_distances(g)
-    if not dist.all_reachable:
-        raise DisconnectedGraphError("surplus map requires a connected graph")
     rows = dist.rows
     surpluses = {(x, y): c - rows[x][y] for (x, y), c in mu_table(g, dist).pair_sums.items()}
     total = sum(surpluses.values())
@@ -210,9 +208,6 @@ class GapDecomposition:
             "cross_pair_floor_ok": self.cross_pair_floor_ok,
             "cross_witness_ok": self.cross_witness_ok,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=False)
 
     def pair_rows(self) -> Iterator[tuple[int, int, int, int, tuple]]:
         """(x, y, distance, surplus, category) for every pair x < y, in order."""

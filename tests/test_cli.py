@@ -272,6 +272,21 @@ def test_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
     assert encoded == []
 
 
+def test_enumerate_runs_one_canon_search_per_class(capsys, monkeypatch):
+    # generate canonizes one addition per orbit; the report stage reuses the
+    # forms it yields, and only the extremal family is canonized besides.
+    import szlab.canon as canon
+
+    searches = []
+    search = canon._canonical_labeling
+    monkeypatch.setattr(canon, "_canonical_labeling", lambda g: searches.append(g) or search(g))
+    for fmt in ("json", "csv"):
+        searches.clear()
+        code, _, _ = run_cli(capsys, "enumerate", "--n", "4..8", "--format", fmt)
+        assert code == 0
+        assert len(searches) == 1607
+
+
 def test_enumerate_full_range(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4..8")
     assert code == 0

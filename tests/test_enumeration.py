@@ -220,6 +220,17 @@ def test_verify_conjecture_examines_graphs_directly(enumerated, monkeypatch):
     assert len(encoded) == len(r.equality_graphs) == 2
 
 
+def test_examine_sends_graphs_to_the_pool_without_graph6(enumerated, monkeypatch):
+    # Forked workers inherit the patch, so a parse anywhere would fail a record.
+    def refuse(text):
+        raise AssertionError("examine parsed graph6")
+
+    graphs = [g for g in enumerated[6] if g.m >= 6]
+    solo = list(examine(graphs, rows=True))
+    monkeypatch.setattr(enumeration, "parse_graph6", refuse)
+    assert list(examine(graphs, workers=2, rows=True)) == solo
+
+
 def test_report_json_payload_is_stable(enumerated):
     graphs = [g for g in enumerated[5] if g.m >= 5]
     r1 = verify_conjecture(graphs)[0]

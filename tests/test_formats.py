@@ -54,6 +54,20 @@ def test_round_trip_large_n():
     assert ref.number_of_nodes() == 70
 
 
+def test_round_trip_n300_against_networkx():
+    rng = random.Random(300)
+    g = Graph(300, [e for e in combinations(range(300), 2) if rng.random() < 0.05])
+    ref = nx.Graph()
+    ref.add_nodes_from(range(300))
+    ref.add_edges_from(g.edges)
+    line = to_graph6(g)
+    assert nx.to_graph6_bytes(ref, header=False) == (line + "\n").encode("ascii")
+    assert parse_graph6(line) == g
+    back = nx.from_graph6_bytes(line.encode("ascii"))
+    assert back.number_of_nodes() == 300
+    assert sorted(tuple(sorted(e)) for e in back.edges()) == list(g.edges)
+
+
 @st.composite
 def graphs_up_to_70(draw):
     """n = 0..70, half of them past 62 (the `~` long header), at one of five edge densities."""
@@ -103,6 +117,19 @@ def test_nonzero_padding_rejected():
     assert parse_graph6("A_").m == 1
     with pytest.raises(Graph6Error):
         parse_graph6("A@")
+    # n = 2..13 leaves 0, 2, 3 or 5 padding bits, every width graph6 can leave;
+    # setting any one of them is rejected, whatever the bits before it.
+    widths = set()
+    for n in range(2, 14):
+        width = -(n * (n - 1) // 2) % 6
+        widths.add(width)
+        for g in (Graph(n, []), Graph(n, combinations(range(n), 2))):
+            line = to_graph6(g)
+            assert parse_graph6(line) == g
+            for bit in range(width):
+                with pytest.raises(Graph6Error, match="padding"):
+                    parse_graph6(line[:-1] + chr(ord(line[-1]) + (1 << bit)))
+    assert widths == {0, 2, 3, 5}
 
 
 def test_optional_prefix_stripped():

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import networkx as nx
@@ -10,8 +11,8 @@ from szlab.enumeration import _bipartite_safe_additions
 from szlab.errors import DisconnectedGraphError, GraphConstructionError
 from szlab.graphs import (
     Bipartition,
+    CycleInfo,
     Graph,
-    OddCycleWitness,
     all_pairs_distances,
     bfs_forest,
     bipartition,
@@ -110,7 +111,7 @@ def test_bipartition_k23(k23):
 
 def test_bipartition_odd_cycle_witness(c5):
     witness = bipartition(c5)
-    assert isinstance(witness, OddCycleWitness)
+    assert isinstance(witness, CycleInfo)
     assert witness.length % 2 == 1
     verts = witness.vertices
     for i, v in enumerate(verts):
@@ -135,7 +136,7 @@ def test_bipartition_and_safe_additions_match_brute_colorings(g):
     colorings = two_colorings(g)
     bip = bipartition(g)
     if not colorings:
-        assert isinstance(bip, OddCycleWitness)
+        assert isinstance(bip, CycleInfo)
         cyc = bip.vertices
         assert bip.length % 2 == 1 and bip.length >= 3 and len(set(cyc)) == bip.length
         assert all(g.has_edge(v, cyc[i - 1]) for i, v in enumerate(cyc))
@@ -286,6 +287,22 @@ def test_girth_matches_per_edge_oracle(enumerated):
     for graphs in enumerated.values():
         for g in graphs:
             assert girth(g) == girth_brute(g)
+
+
+def test_girth_matches_per_edge_oracle_off_bipartite():
+    # Seeded random graphs, connected or not, so odd girths (2k + 1 from an
+    # edge inside a distance shell) are compared with the oracle as well.
+    rng = random.Random(10)
+    odd = disconnected = 0
+    for _ in range(1000):
+        n = rng.randint(1, 12)
+        p = rng.choice([0.1, 0.2, 0.35, 0.6])
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        expected = girth_brute(g)
+        assert girth(g) == expected
+        odd += expected is not None and expected % 2 == 1
+        disconnected += not is_connected(g)
+    assert odd >= 300 and disconnected >= 300
 
 
 def test_shortest_cycle_is_valid_cycle(enumerated):

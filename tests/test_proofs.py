@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from szlab.errors import HypothesisError
+from szlab.errors import DisconnectedGraphError, HypothesisError
 from szlab.graphs import Graph, block_decomposition, cycle_graph, path_graph
 from szlab.invariants import gap
 from szlab.proofs import (
@@ -32,6 +32,11 @@ def test_surplus_map_c4_pendant(c4_pendant):
     assert s.surplus(4, 1) == 1 and s.surplus(4, 3) == 1
     assert s.surplus(4, 0) == 0
     assert s.total == 12
+
+
+def test_surplus_map_rejects_disconnected_graph():
+    with pytest.raises(DisconnectedGraphError):
+        surplus_map(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_surplus_map_tree_is_zero(p3):
