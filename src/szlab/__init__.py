@@ -7,7 +7,7 @@ equality family (a 4-cycle plus a hanging tree), and verifies the bound
 exhaustively over isomorph-free enumerations.
 """
 
-from .canon import CanonicalForm, canonical_code, canonical_form, is_isomorphic
+from .canon import CanonicalForm, canonical_code, canonical_form
 from .enumeration import (
     EnumerationSpec,
     VerificationReport,
@@ -29,10 +29,11 @@ from .extremal import (
     RootedTree,
     extremal_family,
     is_extremal_form,
+    rooted_tree_count,
     rooted_trees,
     verify_extremal_gaps,
 )
-from .formats import format_edge_list, parse_edge_list, parse_graph6, to_graph6
+from .formats import parse_edge_list, parse_graph6, to_graph6
 from .graphs import (
     Bipartition,
     BlockDecomposition,
@@ -60,7 +61,6 @@ from .invariants import (
     edge_partition,
     edge_partitions,
     gap,
-    mu,
     mu_table,
     revised_szeged,
     revised_szeged_times4,

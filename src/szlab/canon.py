@@ -5,7 +5,7 @@ graph6's pair order (`formats._pair_bit`, first pair most significant), are
 least over all labelings reachable from the refinement search tree, so its
 graph6 is the least code the search reaches.  Refinement is label-invariant:
 graphs get equal codes exactly when they are isomorphic, and a form is its
-own form.  Intended scale is n <= 16; enumeration workloads stay at n <= 10.
+own form.  Intended scale is n <= 16; enumeration workloads stay at n <= 12.
 
 The search skips subtrees that are automorphic images of subtrees already
 explored (McKay 1981; McKay & Piperno, arXiv:1301.1493), which leaves the
@@ -39,13 +39,15 @@ And every child v in the true orbit of w_d has a leaf with the first leaf's
 code below it; the search of v is either skipped, because stored maps
 already join v to an explored child, or meets such a leaf, in its own
 subtree or in the image of a pruned one, and stores a map carrying w_d to v.
+So the generators span Aut(G): an automorphism fixing P_d agrees on w_d with
+a product of stored maps fixing P_d, and the quotient fixes P_d+1.
 """
 
 from __future__ import annotations
 
 from .errors import SizeLimitError
 from .formats import _pair_bit, to_graph6
-from .graphs import Graph
+from .graphs import Graph, _find
 
 MAX_CANON_VERTICES = 16
 
@@ -65,7 +67,7 @@ def _refine(neigh: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
 class CanonicalForm(Graph):
     """A canonically labeled graph with generators of its automorphism group
     (vertex maps x -> gen[x] in the form's own labels) and the group's order.
-    Only `canonical_form` constructs one, so its graph6 is its class's code."""
+    Only `labeled_form` constructs one, so its graph6 is its class's code."""
 
     __slots__ = ("generators", "group_order")
 
@@ -134,25 +136,18 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
         # previous child.
         orbit = list(range(n))
         used = 0
-
-        def find(x: int) -> int:
-            while orbit[x] != x:
-                orbit[x] = orbit[orbit[x]]
-                x = orbit[x]
-            return x
-
         explored: list[int] = []
         for v in target:
             if explored:
                 for gen in generators[used:]:
                     if all(gen[p] == p for p in fixed):
                         for x in range(n):
-                            a, b = find(x), find(gen[x])
+                            a, b = _find(orbit, x), _find(orbit, gen[x])
                             if a != b:
                                 orbit[a] = b
                 used = len(generators)
-                root = find(v)
-                if any(find(w) == root for w in explored):
+                root = _find(orbit, v)
+                if any(_find(orbit, w) == root for w in explored):
                     continue
             explored.append(v)
             # Individualize v inside its cell, then re-rank so color values
@@ -185,24 +180,19 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
     return lab, [[lab[gen[v]] for v in inverse] for gen in generators], order
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    """The canonically relabeled representative of g's class, with its automorphisms; a form is its own."""
-    if isinstance(g, CanonicalForm):
-        return g
+def labeled_form(g: Graph) -> tuple[CanonicalForm, list[int]]:
+    """g's canonical form and the labeling (old vertex -> new label) that carries g onto it."""
     if g.n > MAX_CANON_VERTICES:
         raise SizeLimitError(f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got {g.n}")
     lab, generators, order = _canonical_labeling(g)
-    return CanonicalForm(g.n, [(lab[u], lab[v]) for u, v in g.edges], generators, order)
+    return CanonicalForm(g.n, [(lab[u], lab[v]) for u, v in g.edges], generators, order), lab
+
+
+def canonical_form(g: Graph) -> CanonicalForm:
+    """The canonically relabeled representative of g's class, with its automorphisms; a form is its own."""
+    return g if isinstance(g, CanonicalForm) else labeled_form(g)[0]
 
 
 def canonical_code(g: Graph) -> bytes:
     """Byte string identifying g's isomorphism class (its canonical graph6)."""
     return to_graph6(canonical_form(g)).encode("ascii")
-
-
-def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    return canonical_code(g) == canonical_code(h)

@@ -1,20 +1,22 @@
 """Isomorph-free graph generation and the gap-bound verification pipeline.
 
-Generation walks edge-augmentation levels starting from the edgeless graph
-on n vertices, keeping one canonical representative per isomorphism class at
-each edge count (the stored representative is the canonical labeling itself,
-so kept graphs reproduce their own code).  Bipartite-breaking additions are
-pruned at the source; connectivity and the minimum edge count are
-post-filters so the same generator also serves tree workloads.
+Generation is McKay's canonical construction path ("Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998), depth-first from the edgeless graph.
+A node G, a canonical form with generators of Aut(G), proposes one
+bipartite-safe addition e per orbit and keeps H = G + e iff e lies in the
+Aut(H)-orbit of m(H), the greatest canonical pair among H's edges of
+greatest degree key.  The key is label-invariant, so an e below H's greatest
+key is dropped unsearched; otherwise H is canonized once.  Connectivity and
+the minimum edge count are post-filters, so trees come out too.
 
-Each representative carries the automorphism generators its canon search
-found, and only one addition per orbit of the group they generate is
-canonized (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26,
-1998).  This misses no class: an automorphism s of G maps G+e onto G+s(e),
-and s maps bipartite-safe additions to bipartite-safe additions, so every
-addition is isomorphic to its orbit's representative, even if the
-generators span only a subgroup of Aut(G).  Every class on m + 1 edges still
-arises, as before, from deleting any one of its edges.
+Each class H is kept once.  By induction on m, H - m(H) is a node G; an
+isomorphism onto G carries m(H) to an addition whose orbit representative e
+gives G + e isomorphic to H by a map taking m(H) to e, and m commutes with
+isomorphisms up to automorphisms, so G + e is kept.  Isomorphic kept
+children are so by a map taking new edge to new edge, so they share G and an
+Aut(G)-orbit, hence the representative.  Nothing deduplicates afterwards:
+both steps rest on complete orbits, that is on canon's generators spanning
+Aut, which `test_group_order_matches_brute_force` checks.
 """
 
 from __future__ import annotations
@@ -25,14 +27,14 @@ from functools import partial
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
-from .canon import CanonicalForm, canonical_code, canonical_form
+from .canon import CanonicalForm, canonical_code, canonical_form, labeled_form
 from .errors import Graph6Error, SizeLimitError
-from .extremal import extremal_family
+from .extremal import is_extremal_form, rooted_tree_count
 from .formats import is_standard_graph6, parse_graph6, to_graph6
-from .graphs import Graph, bfs_forest, connected_and_bipartite
+from .graphs import Graph, _find, bfs_forest, connected_and_bipartite
 from .invariants import compute_invariants
 
-BUILTIN_ENUMERATION_LIMIT = 10
+BUILTIN_ENUMERATION_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -65,54 +67,68 @@ def _bipartite_safe_additions(g: Graph, root: list[int], depth: list[int]) -> li
     ]
 
 
-def _one_per_orbit(pairs: list[tuple[int, int]], generators: list[list[int]]) -> list[tuple[int, int]]:
-    # Union-find over the pairs, joining each pair to its image under every
-    # generator; each orbit keeps its first pair.
+def _orbit_roots(pairs: list[tuple[int, int]], generators: list[list[int]]) -> list[int]:
+    # Union-find over pairs closed under the generators, joining each pair to
+    # its image under every generator; each pair gets its orbit's first index.
     index = {p: i for i, p in enumerate(pairs)}
     parent = list(range(len(pairs)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     for gen in generators:
         for i, (u, v) in enumerate(pairs):
             a, b = gen[u], gen[v]
-            a, b = find(i), find(index[(a, b) if a < b else (b, a)])
+            a, b = _find(parent, i), _find(parent, index[(a, b) if a < b else (b, a)])
             parent[max(a, b)] = min(a, b)
-    return [p for i, p in enumerate(pairs) if parent[i] == i]
+    return [_find(parent, i) for i in range(len(pairs))]
+
+
+def _edge_key(du: int, dv: int) -> tuple[int, int]:
+    """A label-invariant score of an edge from its ends' degrees; it never falls as a degree grows."""
+    return du + dv, max(du, dv)
+
+
+def _children(g: CanonicalForm, additions: list[tuple[int, int]]) -> Iterator[CanonicalForm]:
+    """The forms of the g + e whose new edge e lies in the orbit of their chosen edge m(g + e)."""
+    deg = [g.degree(v) for v in range(g.n)]
+    top = [max(_edge_key(deg[a], deg[b]) for a, b in g.edges)] if g.m else []
+    for u, v in additions:
+        du, dv = deg[u] + 1, deg[v] + 1
+        key = _edge_key(du, dv)
+        # Keys never fall as degrees grow, and only the edges at u and v change
+        # theirs: e has the greatest key in g + e iff none of these beats it.
+        rivals = [_edge_key(du, deg[w]) for w in g.neighbors(u)]
+        rivals += [_edge_key(dv, deg[w]) for w in g.neighbors(v)]
+        if max(rivals + top, default=key) > key:
+            continue
+        form, lab = labeled_form(Graph(g.n, g.edges + ((u, v),)))
+        # The edges of greatest key, closed under Aut; m(g + e) is the last.
+        tied = sorted(p for p in form.edges if _edge_key(form.degree(p[0]), form.degree(p[1])) == key)
+        roots = _orbit_roots(tied, form.generators)
+        if roots[tied.index(tuple(sorted((lab[u], lab[v]))))] == roots[-1]:
+            yield form
 
 
 def generate(spec: EnumerationSpec) -> Iterator[CanonicalForm]:
-    """One canonical representative per isomorphism class, deterministic order.
+    """One canonical representative per isomorphism class, in a deterministic depth-first order.
 
-    Order is by edge count, then by canonical code.  Each representative is
-    a `CanonicalForm`, so it carries its automorphism generators and |Aut|.
-    Built-in limit is n <= 10; larger runs must be fed externally as graph6
-    streams.
+    Each representative is a `CanonicalForm`, so it carries its automorphism
+    generators and |Aut|.  Nothing is kept but the stack of forms still to
+    expand.  Built-in limit is n <= 12; larger runs must be fed externally
+    as graph6 streams.
     """
     if spec.n > BUILTIN_ENUMERATION_LIMIT:
         raise SizeLimitError(
             f"built-in enumeration supports n <= {BUILTIN_ENUMERATION_LIMIT}; "
             f"supply graphs for n={spec.n} via a graph6 stream"
         )
-    n = spec.n
-    start = canonical_form(Graph(n, []))
-    level = {to_graph6(start): start}
-    while level:
-        nxt: dict[str, CanonicalForm] = {}
-        for code in sorted(level):
-            g = level[code]
-            # One BFS forest per class: its roots say whether g is connected.
-            root, depth = bfs_forest(g)
-            if g.m >= spec.effective_min_edges and not (spec.connected and any(root)):
-                yield g
-            for u, v in _one_per_orbit(_bipartite_safe_additions(g, root, depth), g.generators):
-                form = canonical_form(Graph(n, list(g.edges) + [(u, v)]))
-                nxt.setdefault(to_graph6(form), form)
-        level = nxt
+    stack = [canonical_form(Graph(spec.n, []))]
+    while stack:
+        g = stack.pop()
+        # One BFS forest per class: its roots say whether g is connected.
+        root, depth = bfs_forest(g)
+        if g.m >= spec.effective_min_edges and not (spec.connected and any(root)):
+            yield g
+        pairs = _bipartite_safe_additions(g, root, depth)
+        roots = _orbit_roots(pairs, g.generators)
+        stack.extend(_children(g, [p for i, p in enumerate(pairs) if roots[i] == i]))
 
 
 @dataclass(frozen=True)
@@ -176,7 +192,7 @@ def _examine(g: Graph, text: str | None = None, rows: bool = False) -> dict:
         scope = "checked" if ok else "m_below_n" if bipartite else "not_bipartite"
         rec["row"] = [code or "", g.n, g.m, report.wiener, report.szeged, report.gap, scope]
     if ok:
-        rec.update(gap=report.gap, canonical=code)
+        rec.update(gap=report.gap, canonical=code, extremal=report.gap == bound and is_extremal_form(g))
     if ok and report.gap <= bound:
         standard = text is not None and is_standard_graph6(text, g.n)
         rec["graph6"] = text if standard else to_graph6(g)
@@ -224,6 +240,7 @@ class _Tally:
     violations: list[str] = field(default_factory=list)
     classes: dict[str, str] = field(default_factory=dict)  # canonical code -> first graph6
     uncoded: list[str] = field(default_factory=list)  # equality graphs above the canon limit
+    strays: int = 0  # equality graphs not of extremal form
 
 
 def fold_records(records: Iterable[dict]) -> tuple[list[VerificationReport], list[list]]:
@@ -250,11 +267,14 @@ def fold_records(records: Iterable[dict]) -> tuple[list[VerificationReport], lis
         elif rec["gap"] == bound:
             # Isomorphic duplicates in the input collapse to one equality entry.
             t.classes.setdefault(rec["canonical"], rec["graph6"])
+            t.strays += not rec["extremal"]
     reports = []
     for n, t in sorted(tallies.items()):
         match: bool | None = None
-        if 4 <= n <= 16 and not t.uncoded and t.checked:
-            match = sorted(t.classes) == sorted(member.canonical for member in extremal_family(n))
+        if 4 <= n <= 16 and t.checked:
+            # Exact: the classes are distinct, each extremal-form class is one
+            # family member, and the family has A000081(n - 3) classes.
+            match = not t.strays and len(t.classes) == rooted_tree_count(n - 3)
         equality = sorted(t.classes.items()) + [(None, g6) for g6 in sorted(t.uncoded)]
         reports.append(
             VerificationReport(

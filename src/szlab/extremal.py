@@ -54,6 +54,16 @@ def rooted_trees(k: int) -> list[RootedTree]:
             levels[i] = seg[(i - p) % len(seg)]
 
 
+def rooted_tree_count(k: int) -> int:
+    """OEIS A000081(k), the number of rooted trees on k vertices, by the Cayley/Otter
+    recurrence a(m + 1) = (1/m) sum_{j=1..m} (sum_{d | j} d a(d)) a(m - j + 1)."""
+    a = [0, 1]
+    for m in range(1, k):
+        weights = [sum(d * a[d] for d in range(1, j + 1) if j % d == 0) for j in range(m + 1)]
+        a.append(sum(weights[j] * a[m - j + 1] for j in range(1, m + 1)) // m)
+    return a[k]
+
+
 def _tree_from_levels(levels: list[int]) -> RootedTree:
     parent: list[int | None] = [None] * len(levels)
     for i in range(1, len(levels)):

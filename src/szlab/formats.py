@@ -88,12 +88,6 @@ def is_standard_graph6(text: str, n: int) -> bool:
     return not text.startswith(_HEADER_PREFIX) and (text[0] == "~") == (n > 62)
 
 
-def format_edge_list(g: Graph) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    return "\n".join(lines) + "\n"
-
-
 def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:

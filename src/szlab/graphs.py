@@ -21,7 +21,7 @@ class Graph:
 
     Duplicate edges are collapsed; loops and out-of-range endpoints are
     rejected.  Equality and hashing are by labeled edge set, not by
-    isomorphism class (see canon.is_isomorphic for the latter).
+    isomorphism class (see canon.canonical_code for the latter).
     """
 
     __slots__ = ("n", "m", "edges", "_neigh", "_mask")
@@ -93,6 +93,14 @@ def star_graph(leaves: int) -> Graph:
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with side A on vertices 0..a-1."""
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def _find(parent: list[int], i: int) -> int:
+    """The root of i in a union-find forest, halving the path on the way."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -314,22 +322,15 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     # up[0] = 0; every other vertex v names its tree edge (v, up[v]) in the union-find.
     up = [_step_up(g, depth, v) if depth[v] else v for v in g.vertices()]
     leader = list(g.vertices())
-
-    def find(v: int) -> int:
-        while leader[v] != v:
-            leader[v] = leader[leader[v]]
-            v = leader[v]
-        return v
-
     for u, v in g.edges:
         if up[u] != v and up[v] != u:
             left, right = _tree_paths(depth, up.__getitem__, u, v)
-            r = find(u)
+            r = _find(leader, u)
             for w in left[:-1] + right[:-1]:
-                leader[find(w)] = r
+                leader[_find(leader, w)] = r
     groups: dict[int, list[tuple[int, int]]] = {}
     for u, v in g.edges:
-        groups.setdefault(find(v if up[v] == u else u), []).append((u, v))
+        groups.setdefault(_find(leader, v if up[v] == u else u), []).append((u, v))
     # Blocks share at most one vertex, so no two sorted vertex lists are equal.
     indexed = sorted((sorted({x for e in es for x in e}), es) for es in groups.values())
     blocks = tuple(frozenset(verts) for verts, _ in indexed)

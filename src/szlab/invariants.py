@@ -115,16 +115,6 @@ def _separating(sx: tuple[int, int], sy: tuple[int, int]) -> int:
     return (sx[0] & sy[1]) | (sx[1] & sy[0])
 
 
-def mu(g: Graph, dist: DistanceMatrix, x: int, y: int, e: tuple[int, int]) -> int:
-    """1 when x and y fall strictly on opposite sides of edge e, else 0."""
-    if x == y:
-        raise GraphConstructionError("pair vertices must be distinct")
-    u, v = e
-    if not g.has_edge(u, v):
-        raise GraphConstructionError(f"({u}, {v}) is not an edge")
-    return _separating(_edge_sides(dist.rows[x], (e,)), _edge_sides(dist.rows[y], (e,)))
-
-
 class MuTable:
     """Per-(pair, edge) 0/1 contributions, held as two edge masks per vertex.
 

@@ -130,7 +130,7 @@ def test_enumerate_output_identical_across_workers(capsys):
 
 
 def test_enumerate_over_limit_exit_5(capsys):
-    code, _, err = run_cli(capsys, "enumerate", "--n", "11")
+    code, _, err = run_cli(capsys, "enumerate", "--n", "13")
     assert code == 5
     assert "limit" in err
 
@@ -273,8 +273,9 @@ def test_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
 
 
 def test_enumerate_runs_one_canon_search_per_class(capsys, monkeypatch):
-    # generate canonizes one addition per orbit; the report stage reuses the
-    # forms it yields, and only the extremal family is canonized besides.
+    # generate canonizes only the children whose new edge has the greatest
+    # degree key, one per orbit; the report stage reuses the forms it yields,
+    # and nothing else is canonized.
     import szlab.canon as canon
 
     searches = []
@@ -284,7 +285,7 @@ def test_enumerate_runs_one_canon_search_per_class(capsys, monkeypatch):
         searches.clear()
         code, _, _ = run_cli(capsys, "enumerate", "--n", "4..8", "--format", fmt)
         assert code == 0
-        assert len(searches) == 1607
+        assert len(searches) == 536
 
 
 def test_enumerate_full_range(capsys):

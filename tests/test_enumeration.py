@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import time
 from fractions import Fraction
 from math import factorial
 
@@ -16,13 +17,14 @@ from szlab.enumeration import (
     verify_conjecture,
 )
 from szlab.errors import SizeLimitError
+from szlab.extremal import rooted_trees
 from szlab.graphs import Graph, complete_bipartite, cycle_graph, is_bipartite, is_connected
 
 from .oracles import brute_force_classes, brute_isomorphic, labeled_bipartite_counts, random_tree
 
-# Isomorphism classes of bipartite graphs on n = 1..10 vertices: all, connected.
-A033995 = [1, 2, 3, 7, 13, 35, 88, 303, 1119, 5479]
-A005142 = [1, 1, 1, 3, 5, 17, 44, 182, 730, 4032]
+# Isomorphism classes of bipartite graphs on n = 1..11 vertices: all, connected.
+A033995 = [1, 2, 3, 7, 13, 35, 88, 303, 1119, 5479, 32303]
+A005142 = [1, 1, 1, 3, 5, 17, 44, 182, 730, 4032, 25598]
 
 
 def test_spec_validation():
@@ -76,7 +78,7 @@ def test_generate_matches_brute_force_classes():
 
 def test_generate_over_limit():
     with pytest.raises(SizeLimitError):
-        next(generate(EnumerationSpec(n=11)))
+        next(generate(EnumerationSpec(n=13)))
 
 
 def test_labeled_counts_oracle():
@@ -88,16 +90,31 @@ def test_labeled_counts_oracle():
 _SLOW = pytest.mark.skipif(not os.environ.get("SZLAB_SLOW_TESTS"), reason="set SZLAB_SLOW_TESTS=1 to run")
 
 
-@pytest.mark.parametrize("n", [*range(1, 10), pytest.param(10, marks=_SLOW)])
+@pytest.mark.parametrize("n", [*range(1, 11), pytest.param(11, marks=_SLOW)])
 def test_classes_weighted_by_automorphisms_count_labeled_graphs(n):
     """Each class stands for n!/|Aut| labeled graphs, so a missed or doubled
-    class, or a wrong |Aut|, breaks the sum; this guards the one-child-per-orbit pruning."""
+    class, or a wrong |Aut|, breaks the sum; nothing deduplicates the
+    canonical construction path, so this guards its orbit checks."""
     every, connected = labeled_bipartite_counts(n)
     classes = list(generate(EnumerationSpec(n, min_edges=0, connected=False)))
     joined = [g for g in classes if is_connected(g)]
     assert (len(classes), len(joined)) == (A033995[n - 1], A005142[n - 1])
     assert sum(Fraction(factorial(n), g.group_order) for g in classes) == every[n]
     assert sum(Fraction(factorial(n), g.group_order) for g in joined) == connected[n]
+
+
+@pytest.mark.parametrize("connected", [False, True])
+def test_edge_key_is_only_a_shortcut(monkeypatch, connected):
+    """With a constant key every child is canonized and m(H) is the greatest
+    canonical edge of all; the classes must not change.  A wrong choice of
+    m(H) or a wrong orbit check fails here, where the real key could hide it."""
+    specs = [EnumerationSpec(n, min_edges=0, connected=connected) for n in range(1, 9)]
+    keyed = [sorted(canonical_code(g) for g in generate(spec)) for spec in specs]
+    monkeypatch.setattr(enumeration, "_edge_key", lambda du, dv: 0)
+    for spec, codes in zip(specs, keyed):
+        constant = [canonical_code(g) for g in generate(spec)]
+        assert len(set(constant)) == len(constant)
+        assert sorted(constant) == codes
 
 
 def test_examine_lines_stream():
@@ -196,6 +213,42 @@ def test_verify_conjecture_deduplicates_equality_entries():
     assert r.graphs_checked == 2
     assert len(r.equality_graphs) == 1
     assert r.extremal_match is True
+
+
+def _family_graphs(n: int) -> list[Graph]:
+    """The extremal family on n vertices as plain graphs, one per rooted tree on
+    n - 3 vertices hung from vertex 0 of a 4-cycle, built without canon."""
+    return [
+        Graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)] + [(0 if p == 0 else p + 3, c + 3) for p, c in t.edges()])
+        for t in rooted_trees(n - 3)
+    ]
+
+
+@pytest.mark.parametrize("n", range(4, 14))
+def test_extremal_match_on_the_family_and_without_one_member(n):
+    members = _family_graphs(n)
+    assert verify_conjecture(members)[0].extremal_match is True
+    if len(members) > 1:
+        assert verify_conjecture(members[1:])[0].extremal_match is False
+
+
+def test_extremal_match_at_n16_without_building_the_family():
+    members = _family_graphs(16)
+    start = time.perf_counter()
+    report = verify_conjecture(members[-1:])[0]
+    assert time.perf_counter() - start < 0.1
+    assert report.extremal_match is False and len(report.equality_graphs) == 1
+    report = verify_conjecture(members[1:], workers=2)[0]
+    assert len(report.equality_graphs) == 12485 and report.violations == ()
+    assert report.extremal_match is False
+
+
+def test_extremal_match_false_on_an_equality_graph_of_another_shape():
+    # A forged record of an equality graph that is not of extremal form.
+    records = list(examine([cycle_graph(4)]))
+    assert verify_conjecture([cycle_graph(4)])[0].extremal_match is True
+    records[0]["extremal"] = False
+    assert enumeration.fold_records(records)[0][0].extremal_match is False
 
 
 def test_verify_conjecture_worker_counts_agree(enumerated):

@@ -1,8 +1,14 @@
 import pytest
 
-from szlab.canon import canonical_code, is_isomorphic
+from szlab.canon import canonical_code
 from szlab.errors import GraphConstructionError, InvariantViolation
-from szlab.extremal import extremal_family, is_extremal_form, rooted_trees, verify_extremal_gaps
+from szlab.extremal import (
+    extremal_family,
+    is_extremal_form,
+    rooted_tree_count,
+    rooted_trees,
+    verify_extremal_gaps,
+)
 from szlab.graphs import Graph, cycle_graph, is_bipartite, is_connected
 from szlab.invariants import gap
 
@@ -23,6 +29,12 @@ def test_rooted_tree_counts_match_brute_force():
     assert [len(rooted_trees(k)) for k in (7, 8, 9)] == [48, 115, 286]
 
 
+def test_rooted_tree_count_matches_generation():
+    # The Cayley/Otter recurrence that decides extremal_match, against the generator.
+    assert [rooted_tree_count(k) for k in range(1, 14)] == [len(rooted_trees(k)) for k in range(1, 14)]
+    assert rooted_tree_count(13) == 12486
+
+
 def test_rooted_trees_are_valid_and_distinct():
     for k in range(1, 8):
         seen = set()
@@ -41,7 +53,7 @@ def test_rooted_trees_rejects_zero():
 
 def test_family_small_n():
     assert len(extremal_family(4)) == 1
-    assert is_isomorphic(extremal_family(4)[0].graph, cycle_graph(4))
+    assert canonical_code(extremal_family(4)[0].graph) == canonical_code(cycle_graph(4))
     assert len(extremal_family(5)) == 1
     assert len(extremal_family(6)) == 2
     with pytest.raises(GraphConstructionError):

@@ -15,7 +15,6 @@ from szlab.invariants import (
     edge_partition,
     edge_partitions,
     gap,
-    mu,
     mu_table,
     revised_szeged,
     revised_szeged_times4,
@@ -97,23 +96,15 @@ def test_revised_szeged_values(c4, c5, p3):
 
 
 def test_mu_examples(c4):
-    d = all_pairs_distances(c4)
+    t = mu_table(c4)
     # antipodal pair separated by an incident edge
-    assert mu(c4, d, 0, 2, (0, 1)) == 1
+    assert t.value(0, 2, (0, 1)) == 1
     assert mu_brute(c4, 0, 2, (0, 1)) == 1
     # adjacent pair not separated by the next edge around the cycle
-    assert mu(c4, d, 0, 1, (1, 2)) == 0
+    assert t.value(0, 1, (1, 2)) == 0
     # an edge always separates its own endpoints
     for u, v in c4.edges:
-        assert mu(c4, d, u, v, (u, v)) == 1
-
-
-def test_mu_rejects_bad_arguments(c4):
-    d = all_pairs_distances(c4)
-    with pytest.raises(GraphConstructionError):
-        mu(c4, d, 0, 0, (0, 1))
-    with pytest.raises(GraphConstructionError):
-        mu(c4, d, 0, 1, (0, 2))
+        assert t.value(u, v, (u, v)) == 1
 
 
 def test_mu_table_c4(c4):

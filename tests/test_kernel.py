@@ -1,8 +1,8 @@
 """The separation kernel and the ball-mask distances against the brute-force oracles.
 
-`surplus_map`, `mu_table(...).pair_sums` and `mu` all derive from the
-per-vertex edge-side masks; W and the edge partitions are popcounts over the
-distance balls.  `tests/oracles.py` recomputes the same numbers from
+`surplus_map`, `mu_table(...).pair_sums` and the table's `separating` masks
+all derive from the per-vertex edge-side masks; W and the edge partitions
+are popcounts over the distance balls.  `tests/oracles.py` recomputes the same numbers from
 Floyd-Warshall distances and plain loops.
 """
 
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from szlab.errors import DisconnectedGraphError
 from szlab.graphs import DistanceMatrix, Graph, all_pairs_distances, is_bipartite
-from szlab.invariants import edge_partition, mu, mu_table, revised_szeged_times4, wiener
+from szlab.invariants import edge_partition, mu_table, revised_szeged_times4, wiener
 from szlab.proofs import surplus_map
 
 from .oracles import (
@@ -50,15 +50,15 @@ def connected_graphs(draw, max_n=12):
 @given(connected_graphs())
 def test_kernel_matches_oracles(g):
     d = floyd_warshall(g)
-    dist = all_pairs_distances(g)
     smap = surplus_map(g)
-    sums = mu_table(g).pair_sums
+    table = mu_table(g)
     for x in range(g.n):
         for y in range(x + 1, g.n):
             assert smap.surplus(x, y) == surplus_brute(g, x, y, d)
-            assert sums[(x, y)] == mu_pair_sum_brute(g, x, y, d)
-            for e in g.edges:
-                assert mu(g, dist, x, y, e) == mu_brute(g, x, y, e, d)
+            assert table.pair_sums[(x, y)] == mu_pair_sum_brute(g, x, y, d)
+            mask = table.separating(x, y)
+            for i, e in enumerate(g.edges):
+                assert mask >> i & 1 == mu_brute(g, x, y, e, d)
 
 
 def test_triangle_surpluses_are_zero():
