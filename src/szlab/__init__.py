@@ -31,7 +31,6 @@ from .extremal import (
     is_extremal_form,
     rooted_tree_count,
     rooted_trees,
-    verify_extremal_gaps,
 )
 from .formats import parse_edge_list, parse_graph6, to_graph6
 from .graphs import (
@@ -47,8 +46,6 @@ from .graphs import (
     connected_and_bipartite,
     cycle_graph,
     girth,
-    is_bipartite,
-    is_connected,
     path_graph,
     shortest_cycle,
     star_graph,

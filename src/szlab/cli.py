@@ -1,14 +1,17 @@
 """Command-line interface.
 
 Subcommands: compute, decompose, verify, enumerate, extremal, canon.
-Payloads go to stdout (JSON by default, stable key order, no timestamps);
-runtime statistics and diagnostics go to stderr.
+This module is the one writer of stdout: results come from the package as
+objects and `to_json_dict`s, and every payload format is written here (JSON
+by default, stable key order, no timestamps).  Runtime statistics and
+diagnostics go to stderr.
 
 Exit codes: 0 success; 2 parse/usage failure (and extremal below n = 4);
 3 disconnected input to compute; 4 hypothesis violation in decompose;
 5 enumeration above the built-in limit.  Commands keep only their happy
 path: `main` maps the typed errors they let through to exit codes in one
-table.  A bad `--n` or `--min-edges` is an argparse usage error (exit 2).
+table.  A bad `--n` (reversed ranges included) or `--min-edges` is an
+argparse usage error (exit 2).
 `InvariantViolation` is deliberately left unmapped, so a failed mathematical
 check keeps its traceback.
 """
@@ -81,10 +84,13 @@ def _int_at_least(low: int, text: str) -> int:
 
 
 def _n_range(spec: str) -> range:
-    """A single n or a range A..B, every bound >= 1."""
+    """A single n or a range A..B with 1 <= A <= B."""
     lo, sep, hi = spec.partition("..")
     start = _int_at_least(1, lo)
-    return range(start, (_int_at_least(1, hi) if sep else start) + 1)
+    stop = _int_at_least(1, hi) if sep else start
+    if stop < start:
+        raise argparse.ArgumentTypeError(f"empty range {spec!r}: A..B needs A <= B")
+    return range(start, stop + 1)
 
 
 def _workers(args) -> int:
@@ -99,10 +105,16 @@ def _workers(args) -> int:
     return 1
 
 
+def _write_csv(header: list[str], rows) -> None:
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
 def cmd_compute(args) -> int:
     report = compute_invariants(_read_one_graph(args))
     if args.format == "csv":
-        sys.stdout.write(report.to_csv())
+        _write_csv(["u", "v", "n_u", "n_v", "n_0"], report.per_edge)
     elif args.format == "human":
         print(f"n={report.n} m={report.m}")
         print(f"wiener          = {report.wiener}")
@@ -110,14 +122,15 @@ def cmd_compute(args) -> int:
         print(f"revised szeged  = {report.revised_szeged}")
         print(f"gap (Sz - W)    = {report.gap}")
     else:
-        print(report.to_json())
+        print(json.dumps(report.to_json_dict(), sort_keys=False))
     return EXIT_OK
 
 
 def cmd_decompose(args) -> int:
     decomp = gap_decomposition(_read_one_graph(args))
     if args.format == "csv":
-        sys.stdout.write(decomp.pairs_csv())
+        header = ["x", "y", "distance", "separations", "surplus", "category", "block"]
+        _write_csv(header, ([x, y, d, s + d, s, *cat] for x, y, d, s, cat in decomp.pair_rows()))
     elif args.format == "human":
         d = decomp.to_json_dict()
         print(f"n={d['n']} m={d['m']} gap={d['gap']} bound={d['bound']}")
@@ -145,12 +158,10 @@ def cmd_decompose(args) -> int:
 def _emit_reports(records, args, t0: float) -> None:
     reports, rows = fold_records(records)
     if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["canonical_code", "n", "m", "wiener", "szeged", "gap", "scope"])
-        writer.writerows(sorted(rows, key=lambda r: (r[1], r[0])))
+        header = ["canonical_code", "n", "m", "wiener", "szeged", "gap", "scope"]
+        _write_csv(header, sorted(rows, key=lambda r: (r[1], r[0])))
     else:
-        payload = {"schema": 1, "reports": [r.to_json_dict() for r in reports]}
-        print(json.dumps(payload, sort_keys=False))
+        print(json.dumps({"schema": 1, "reports": [r.to_json_dict() for r in reports]}, sort_keys=False))
     checked = sum(r.graphs_checked for r in reports)
     _err(f"checked {checked} graphs in {time.monotonic() - t0:.2f}s")
 
@@ -196,7 +207,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    if not args.n or args.n[0] < 4:
+    if args.n[0] < 4:
         _err("extremal family is defined for n >= 4")
         return EXIT_PARSE
     families = [family_row(n) for n in args.n]

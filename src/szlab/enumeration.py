@@ -21,16 +21,15 @@ Aut, which `test_group_order_matches_brute_force` checks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
 from typing import Iterable, Iterator
 
-from .canon import CanonicalForm, canonical_code, canonical_form, labeled_form
+from .canon import MAX_CANON_VERTICES, CanonicalForm, canonical_code, canonical_form, labeled_form
 from .errors import Graph6Error, SizeLimitError
 from .extremal import is_extremal_form, rooted_tree_count
-from .formats import is_standard_graph6, parse_graph6, to_graph6
+from .formats import parse_graph6, to_graph6
 from .graphs import Graph, _find, bfs_forest, connected_and_bipartite
 from .invariants import compute_invariants
 
@@ -165,17 +164,14 @@ class VerificationReport:
             "extremal_match": self.extremal_match,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=False)
 
-
-def _examine(g: Graph, text: str | None = None, rows: bool = False) -> dict:
+def _examine(g: Graph, rows: bool = False) -> dict:
     """One graph's record: whether it meets the hypotheses, its gap, and the names reports use.
 
-    `text` is the stripped graph6 line the graph came from, if any.  With
-    `rows`, every connected graph also gets its per-graph CSV row, ending in
-    its scope: "checked", or why the report rejects it ("not_bipartite",
-    "m_below_n").
+    A graph a report lists is named by its standard graph6, whatever line it
+    was read from.  With `rows`, every connected graph also gets its
+    per-graph CSV row, ending in its scope: "checked", or why the report
+    rejects it ("not_bipartite", "m_below_n").
     """
     connected, bipartite = connected_and_bipartite(g)
     ok = connected and bipartite and g.m >= g.n
@@ -186,7 +182,7 @@ def _examine(g: Graph, text: str | None = None, rows: bool = False) -> dict:
     bound = 4 * g.n - 8
     # Only equality graphs are deduplicated, so only they (and CSV rows) need a canonical code.
     code = None
-    if g.n <= 16 and (rows or ok and report.gap == bound):
+    if g.n <= MAX_CANON_VERTICES and (rows or ok and report.gap == bound):
         code = canonical_code(g).decode("ascii")
     if rows:
         scope = "checked" if ok else "m_below_n" if bipartite else "not_bipartite"
@@ -194,18 +190,17 @@ def _examine(g: Graph, text: str | None = None, rows: bool = False) -> dict:
     if ok:
         rec.update(gap=report.gap, canonical=code, extremal=report.gap == bound and is_extremal_form(g))
     if ok and report.gap <= bound:
-        standard = text is not None and is_standard_graph6(text, g.n)
-        rec["graph6"] = text if standard else to_graph6(g)
+        rec["graph6"] = to_graph6(g)
     return rec
 
 
 def _examine_line(item: tuple[int, str], rows: bool = False) -> dict:
-    lineno, text = item[0], item[1].strip()
+    lineno, text = item
     try:
         g = parse_graph6(text)
     except Graph6Error as exc:
         return {"lineno": lineno, "error": str(exc)}
-    return {"lineno": lineno, **_examine(g, text, rows)}
+    return {"lineno": lineno, **_examine(g, rows)}
 
 
 def _in_order(fn, items: Iterable, workers: int) -> Iterator[dict]:
@@ -271,7 +266,7 @@ def fold_records(records: Iterable[dict]) -> tuple[list[VerificationReport], lis
     reports = []
     for n, t in sorted(tallies.items()):
         match: bool | None = None
-        if 4 <= n <= 16 and t.checked:
+        if 4 <= n <= MAX_CANON_VERTICES and t.checked:
             # Exact: the classes are distinct, each extremal-form class is one
             # family member, and the family has A000081(n - 3) classes.
             match = not t.strays and len(t.classes) == rooted_tree_count(n - 3)

@@ -76,13 +76,12 @@ def _tree_from_levels(levels: list[int]) -> RootedTree:
 
 @dataclass(frozen=True)
 class ExtremalGraph:
-    """A family member; attach_vertex is the shared cycle/tree-root vertex.
+    """A family member and its canonical graph6 code (see canon.canonical_code).
 
-    canonical is the member's canonical graph6 code (see canon.canonical_code).
+    The 4-cycle is on vertices 0..3, and the tree hangs from vertex 0.
     """
 
     graph: Graph
-    attach_vertex: int
     canonical: str
 
 
@@ -105,7 +104,7 @@ def extremal_family(n: int) -> list[ExtremalGraph]:
         if code in seen:
             raise InvariantViolation(f"distinct rooted trees produced isomorphic members: {code}")
         seen.add(code)
-        members.append(ExtremalGraph(g, 0, code))
+        members.append(ExtremalGraph(g, code))
     return members
 
 
@@ -132,10 +131,3 @@ def family_row(n: int) -> dict:
     ensure(gaps_ok, f"a family member on {n} vertices has a gap other than 4n - 8")
     codes = sorted(m.canonical for m in members)
     return {"n": n, "count": len(codes), "members": codes, "all_gaps_equal_4n_minus_8": True}
-
-
-def verify_extremal_gaps(n_max: int) -> list[dict]:
-    """`family_row` for every 4 <= n <= n_max; a gap other than 4n - 8 raises."""
-    if n_max < 4:
-        raise GraphConstructionError(f"n_max must be >= 4, got {n_max}")
-    return [family_row(n) for n in range(4, n_max + 1)]

@@ -80,14 +80,6 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def is_standard_graph6(text: str, n: int) -> bool:
-    """Whether `text`, a stripped record parse_graph6 read as n vertices, is what to_graph6 writes.
-
-    Parsing is strict, so only a `>>graph6<<` prefix or a long header for n <= 62 can differ.
-    """
-    return not text.startswith(_HEADER_PREFIX) and (text[0] == "~") == (n > 62)
-
-
 def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:

@@ -195,10 +195,6 @@ def _distances_from(g: Graph, s: int) -> list[int]:
     return dist
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n == 0 or -1 not in _distances_from(g, 0)
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """Witness 2-coloring: every edge has one endpoint per side."""
@@ -273,10 +269,6 @@ def connected_and_bipartite(g: Graph) -> tuple[bool, bool]:
     """
     root, depth = bfs_forest(g)
     return not any(root), all((depth[u] ^ depth[v]) & 1 for u, v in g.edges)
-
-
-def is_bipartite(g: Graph) -> bool:
-    return connected_and_bipartite(g)[1]
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,6 @@ Floyd-Warshall distances and brute loops.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import and_, invert
@@ -137,13 +134,6 @@ class MuTable:
         """Edge-index mask (bit i for edges[i]) of the edges separating x and y."""
         return _separating(self.sides[x], self.sides[y])
 
-    def value(self, x: int, y: int, e: tuple[int, int]) -> int:
-        u, v = e
-        return self.separating(x, y) >> self.edge_index[(u, v) if u < v else (v, u)] & 1
-
-    def pair_sum(self, x: int, y: int) -> int:
-        return self.pair_sums[(x, y) if x < y else (y, x)]
-
 
 def mu_table(g: Graph, dist: DistanceMatrix | None = None) -> MuTable:
     if dist is None:
@@ -187,17 +177,6 @@ class InvariantReport:
                 for p in self.per_edge
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=False)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["u", "v", "n_u", "n_v", "n_0"])
-        for p in self.per_edge:
-            writer.writerow([p.u, p.v, p.n_u, p.n_v, p.n_0])
-        return buf.getvalue()
 
 
 def compute_invariants(g: Graph) -> InvariantReport:

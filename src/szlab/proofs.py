@@ -18,8 +18,6 @@ exactly with Sz - W, which is how the lower bound 4n - 8 is verified here.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -214,14 +212,6 @@ class GapDecomposition:
         rows = self.surplus.dist.rows
         for (x, y), s in sorted(self.surplus.surpluses.items()):
             yield x, y, rows[x][y], s, self.pair_category[(x, y)]
-
-    def pairs_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["x", "y", "distance", "separations", "surplus", "category", "block"])
-        for x, y, d, s, cat in self.pair_rows():
-            writer.writerow([x, y, d, s + d, s, cat[0], cat[1]])
-        return buf.getvalue()
 
 
 def gap_decomposition(g: Graph) -> GapDecomposition:

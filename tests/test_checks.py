@@ -16,7 +16,7 @@ import pytest
 
 from szlab import extremal, graphs, invariants, proofs
 from szlab.errors import InvariantViolation
-from szlab.extremal import verify_extremal_gaps
+from szlab.extremal import family_row
 from szlab.graphs import CycleInfo, DistanceMatrix, Graph, block_decomposition
 from szlab.invariants import compute_invariants
 from szlab.proofs import SurplusMap, check_antipodal_cycle, gap_decomposition, surplus_map
@@ -100,7 +100,7 @@ def test_antipodal_check_rejects_corrupted_distance(monkeypatch, c4):
 def test_extremal_gaps_reject_corrupted_gap(monkeypatch):
     monkeypatch.setattr(extremal, "gap", lambda g: 4 * g.n - 9)
     with pytest.raises(InvariantViolation, match="4n - 8"):
-        verify_extremal_gaps(5)
+        family_row(5)
 
 
 def test_block_decomposition_rejects_missed_vertices(monkeypatch):

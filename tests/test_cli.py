@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -167,6 +168,16 @@ def test_extremal_too_small_exit_2(capsys):
     assert "n >= 4" in err
 
 
+@pytest.mark.parametrize("command", ["enumerate", "extremal"])
+def test_reversed_n_range_is_a_usage_error(capsys, command):
+    # An empty range would otherwise report "no violations" over no graphs.
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--n", "6..4"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "A <= B" in err
+
+
 def test_canon_command(capsys):
     code, out, _ = run_cli(capsys, "canon", "--graph6", "Cl")
     assert code == 0
@@ -256,6 +267,36 @@ def test_verify_csv_scope_agrees_with_json(tmp_path, capsys):
     assert (report["graphs_checked"], report["rejected"]) == (1, 1)
 
 
+def _long_header(g6: str) -> str:
+    """The same record with the four-byte size header graph6 reserves for n > 62."""
+    n = ord(g6[0]) - 63
+    return "~" + "".join(chr((n >> s & 0x3F) + 63) for s in (12, 6, 0)) + g6[1:]
+
+
+@pytest.mark.parametrize(
+    "spelling", [str, ">>graph6<<".__add__, _long_header], ids=["plain", "prefixed", "long_header"]
+)
+def test_verify_names_graphs_by_standard_graph6(tmp_path, capsys, monkeypatch, spelling):
+    standard = to_graph6(Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5)]))
+    stream = tmp_path / "one.g6"
+    stream.write_text(spelling(standard) + "\n")
+    code, out, _ = run_cli(capsys, "verify", "--file", str(stream))
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert [e["graph6"] for e in report["equality_graphs"]] == [standard]
+    # A forged gap one below the bound puts the same graph among the violations.
+    compute = enumeration.compute_invariants
+
+    def forged(g):
+        report = compute(g)
+        return replace(report, gap=report.gap - 1)
+
+    monkeypatch.setattr(enumeration, "compute_invariants", forged)
+    code, out, _ = run_cli(capsys, "verify", "--file", str(stream), "--workers", "1")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["violations"] == [standard]
+
+
 def test_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
     import szlab.enumeration as enumeration
 
@@ -269,7 +310,9 @@ def test_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "--file", str(stream), "--workers", "1")
     assert code == 0
     assert len(parsed) == sum(1 for ln in lines if ln.strip())
-    assert encoded == []
+    # Only the records a report names are encoded: the two 4-cycles and the
+    # two 4-cycles with a pendant, all equality graphs.
+    assert len(encoded) == 4
 
 
 def test_enumerate_runs_one_canon_search_per_class(capsys, monkeypatch):

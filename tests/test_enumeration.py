@@ -18,7 +18,7 @@ from szlab.enumeration import (
 )
 from szlab.errors import SizeLimitError
 from szlab.extremal import rooted_trees
-from szlab.graphs import Graph, complete_bipartite, cycle_graph, is_bipartite, is_connected
+from szlab.graphs import Graph, complete_bipartite, connected_and_bipartite, cycle_graph
 
 from .oracles import brute_force_classes, brute_isomorphic, labeled_bipartite_counts, random_tree
 
@@ -53,7 +53,7 @@ def test_generate_outputs_are_valid_and_distinct(enumerated):
         codes = set()
         for g in graphs:
             assert g.n == n
-            assert is_connected(g) and is_bipartite(g)
+            assert connected_and_bipartite(g) == (True, True)
             codes.add(canonical_code(g))
         assert len(codes) == len(graphs)
 
@@ -97,7 +97,7 @@ def test_classes_weighted_by_automorphisms_count_labeled_graphs(n):
     canonical construction path, so this guards its orbit checks."""
     every, connected = labeled_bipartite_counts(n)
     classes = list(generate(EnumerationSpec(n, min_edges=0, connected=False)))
-    joined = [g for g in classes if is_connected(g)]
+    joined = [g for g in classes if connected_and_bipartite(g)[0]]
     assert (len(classes), len(joined)) == (A033995[n - 1], A005142[n - 1])
     assert sum(Fraction(factorial(n), g.group_order) for g in classes) == every[n]
     assert sum(Fraction(factorial(n), g.group_order) for g in joined) == connected[n]
@@ -195,7 +195,7 @@ def test_verify_rejects_non_bipartite_graphs_without_invariants(monkeypatch):
             u, v = sorted(rng.sample(range(n), 2))
             edges.add((u, v))
         g = Graph(n, edges)
-        if not is_bipartite(g):
+        if not connected_and_bipartite(g)[1]:
             graphs.append(g)
     computed = []
     compute = enumeration.compute_invariants
@@ -203,7 +203,8 @@ def test_verify_rejects_non_bipartite_graphs_without_invariants(monkeypatch):
     solo = verify_conjecture(graphs, workers=1)
     assert computed == []
     assert sum(r.rejected for r in solo) == 50 and all(r.graphs_checked == 0 for r in solo)
-    assert [r.to_json() for r in verify_conjecture(graphs, workers=2)] == [r.to_json() for r in solo]
+    multi = verify_conjecture(graphs, workers=2)
+    assert [r.to_json_dict() for r in multi] == [r.to_json_dict() for r in solo]
 
 
 def test_verify_conjecture_deduplicates_equality_entries():
@@ -253,8 +254,8 @@ def test_extremal_match_false_on_an_equality_graph_of_another_shape():
 
 def test_verify_conjecture_worker_counts_agree(enumerated):
     graphs = [g for g in enumerated[6] if g.m >= 6]
-    solo = [r.to_json() for r in verify_conjecture(graphs, workers=1)]
-    multi = [r.to_json() for r in verify_conjecture(graphs, workers=3)]
+    solo = [r.to_json_dict() for r in verify_conjecture(graphs, workers=1)]
+    multi = [r.to_json_dict() for r in verify_conjecture(graphs, workers=3)]
     assert solo == multi
 
 
@@ -288,8 +289,9 @@ def test_report_json_payload_is_stable(enumerated):
     graphs = [g for g in enumerated[5] if g.m >= 5]
     r1 = verify_conjecture(graphs)[0]
     r2 = verify_conjecture(graphs)[0]
-    assert r1.to_json() == r2.to_json()
-    payload = json.loads(r1.to_json())
+    # The CLI writes exactly this dump, so identical input gives identical bytes.
+    assert json.dumps(r1.to_json_dict()) == json.dumps(r2.to_json_dict())
+    payload = r1.to_json_dict()
     assert payload["schema"] == 1
     assert set(payload) == {
         "schema",

@@ -4,12 +4,12 @@ from szlab.canon import canonical_code
 from szlab.errors import GraphConstructionError, InvariantViolation
 from szlab.extremal import (
     extremal_family,
+    family_row,
     is_extremal_form,
     rooted_tree_count,
     rooted_trees,
-    verify_extremal_gaps,
 )
-from szlab.graphs import Graph, cycle_graph, is_bipartite, is_connected
+from szlab.graphs import Graph, connected_and_bipartite, cycle_graph
 from szlab.invariants import gap
 
 from .oracles import rooted_tree_classes_brute
@@ -41,7 +41,7 @@ def test_rooted_trees_are_valid_and_distinct():
         for t in rooted_trees(k):
             assert t.size == k and t.parent[0] is None
             g = Graph(k, t.edges())
-            assert g.m == k - 1 and is_connected(g)
+            assert g.m == k - 1 and connected_and_bipartite(g)[0]
             seen.add(t.parent)
         assert len(seen) == len(rooted_trees(k))
 
@@ -68,7 +68,7 @@ def test_family_members_are_well_formed():
         for member in members:
             g = member.graph
             assert g.n == n and g.m == n
-            assert is_connected(g) and is_bipartite(g)
+            assert connected_and_bipartite(g) == (True, True)
             assert is_extremal_form(g)
             codes.add(canonical_code(g))
         assert len(codes) == len(members)
@@ -121,7 +121,7 @@ def test_family_matches_enumerated_equality_set(enumerated):
 
 
 def test_verify_extremal_gaps():
-    rows = verify_extremal_gaps(12)
+    rows = [family_row(n) for n in range(4, 13)]
     assert [r["n"] for r in rows] == list(range(4, 13))
     assert all(r["all_gaps_equal_4n_minus_8"] for r in rows)
     by_n = {r["n"]: r["count"] for r in rows}

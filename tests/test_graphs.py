@@ -21,8 +21,6 @@ from szlab.graphs import (
     connected_and_bipartite,
     cycle_graph,
     girth,
-    is_bipartite,
-    is_connected,
     path_graph,
     shortest_cycle,
     star_graph,
@@ -93,9 +91,9 @@ def test_distances_flag_unreachable():
 
 
 def test_is_connected(c4):
-    assert is_connected(c4)
-    assert not is_connected(Graph(4, [(0, 1), (2, 3)]))
-    assert not is_connected(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    assert connected_and_bipartite(c4)[0]
+    assert not connected_and_bipartite(Graph(4, [(0, 1), (2, 3)]))[0]
+    assert not connected_and_bipartite(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]))[0]
 
 
 def test_bipartition_c4(c4):
@@ -301,7 +299,7 @@ def test_girth_matches_per_edge_oracle_off_bipartite():
         expected = girth_brute(g)
         assert girth(g) == expected
         odd += expected is not None and expected % 2 == 1
-        disconnected += not is_connected(g)
+        disconnected += not connected_and_bipartite(g)[0]
     assert odd >= 300 and disconnected >= 300
 
 
@@ -317,12 +315,12 @@ def test_shortest_cycle_is_valid_cycle(enumerated):
             for i, v in enumerate(verts):
                 assert g.has_edge(v, verts[(i + 1) % cyc.length])
             # bipartite graphs only have even cycles
-            if is_bipartite(g):
+            if connected_and_bipartite(g)[1]:
                 assert cyc.length % 2 == 0
 
 
 def test_complete_bipartite_shape():
     g = complete_bipartite(2, 3)
     assert g.n == 5 and g.m == 6
-    assert is_bipartite(g)
+    assert connected_and_bipartite(g)[1]
     assert cycle_graph(5).degree_sequence() == (2, 2, 2, 2, 2)

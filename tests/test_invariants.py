@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szlab.canon import canonical_code
+from szlab.cli import main
 from szlab.errors import DisconnectedGraphError, GraphConstructionError
-from szlab.graphs import Graph, all_pairs_distances, is_bipartite, star_graph
+from szlab.formats import to_graph6
+from szlab.graphs import Graph, all_pairs_distances, connected_and_bipartite, star_graph
 from szlab.invariants import (
     compute_invariants,
     edge_partition,
@@ -95,24 +97,29 @@ def test_revised_szeged_values(c4, c5, p3):
     assert revised_szeged(p3) == Fraction(4)
 
 
+def _mu(t, x, y, e) -> int:
+    """Whether edge e separates x and y, read off the table's separating mask."""
+    return t.separating(x, y) >> t.edge_index[e] & 1
+
+
 def test_mu_examples(c4):
     t = mu_table(c4)
     # antipodal pair separated by an incident edge
-    assert t.value(0, 2, (0, 1)) == 1
+    assert _mu(t, 0, 2, (0, 1)) == 1
     assert mu_brute(c4, 0, 2, (0, 1)) == 1
     # adjacent pair not separated by the next edge around the cycle
-    assert t.value(0, 1, (1, 2)) == 0
+    assert _mu(t, 0, 1, (1, 2)) == 0
     # an edge always separates its own endpoints
     for u, v in c4.edges:
-        assert t.value(u, v, (u, v)) == 1
+        assert _mu(t, u, v, (u, v)) == 1
 
 
 def test_mu_table_c4(c4):
     t = mu_table(c4)
-    assert t.pair_sum(0, 2) == 4 and t.pair_sum(1, 3) == 4
+    assert t.pair_sums[(0, 2)] == 4 and t.pair_sums[(1, 3)] == 4
     assert t.total == 16 == szeged(c4)
-    assert t.value(0, 2, (0, 1)) == 1
-    assert t.value(0, 1, (1, 2)) == 0
+    assert _mu(t, 0, 2, (0, 1)) == 1
+    assert _mu(t, 0, 1, (1, 2)) == 0
 
 
 def test_mu_table_p3(p3):
@@ -138,7 +145,7 @@ def test_pair_contribution_identity_per_edge(enumerated):
         d = all_pairs_distances(g)
         t = mu_table(g)
         for e, part in zip(g.edges, edge_partitions(g, d)):
-            sep = sum(t.value(x, y, e) for x, y in combinations(range(g.n), 2))
+            sep = sum(_mu(t, x, y, e) for x, y in combinations(range(g.n), 2))
             assert sep == part.n_u * part.n_v
 
 
@@ -172,7 +179,7 @@ def test_tree_identities_up_to_nine_vertices():
 def test_bipartite_identity(enumerated):
     for graphs in enumerated.values():
         for g in graphs:
-            assert is_bipartite(g)
+            assert connected_and_bipartite(g)[1]
             for p in edge_partitions(g):
                 assert p.n_0 == 0
             assert revised_szeged_times4(g) == 4 * szeged(g)
@@ -206,17 +213,22 @@ def test_indices_invariant_under_relabeling(data):
     assert [getattr(after, f) for f in fields] == [getattr(before, f) for f in fields]
 
 
-def test_invariant_report_json_and_csv(c4_pendant):
-    report = compute_invariants(c4_pendant)
-    payload = json.loads(report.to_json())
+def _compute(capsys, g, fmt: str) -> str:
+    assert main(["compute", "--graph6", to_graph6(g), "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
+def test_invariant_report_json_and_csv(c4_pendant, capsys):
+    text = _compute(capsys, c4_pendant, "json")
+    payload = json.loads(text)
     assert payload["schema"] == 1
     assert list(payload)[:7] == ["schema", "n", "m", "wiener", "szeged", "revised_szeged_times4", "gap"]
     assert payload["wiener"] == 16
     assert payload["szeged"] == 28
     assert payload["gap"] == 12
     assert len(payload["per_edge"]) == 5
-    lines = report.to_csv().splitlines()
+    lines = _compute(capsys, c4_pendant, "csv").splitlines()
     assert lines[0] == "u,v,n_u,n_v,n_0"
     assert len(lines) == 6
     # identical input gives byte-identical output
-    assert report.to_json() == compute_invariants(c4_pendant).to_json()
+    assert text == _compute(capsys, c4_pendant, "json")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szlab.errors import DisconnectedGraphError
-from szlab.graphs import DistanceMatrix, Graph, all_pairs_distances, is_bipartite
+from szlab.graphs import DistanceMatrix, Graph, all_pairs_distances, connected_and_bipartite
 from szlab.invariants import edge_partition, mu_table, revised_szeged_times4, wiener
 from szlab.proofs import surplus_map
 
@@ -65,7 +65,7 @@ def test_triangle_surpluses_are_zero():
     # Each pair is separated only by its own edge; the third vertex of the
     # opposite edge is equidistant from its endpoints.
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert not is_bipartite(triangle)
+    assert not connected_and_bipartite(triangle)[1]
     assert surplus_map(triangle).surpluses == {(0, 1): 0, (0, 2): 0, (1, 2): 0}
 
 

@@ -26,6 +26,26 @@ def test_unused_import_detector():
     assert _unused_imports(tree) == [(1, "os"), (2, "d")]
 
 
+def _imported_modules(tree: ast.Module) -> set[str]:
+    nodes = list(ast.walk(tree))
+    names = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}
+    names |= {node.module for node in nodes if isinstance(node, ast.ImportFrom) and node.level == 0}
+    return {name.split(".")[0] for name in names}
+
+
+def test_only_cli_writes_output_formats():
+    # cli is the one module that turns results into stdout bytes.
+    offenders = [
+        f"{path.name}: {', '.join(sorted(found))}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for found in [_imported_modules(ast.parse(path.read_text(), str(path))) & {"csv", "io", "json"}]
+        if found
+    ]
+    if offenders:
+        pytest.fail(f"output formats outside cli.py: {'; '.join(offenders)}")
+
+
 def test_package_has_no_unused_imports():
     offenders = [
         f"{path.name}:{line} {name}"

@@ -4,7 +4,9 @@ from itertools import combinations
 
 import pytest
 
+from szlab.cli import main
 from szlab.errors import DisconnectedGraphError, HypothesisError
+from szlab.formats import to_graph6
 from szlab.graphs import Graph, block_decomposition, cycle_graph, path_graph
 from szlab.invariants import gap
 from szlab.proofs import (
@@ -282,13 +284,14 @@ def test_gap_decomposition_blocks_of_size_two_contribute_zero(enumerated):
                 assert d.surplus.surplus(x, y) == 0
 
 
-def test_gap_decomposition_json_shape(c4_pendant):
+def test_gap_decomposition_json_shape(c4_pendant, capsys):
     payload = gap_decomposition(c4_pendant).to_json_dict()
     assert payload["schema"] == 1
     assert payload["gap"] == 12 and payload["bound"] == 12
     assert payload["blocks"][payload["designated_block"]]["size"] == 4
     assert "surplus_histogram" in payload
-    csv_lines = gap_decomposition(c4_pendant).pairs_csv().splitlines()
+    assert main(["decompose", "--graph6", to_graph6(c4_pendant), "--format", "csv"]) == 0
+    csv_lines = capsys.readouterr().out.splitlines()
     assert csv_lines[0].startswith("x,y,distance")
     assert len(csv_lines) == 1 + 10
 
