@@ -34,13 +34,11 @@ from .extremal import (
 )
 from .formats import parse_edge_list, parse_graph6, to_graph6
 from .graphs import (
-    Bipartition,
     BlockDecomposition,
     CycleInfo,
     DistanceMatrix,
     Graph,
     all_pairs_distances,
-    bipartition,
     block_decomposition,
     complete_bipartite,
     connected_and_bipartite,

@@ -10,8 +10,8 @@ Exit codes: 0 success; 2 parse/usage failure (and extremal below n = 4);
 3 disconnected input to compute; 4 hypothesis violation in decompose;
 5 enumeration above the built-in limit.  Commands keep only their happy
 path: `main` maps the typed errors they let through to exit codes in one
-table.  A bad `--n` (reversed ranges included) or `--min-edges` is an
-argparse usage error (exit 2).
+table.  A bad `--n` (reversed ranges included), `--min-edges` or
+`--workers` (below 1) is an argparse usage error (exit 2).
 `InvariantViolation` is deliberately left unmapped, so a failed mathematical
 check keeps its traceback.
 """
@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from functools import partial
@@ -91,18 +90,6 @@ def _n_range(spec: str) -> range:
     if stop < start:
         raise argparse.ArgumentTypeError(f"empty range {spec!r}: A..B needs A <= B")
     return range(start, stop + 1)
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("SZLAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            _err(f"ignoring non-integer SZLAB_WORKERS={env!r}")
-    return 1
 
 
 def _write_csv(header: list[str], rows) -> None:
@@ -183,7 +170,7 @@ def cmd_verify(args) -> int:
     t0 = time.monotonic()
     errors: list[dict] = []
     with fh:
-        records = examine_lines(fh, _workers(args), rows=args.format == "csv")
+        records = examine_lines(fh, args.workers, rows=args.format == "csv")
         _emit_reports(_reporting_errors(records, errors), args, t0)
     if errors:
         _err(f"{len(errors)} unparseable line(s) skipped")
@@ -202,14 +189,11 @@ def cmd_enumerate(args) -> int:
     # Every n goes through one `examine` call, so one pool serves the whole run.
     specs = (EnumerationSpec(n=n, min_edges=args.min_edges) for n in args.n)
     graphs = chain.from_iterable(map(generate, specs))
-    _emit_reports(examine(graphs, _workers(args), rows=args.format == "csv"), args, t0)
+    _emit_reports(examine(graphs, args.workers, rows=args.format == "csv"), args, t0)
     return EXIT_OK
 
 
 def cmd_extremal(args) -> int:
-    if args.n[0] < 4:
-        _err("extremal family is defined for n >= 4")
-        return EXIT_PARSE
     families = [family_row(n) for n in args.n]
     if args.format == "json":
         print(json.dumps({"schema": 1, "families": families}, sort_keys=False))
@@ -254,14 +238,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check Sz - W >= 4n - 8 over a graph6 stream")
     p.add_argument("--file", help="graph6 file (default: stdin)")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=partial(_int_at_least, 1), default=1)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="exhaustively verify the bound for a range of n")
     p.add_argument("--n", required=True, type=_n_range, help="single n or range A..B")
     p.add_argument("--min-edges", type=partial(_int_at_least, 0), dest="min_edges")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=partial(_int_at_least, 1), default=1)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("extremal", help="emit the equality family for n (graph6 + summary)")

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import DisconnectedGraphError, GraphConstructionError, ensure
 
@@ -57,10 +56,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self._neigh[v])
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees in non-increasing order."""
-        return tuple(sorted((len(a) for a in self._neigh), reverse=True))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self._mask[u] >> v & 1)
@@ -196,14 +191,6 @@ def _distances_from(g: Graph, s: int) -> list[int]:
 
 
 @dataclass(frozen=True)
-class Bipartition:
-    """Witness 2-coloring: every edge has one endpoint per side."""
-
-    side_a: frozenset[int]
-    side_b: frozenset[int]
-
-
-@dataclass(frozen=True)
 class CycleInfo:
     """A cyclically ordered vertex list; consecutive entries are adjacent."""
 
@@ -225,50 +212,15 @@ def bfs_forest(g: Graph) -> tuple[list[int], list[int]]:
     return root, depth
 
 
-def bipartition(g: Graph) -> Bipartition | CycleInfo:
-    """2-color by BFS-depth parity (smallest vertex of each component on side A), or return an odd cycle.
-
-    Works on disconnected graphs; absence of a bipartition is a normal result,
-    not an error.
-    """
-    _, depth = bfs_forest(g)
-    for u, v in g.edges:
-        if depth[u] == depth[v]:
-            # The two tree paths plus edge uv close a cycle of odd length.
-            left, right = _tree_paths(depth, partial(_step_up, g, depth), u, v)
-            return CycleInfo(tuple(left + right[-2::-1]))
-    side_a = frozenset(v for v in g.vertices() if depth[v] % 2 == 0)
-    return Bipartition(side_a, frozenset(g.vertices()) - side_a)
-
-
-def _step_up(g: Graph, depth: list[int], v: int) -> int:
-    """The smallest neighbor of v one BFS level closer to its component's smallest vertex."""
-    d = depth[v]
-    for w in g._neigh[v]:
-        if depth[w] < d:
-            return w
-
-
-def _tree_paths(depth: list[int], up: Callable, u: int, v: int) -> tuple[list[int], list[int]]:
-    """The tree paths from u and from v (parents by `up`) to the vertex where they meet."""
-    left, right = [u], [v]
-    while left[-1] != right[-1]:
-        du, dv = depth[left[-1]], depth[right[-1]]
-        if du >= dv:
-            left.append(up(left[-1]))
-        if dv >= du:
-            right.append(up(right[-1]))
-    return left, right
-
-
 def connected_and_bipartite(g: Graph) -> tuple[bool, bool]:
     """Whether g is connected, and whether it is bipartite, from one BFS forest.
 
-    Connected when every component root is vertex 0; bipartite when every
+    Connected when there is a vertex and every component root is vertex 0
+    (the null graph is not connected, as in networkx); bipartite when every
     edge joins BFS depths of opposite parity.
     """
     root, depth = bfs_forest(g)
-    return not any(root), all((depth[u] ^ depth[v]) & 1 for u, v in g.edges)
+    return g.n > 0 and not any(root), all((depth[u] ^ depth[v]) & 1 for u, v in g.edges)
 
 
 @dataclass(frozen=True)
@@ -296,15 +248,16 @@ class BlockDecomposition:
 def block_decomposition(g: Graph) -> BlockDecomposition:
     """Blocks as the classes of edges sharing a fundamental cycle of the BFS tree from vertex 0.
 
-    Each non-tree edge is unioned with the tree edges (v to _step_up(v)) on the
-    two tree paths from its ends to where they meet.  A fundamental cycle is
-    simple, so each class lies in one block.  A simple cycle is the sum mod 2 of
-    the fundamental cycles of its non-tree edges, so its part inside any one
-    class has even degree at every vertex and is either empty or the whole
-    cycle: edges sharing a simple cycle share a class.  The classes are thus
-    the blocks, and the cut vertices are the vertices in two or more blocks.
-    The walks cost O(m * depth), not a DFS's O(n + m); the callers go on to
-    build an O(n^2) surplus map.  Raises on disconnected input.
+    Each non-tree edge is unioned with the tree edges (v to up[v], v's smallest
+    neighbor one level up) on the two tree paths from its ends to where they
+    meet.  A fundamental cycle is simple, so each class lies in one block.  A
+    simple cycle is the sum mod 2 of the fundamental cycles of its non-tree
+    edges, so its part inside any one class has even degree at every vertex
+    and is either empty or the whole cycle: edges sharing a simple cycle share
+    a class.  The classes are thus the blocks, and the cut vertices are the
+    vertices in two or more blocks.  The walks cost O(m * depth), not a DFS's
+    O(n + m); the callers go on to build an O(n^2) surplus map.  Raises on
+    disconnected input.
     """
     depth = _distances_from(g, 0) if g.n else []
     if -1 in depth:
@@ -312,14 +265,17 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     if not g.m:  # connected with no edge: at most one vertex, so no block
         return BlockDecomposition((), (), frozenset())
     # up[0] = 0; every other vertex v names its tree edge (v, up[v]) in the union-find.
-    up = [_step_up(g, depth, v) if depth[v] else v for v in g.vertices()]
+    up = [next(w for w in g._neigh[v] if depth[w] < depth[v]) if depth[v] else v for v in g.vertices()]
     leader = list(g.vertices())
     for u, v in g.edges:
         if up[u] != v and up[v] != u:
-            left, right = _tree_paths(depth, up.__getitem__, u, v)
             r = _find(leader, u)
-            for w in left[:-1] + right[:-1]:
-                leader[_find(leader, w)] = r
+            # Step the deeper end up, unioning the edge it leaves, until the ends meet.
+            while u != v:
+                if depth[u] < depth[v]:
+                    u, v = v, u
+                leader[_find(leader, u)] = r
+                u = up[u]
     groups: dict[int, list[tuple[int, int]]] = {}
     for u, v in g.edges:
         groups.setdefault(_find(leader, v if up[v] == u else u), []).append((u, v))

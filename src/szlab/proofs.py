@@ -39,7 +39,7 @@ from .invariants import edge_partitions, mu_table, wiener
 
 @dataclass(frozen=True)
 class SurplusMap:
-    """Per-pair surpluses (their total equals Sz - W) and the distances they came from."""
+    """Per-pair surpluses keyed (x, y), x < y, in ascending order; their total equals Sz - W."""
 
     n: int
     surpluses: dict[tuple[int, int], int]
@@ -210,7 +210,7 @@ class GapDecomposition:
     def pair_rows(self) -> Iterator[tuple[int, int, int, int, tuple]]:
         """(x, y, distance, surplus, category) for every pair x < y, in order."""
         rows = self.surplus.dist.rows
-        for (x, y), s in sorted(self.surplus.surpluses.items()):
+        for (x, y), s in self.surplus.surpluses.items():
             yield x, y, rows[x][y], s, self.pair_category[(x, y)]
 
 

@@ -224,7 +224,8 @@ def test_hard_cases_within_budget(name):
         codes.append(canonical_code(h))
         assert time.perf_counter() - start < 2.0
     assert codes[0] == codes[1]
-    assert parse_graph6(codes[0].decode("ascii")).degree_sequence() == g.degree_sequence()
+    h = parse_graph6(codes[0].decode("ascii"))
+    assert sorted(map(h.degree, h.vertices())) == sorted(map(g.degree, g.vertices()))
 
 
 def test_group_order_at_size_limit():

@@ -93,6 +93,10 @@ def test_decompose_hypothesis_exit_4(capsys):
     code, _, err = run_cli(capsys, "decompose", "--graph6", c5)
     assert code == 4
     assert "bipartite" in err
+    # The null graph: connected, bipartite and m >= n would otherwise hold vacuously.
+    code, out, err = run_cli(capsys, "decompose", "--graph6", "?")
+    assert code == 4 and out == ""
+    assert "connected violated" in err
 
 
 def test_decompose_pairs_csv(capsys):
@@ -163,9 +167,11 @@ def test_extremal_n6_two_members(capsys):
 
 
 def test_extremal_too_small_exit_2(capsys):
-    code, _, err = run_cli(capsys, "extremal", "--n", "3")
-    assert code == 2
-    assert "n >= 4" in err
+    # extremal_family refuses n = 3 before any family is written.
+    for n in ("3", "3..5"):
+        code, out, err = run_cli(capsys, "extremal", "--n", n)
+        assert code == 2 and out == ""
+        assert "n >= 4" in err
 
 
 @pytest.mark.parametrize("command", ["enumerate", "extremal"])
@@ -372,15 +378,32 @@ def test_compute_empty_file_exit_2(tmp_path, capsys):
     assert "empty" in err
 
 
-def test_workers_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SZLAB_WORKERS", "2")
-    code, out, _ = run_cli(capsys, "enumerate", "--n", "5")
+@pytest.mark.parametrize("workers", ["0", "-3", "x"])
+@pytest.mark.parametrize("argv", [["verify"], ["enumerate", "--n", "5"]], ids=["verify", "enumerate"])
+def test_workers_below_one_are_usage_errors(capsys, argv, workers):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", workers])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--workers" in err
+
+
+def test_verify_rejects_the_null_graph(tmp_path, capsys):
+    stream = tmp_path / "null.g6"
+    stream.write_text("?\n")
+    code, out, _ = run_cli(capsys, "verify", "--file", str(stream))
     assert code == 0
-    monkeypatch.setenv("SZLAB_WORKERS", "not-a-number")
-    code, out2, err = run_cli(capsys, "enumerate", "--n", "5")
+    [report] = json.loads(out)["reports"]
+    assert (report["n"], report["graphs_checked"], report["rejected"]) == (0, 0, 1)
+    code, out, _ = run_cli(capsys, "verify", "--file", str(stream), "--format", "csv")
+    assert code == 0 and out == "canonical_code,n,m,wiener,szeged,gap,scope\n"
+
+
+def test_compute_null_graph_is_all_zero(capsys):
+    code, out, _ = run_cli(capsys, "compute", "--graph6", "?")
     assert code == 0
-    assert "ignoring" in err
-    assert out == out2
+    payload = json.loads(out)
+    assert payload["wiener"] == payload["szeged"] == payload["gap"] == 0
 
 
 @pytest.mark.parametrize("argv", [["--n", "0"], ["--n", "x"], ["--n", "4", "--min-edges", "-1"]])

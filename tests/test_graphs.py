@@ -10,12 +10,9 @@ from szlab import enumeration, graphs, invariants, proofs
 from szlab.enumeration import _bipartite_safe_additions
 from szlab.errors import DisconnectedGraphError, GraphConstructionError
 from szlab.graphs import (
-    Bipartition,
-    CycleInfo,
     Graph,
     all_pairs_distances,
     bfs_forest,
-    bipartition,
     block_decomposition,
     complete_bipartite,
     connected_and_bipartite,
@@ -94,27 +91,8 @@ def test_is_connected(c4):
     assert connected_and_bipartite(c4)[0]
     assert not connected_and_bipartite(Graph(4, [(0, 1), (2, 3)]))[0]
     assert not connected_and_bipartite(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]))[0]
-
-
-def test_bipartition_c4(c4):
-    bip = bipartition(c4)
-    assert isinstance(bip, Bipartition)
-    assert bip.side_a == frozenset({0, 2}) and bip.side_b == frozenset({1, 3})
-
-
-def test_bipartition_k23(k23):
-    bip = bipartition(k23)
-    assert {len(bip.side_a), len(bip.side_b)} == {2, 3}
-
-
-def test_bipartition_odd_cycle_witness(c5):
-    witness = bipartition(c5)
-    assert isinstance(witness, CycleInfo)
-    assert witness.length % 2 == 1
-    verts = witness.vertices
-    for i, v in enumerate(verts):
-        assert c5.has_edge(v, verts[(i + 1) % len(verts)])
-    assert len(set(verts)) == len(verts)
+    # The null graph is not connected, as in networkx.
+    assert connected_and_bipartite(Graph(0, [])) == (False, True)
 
 
 @st.composite
@@ -130,20 +108,10 @@ def any_graphs(draw):
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(any_graphs())
-def test_bipartition_and_safe_additions_match_brute_colorings(g):
+def test_safe_additions_match_brute_colorings(g):
     colorings = two_colorings(g)
-    bip = bipartition(g)
     if not colorings:
-        assert isinstance(bip, CycleInfo)
-        cyc = bip.vertices
-        assert bip.length % 2 == 1 and bip.length >= 3 and len(set(cyc)) == bip.length
-        assert all(g.has_edge(v, cyc[i - 1]) for i, v in enumerate(cyc))
         return
-    assert isinstance(bip, Bipartition)
-    assert bip.side_a == {v for v in g.vertices() if colorings[0][v] == 0}
-    assert bip.side_b == {v for v in g.vertices() if colorings[0][v] == 1}
-    d = floyd_warshall(g)
-    assert all(min(w for w in g.vertices() if d[v][w] is not INF) in bip.side_a for v in g.vertices())
     # g + uv is bipartite iff some 2-coloring of g puts u and v apart.
     assert _bipartite_safe_additions(g, *bfs_forest(g)) == [
         (u, v)
@@ -323,4 +291,5 @@ def test_complete_bipartite_shape():
     g = complete_bipartite(2, 3)
     assert g.n == 5 and g.m == 6
     assert connected_and_bipartite(g)[1]
-    assert cycle_graph(5).degree_sequence() == (2, 2, 2, 2, 2)
+    c5 = cycle_graph(5)
+    assert sorted(map(c5.degree, c5.vertices())) == [2] * 5

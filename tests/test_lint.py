@@ -26,6 +26,41 @@ def test_unused_import_detector():
     assert _unused_imports(tree) == [(1, "os"), (2, "d")]
 
 
+def _orphaned_private_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level private functions and classes that no module of the package references."""
+    defined = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    return sorted(f"{name}: {helper}" for name, helper in defined if helper not in used)
+
+
+def test_orphaned_helper_detector():
+    trees = {
+        "a.py": ast.parse("def _kept(): pass\ndef _gone(): pass\nclass _Lost: pass\ndef _called(): pass\n"),
+        "b.py": ast.parse("from .a import _kept\nimport a\n\ndef public():\n    return a._called()\n"),
+    }
+    assert _orphaned_private_helpers(trees) == ["a.py: _Lost", "a.py: _gone"]
+
+
+def test_package_has_no_orphaned_private_helpers():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    offenders = _orphaned_private_helpers(trees)
+    if offenders:
+        pytest.fail(f"private helpers nothing in src/szlab references: {', '.join(offenders)}")
+
+
 def _imported_modules(tree: ast.Module) -> set[str]:
     nodes = list(ast.walk(tree))
     names = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}

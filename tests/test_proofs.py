@@ -235,6 +235,9 @@ def test_hypothesis_errors_name_the_first_violation():
         (check_min_pair_surplus, c5_pendant, "bipartite"),
         (check_antipodal_cycle, disconnected_c3, "connected"),
         (check_antipodal_cycle, disconnected_tree, "connected"),
+        # At n = 0 connected, bipartite and m >= n would otherwise hold vacuously.
+        (gap_decomposition, Graph(0, []), "connected"),
+        (check_antipodal_cycle, Graph(0, []), "connected"),
     ]
     for check, g, first in cases:
         with pytest.raises(HypothesisError, match=f"^{first} violated$"):
@@ -328,3 +331,11 @@ def test_gap_decomposition_tied_blocks_above_canon_limit():
     assert len(tied) == 2
     assert d.root_block == min(tied, key=lambda i: sorted(d.blocks.blocks[i]))
     assert sum(d.surplus.surpluses.values()) == d.total == gap(g) >= 4 * g.n - 8
+
+
+def test_pair_rows_ascend_on_relabelled_block_tree():
+    # Blocks 6-cycle, 4-cycle and bridges, relabelled so blocks do not run in vertex order.
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 8), (8, 0),
+             (0, 9), (3, 10), (10, 11), (11, 12), (7, 13)]
+    d = gap_decomposition(_relabeled(14, edges, 7))
+    assert [(x, y) for x, y, *_ in d.pair_rows()] == list(combinations(range(14), 2))
