@@ -19,10 +19,10 @@ check keeps its traceback.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 import time
+from contextlib import nullcontext
 from functools import partial
 from itertools import chain
 from typing import Iterator
@@ -93,6 +93,7 @@ def _n_range(spec: str) -> range:
 
 
 def _write_csv(header: list[str], rows) -> None:
+    import csv  # imported on first use: only --format csv needs it
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
@@ -164,13 +165,13 @@ def _reporting_errors(records, errors: list) -> Iterator[dict]:
 
 
 def cmd_verify(args) -> int:
-    # Undecodable bytes become U+FFFD and fail graph6 parsing per line
-    # instead of aborting the whole stream.
-    fh = open(args.file, encoding="ascii", errors="replace") if args.file else sys.stdin
+    # Undecodable bytes become U+FFFD and fail graph6 parsing per line instead
+    # of aborting the whole stream.  Only a file opened here is closed here.
+    fh = open(args.file, encoding="ascii", errors="replace") if args.file else nullcontext(sys.stdin)
     t0 = time.monotonic()
     errors: list[dict] = []
-    with fh:
-        records = examine_lines(fh, args.workers, rows=args.format == "csv")
+    with fh as lines:
+        records = examine_lines(lines, args.workers, rows=args.format == "csv")
         _emit_reports(_reporting_errors(records, errors), args, t0)
     if errors:
         _err(f"{len(errors)} unparseable line(s) skipped")

@@ -21,10 +21,8 @@ Aut, which `test_group_order_matches_brute_force` checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import Pool
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .canon import MAX_CANON_VERTICES, CanonicalForm, canonical_code, canonical_form, labeled_form
 from .errors import Graph6Error, SizeLimitError
@@ -36,19 +34,24 @@ from .invariants import compute_invariants
 BUILTIN_ENUMERATION_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class EnumerationSpec:
+class _SpecFields(NamedTuple):
+    n: int
+    min_edges: int | None
+    connected: bool
+
+
+class EnumerationSpec(_SpecFields):
     """What to generate: vertex count, minimum edges, and whether only connected graphs are kept."""
 
-    n: int
-    min_edges: int | None = None
-    connected: bool = True
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so _replace checks too
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.min_edges is not None and self.min_edges < 0:
-            raise ValueError(f"min_edges must be >= 0, got {self.min_edges}")
+    def __new__(cls, n: int, min_edges: int | None = None, connected: bool = True):
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if min_edges is not None and min_edges < 0:
+            raise ValueError(f"min_edges must be >= 0, got {min_edges}")
+        return super().__new__(cls, n, min_edges, connected)
 
     @property
     def effective_min_edges(self) -> int:
@@ -130,14 +133,12 @@ def generate(spec: EnumerationSpec) -> Iterator[CanonicalForm]:
         stack.extend(_children(g, [p for i, p in enumerate(pairs) if roots[i] == i]))
 
 
-@dataclass(frozen=True)
-class EqualityEntry:
+class EqualityEntry(NamedTuple):
     canonical: str | None
     graph6: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-n summary of checking Sz - W >= 4n - 8 over a set of graphs."""
 
     n: int
@@ -203,6 +204,12 @@ def _examine_line(item: tuple[int, str], rows: bool = False) -> dict:
     return {"lineno": lineno, **_examine(g, rows)}
 
 
+def Pool(processes: int):
+    """A `multiprocessing.Pool`, imported on first use: only runs with workers > 1 load multiprocessing."""
+    import multiprocessing
+    return multiprocessing.Pool(processes=processes)
+
+
 def _in_order(fn, items: Iterable, workers: int) -> Iterator[dict]:
     """fn over items, in order; with workers > 1 the items stream through a process pool in chunks."""
     if workers <= 1:
@@ -227,15 +234,15 @@ def examine(graphs: Iterable[Graph], workers: int = 1, rows: bool = False) -> It
     return _in_order(partial(_examine, rows=rows), graphs, workers)
 
 
-@dataclass
 class _Tally:
-    checked: int = 0
-    rejected: int = 0
-    min_gap: int | None = None
-    violations: list[str] = field(default_factory=list)
-    classes: dict[str, str] = field(default_factory=dict)  # canonical code -> first graph6
-    uncoded: list[str] = field(default_factory=list)  # equality graphs above the canon limit
-    strays: int = 0  # equality graphs not of extremal form
+    def __init__(self):
+        self.checked = 0
+        self.rejected = 0
+        self.min_gap: int | None = None
+        self.violations: list[str] = []
+        self.classes: dict[str, str] = {}  # canonical code -> first graph6
+        self.uncoded: list[str] = []  # equality graphs above the canon limit
+        self.strays = 0  # equality graphs not of extremal form
 
 
 def fold_records(records: Iterable[dict]) -> tuple[list[VerificationReport], list[list]]:

@@ -8,7 +8,7 @@ each root onto one cycle vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canon import canonical_code
 from .errors import DisconnectedGraphError, GraphConstructionError, InvariantViolation, ensure
@@ -16,8 +16,7 @@ from .graphs import Graph, block_decomposition
 from .invariants import gap
 
 
-@dataclass(frozen=True)
-class RootedTree:
+class RootedTree(NamedTuple):
     """Tree in preorder with parent pointers; parent[0] is None (the root)."""
 
     size: int
@@ -74,8 +73,7 @@ def _tree_from_levels(levels: list[int]) -> RootedTree:
     return RootedTree(len(levels), tuple(parent))
 
 
-@dataclass(frozen=True)
-class ExtremalGraph:
+class ExtremalGraph(NamedTuple):
     """A family member and its canonical graph6 code (see canon.canonical_code).
 
     The 4-cycle is on vertices 0..3, and the tree hangs from vertex 0.

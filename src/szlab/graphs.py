@@ -9,8 +9,7 @@ path works for every graph size this package targets.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DisconnectedGraphError, GraphConstructionError, ensure
 
@@ -190,8 +189,7 @@ def _distances_from(g: Graph, s: int) -> list[int]:
     return dist
 
 
-@dataclass(frozen=True)
-class CycleInfo:
+class CycleInfo(NamedTuple):
     """A cyclically ordered vertex list; consecutive entries are adjacent."""
 
     vertices: tuple[int, ...]
@@ -223,8 +221,7 @@ def connected_and_bipartite(g: Graph) -> tuple[bool, bool]:
     return g.n > 0 and not any(root), all((depth[u] ^ depth[v]) & 1 for u, v in g.edges)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Blocks (maximal 2-connected subgraphs or bridges) and cut vertices.
 
     Blocks are ordered by their sorted vertex tuples so reports are

@@ -16,13 +16,14 @@ Floyd-Warshall distances and brute loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from operator import and_, invert
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DisconnectedGraphError, GraphConstructionError, ensure
 from .graphs import DistanceMatrix, Graph, _bits, all_pairs_distances
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _require_connected(dist: DistanceMatrix) -> None:
@@ -147,8 +148,7 @@ def gap(g: Graph) -> int:
     return compute_invariants(g).gap
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """One graph's invariants and its per-edge partition table."""
 
     n: int
@@ -161,6 +161,7 @@ class InvariantReport:
 
     @property
     def revised_szeged(self) -> Fraction:
+        from fractions import Fraction  # imported on first use: it loads decimal
         return Fraction(self.revised_szeged_times4, 4)
 
     def to_json_dict(self) -> dict:

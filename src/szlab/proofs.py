@@ -18,8 +18,7 @@ exactly with Sz - W, which is how the lower bound 4n - 8 is verified here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .canon import MAX_CANON_VERTICES, canonical_code
 from .errors import HypothesisError, ensure
@@ -37,8 +36,7 @@ from .graphs import (
 from .invariants import edge_partitions, mu_table, wiener
 
 
-@dataclass(frozen=True)
-class SurplusMap:
+class SurplusMap(NamedTuple):
     """Per-pair surpluses keyed (x, y), x < y, in ascending order; their total equals Sz - W."""
 
     n: int
@@ -77,8 +75,7 @@ def _require_connected_bipartite(g: Graph) -> None:
         raise HypothesisError("bipartite violated")
 
 
-@dataclass(frozen=True)
-class SurplusCheck:
+class SurplusCheck(NamedTuple):
     passed: bool
     min_surplus: int | None
     witness: tuple[int, int] | None
@@ -103,8 +100,7 @@ def check_min_pair_surplus(g: Graph) -> SurplusCheck:
     return SurplusCheck(False, worst, worst_pair)
 
 
-@dataclass(frozen=True)
-class AntipodalCheck:
+class AntipodalCheck(NamedTuple):
     passed: bool
     cycle: CycleInfo
     pairs_checked: int
@@ -147,8 +143,7 @@ def check_antipodal_cycle(g: Graph) -> AntipodalCheck:
     return AntipodalCheck(not failures, cyc, half, tuple(failures))
 
 
-@dataclass(frozen=True)
-class GapDecomposition:
+class GapDecomposition(NamedTuple):
     """The gap Sz - W split over vertex-pair categories tied to blocks.
 
     `within_block[i]` sums surpluses of pairs whose unique common block is

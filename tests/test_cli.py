@@ -1,7 +1,7 @@
+import io
 import json
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -295,7 +295,7 @@ def test_verify_names_graphs_by_standard_graph6(tmp_path, capsys, monkeypatch, s
 
     def forged(g):
         report = compute(g)
-        return replace(report, gap=report.gap - 1)
+        return report._replace(gap=report.gap - 1)
 
     monkeypatch.setattr(enumeration, "compute_invariants", forged)
     code, out, _ = run_cli(capsys, "verify", "--file", str(stream), "--workers", "1")
@@ -438,3 +438,30 @@ def test_enumerate_uses_one_pool_per_run(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "4..6", "--workers", "2")
     assert code == 0 and len(pools) == 1
     assert [r["n"] for r in json.loads(out)["reports"]] == [4, 5, 6]
+
+
+def test_verify_uses_one_pool_per_run(tmp_path, capsys, monkeypatch):
+    # `szlab.enumeration.Pool` is the one name every pool is built through.
+    pools = []
+    real = enumeration.Pool
+    monkeypatch.setattr(enumeration, "Pool", lambda **kw: pools.append(kw) or real(**kw))
+    stream = tmp_path / "mixed.g6"
+    stream.write_text("\n".join(["Cr", to_graph6(complete_bipartite(2, 3)), "C~"]) + "\n")
+    code, out, _ = run_cli(capsys, "verify", "--file", str(stream), "--workers", "2")
+    assert code == 0 and pools == [{"processes": 2}]
+    assert [(r["n"], r["graphs_checked"], r["rejected"]) for r in json.loads(out)["reports"]] == [
+        (4, 1, 1),
+        (5, 1, 0),
+    ]
+
+
+def test_verify_leaves_stdin_open(capsys, monkeypatch):
+    stdin = io.StringIO("Cr\nCr\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0 and not stdin.closed
+    assert [r["graphs_checked"] for r in json.loads(out)["reports"]] == [2]
+    # The stream is drained: a second run reads nothing, and must not fail on a closed file.
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0 and not stdin.closed
+    assert json.loads(out)["reports"] == []

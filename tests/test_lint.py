@@ -90,3 +90,9 @@ def test_package_has_no_unused_imports():
     ]
     if offenders:
         pytest.fail(f"imported but never used in src/szlab: {', '.join(offenders)}")
+
+
+def test_package_parses_at_the_python_floor():
+    # pyproject.toml declares requires-python >= 3.10.
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))

@@ -1,0 +1,87 @@
+"""The result records are immutable NamedTuples with the fields, in the order, they always had."""
+
+import pytest
+
+from szlab.enumeration import EnumerationSpec, verify_conjecture
+from szlab.extremal import extremal_family, rooted_trees
+from szlab.graphs import block_decomposition, shortest_cycle
+from szlab.invariants import compute_invariants
+from szlab.proofs import check_antipodal_cycle, check_min_pair_surplus, gap_decomposition, surplus_map
+
+FIELDS = {
+    "CycleInfo": ("vertices",),
+    "BlockDecomposition": ("blocks", "block_edges", "cut_vertices"),
+    "InvariantReport": ("n", "m", "wiener", "szeged", "revised_szeged_times4", "gap", "per_edge"),
+    "SurplusMap": ("n", "surpluses", "total", "dist"),
+    "SurplusCheck": ("passed", "min_surplus", "witness"),
+    "AntipodalCheck": ("passed", "cycle", "pairs_checked", "failures"),
+    "GapDecomposition": (
+        "graph",
+        "blocks",
+        "root_block",
+        "within_block",
+        "cross_root",
+        "cross_other",
+        "total",
+        "surplus",
+        "pair_category",
+        "cross_pair_floor_ok",
+        "cross_witness_ok",
+    ),
+    "RootedTree": ("size", "parent"),
+    "ExtremalGraph": ("graph", "canonical"),
+    "EnumerationSpec": ("n", "min_edges", "connected"),
+    "EqualityEntry": ("canonical", "graph6"),
+    "VerificationReport": (
+        "n",
+        "graphs_checked",
+        "rejected",
+        "min_gap",
+        "bound",
+        "violations",
+        "equality_graphs",
+        "extremal_match",
+    ),
+}
+
+
+@pytest.fixture
+def records(c4, c4_pendant):
+    (report,) = verify_conjecture([c4])
+    found = [
+        shortest_cycle(c4),
+        block_decomposition(c4_pendant),
+        compute_invariants(c4),
+        surplus_map(c4),
+        check_min_pair_surplus(c4),
+        check_antipodal_cycle(c4),
+        gap_decomposition(c4_pendant),
+        rooted_trees(3)[0],
+        extremal_family(5)[0],
+        EnumerationSpec(4),
+        report.equality_graphs[0],
+        report,
+    ]
+    return {type(r).__name__: r for r in found}
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_record_fields_and_immutability(records, name):
+    rec = records[name]
+    assert rec._fields == FIELDS[name]
+    for field in rec._fields:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, getattr(rec, field))
+    with pytest.raises(AttributeError):
+        rec.added = None
+
+
+def test_enumeration_spec_defaults_and_checks():
+    assert EnumerationSpec(4) == EnumerationSpec(n=4, min_edges=None, connected=True)
+    assert EnumerationSpec(4).effective_min_edges == 4
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        EnumerationSpec(n=0)
+    with pytest.raises(ValueError, match="min_edges must be >= 0"):
+        EnumerationSpec(n=4, min_edges=-1)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        EnumerationSpec(4)._replace(n=0)
