@@ -62,15 +62,6 @@ from .invariants import (
     szeged,
     wiener,
 )
-from .proofs import (
-    AntipodalCheck,
-    GapDecomposition,
-    SurplusCheck,
-    SurplusMap,
-    check_antipodal_cycle,
-    check_min_pair_surplus,
-    gap_decomposition,
-    surplus_map,
-)
+from .proofs import GapDecomposition, SurplusMap, gap_decomposition, surplus_map
 
 __version__ = "0.1.0"

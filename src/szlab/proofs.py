@@ -14,6 +14,10 @@ decomposes over the block structure:
 
 Those three groups partition the vertex pairs, so the subtotals reconcile
 exactly with Sz - W, which is how the lower bound 4n - 8 is verified here.
+The floors rest on two lemmas, checked on every block with >= 4 vertices:
+every pair inside the block has surplus >= 1, and every edge of the block's
+shortest cycle v_1..v_p separates each antipodal pair (v_i, v_{i+p/2}),
+which therefore has >= p separating edges and surplus >= p/2.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .canon import MAX_CANON_VERTICES, canonical_code
 from .errors import HypothesisError, ensure
 from .graphs import (
     BlockDecomposition,
-    CycleInfo,
     DistanceMatrix,
     Graph,
     _bits,
@@ -33,7 +36,7 @@ from .graphs import (
     connected_and_bipartite,
     shortest_cycle,
 )
-from .invariants import edge_partitions, mu_table, wiener
+from .invariants import MuTable, edge_partitions, mu_table, wiener
 
 
 class SurplusMap(NamedTuple):
@@ -43,6 +46,7 @@ class SurplusMap(NamedTuple):
     surpluses: dict[tuple[int, int], int]
     total: int
     dist: DistanceMatrix
+    mu: MuTable
 
     def surplus(self, x: int, y: int) -> int:
         return self.surpluses[(x, y) if x < y else (y, x)]
@@ -58,89 +62,14 @@ def surplus_map(g: Graph) -> SurplusMap:
     """Every pair's surplus; the mu-table raises DisconnectedGraphError on a disconnected graph."""
     dist = all_pairs_distances(g)
     rows = dist.rows
-    surpluses = {(x, y): c - rows[x][y] for (x, y), c in mu_table(g, dist).pair_sums.items()}
+    table = mu_table(g, dist)
+    # Keyed by the table's own pair tuples, so the two dicts share their keys.
+    surpluses = {p: c - rows[p[0]][p[1]] for p, c in table.pair_sums.items()}
     total = sum(surpluses.values())
     # Independent route: per-edge partition products minus the distance sum.
     szeged = sum(p.n_u * p.n_v for p in edge_partitions(g, dist))
     ensure(total == szeged - wiener(dist), "pair surpluses do not sum to Sz - W")
-    return SurplusMap(g.n, surpluses, total, dist)
-
-
-def _require_connected_bipartite(g: Graph) -> None:
-    """Raise HypothesisError naming the first of connected, bipartite that g violates."""
-    connected, bipartite = connected_and_bipartite(g)
-    if not connected:
-        raise HypothesisError("connected violated")
-    if not bipartite:
-        raise HypothesisError("bipartite violated")
-
-
-class SurplusCheck(NamedTuple):
-    passed: bool
-    min_surplus: int | None
-    witness: tuple[int, int] | None
-
-
-def check_min_pair_surplus(g: Graph) -> SurplusCheck:
-    """Every pair of a 2-connected bipartite graph on n >= 4 has surplus >= 1.
-
-    Raises HypothesisError when the input is outside that scope; a failed
-    check (never expected) reports the violating pair.
-    """
-    if g.n < 4:
-        raise HypothesisError("n >= 4 violated")
-    _require_connected_bipartite(g)
-    if block_decomposition(g).k != 1:
-        raise HypothesisError("2-connected violated")
-    smap = surplus_map(g)
-    worst_pair = min(smap.surpluses, key=lambda p: (smap.surpluses[p], p))
-    worst = smap.surpluses[worst_pair]
-    if worst >= 1:
-        return SurplusCheck(True, worst, None)
-    return SurplusCheck(False, worst, worst_pair)
-
-
-class AntipodalCheck(NamedTuple):
-    passed: bool
-    cycle: CycleInfo
-    pairs_checked: int
-    failures: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-
-
-def check_antipodal_cycle(g: Graph) -> AntipodalCheck:
-    """On a shortest cycle, every antipodal pair is separated by every cycle edge.
-
-    For cycle v_1..v_p (p even, bipartite) and each i, the pair
-    (v_i, v_{i+p/2}) must have contribution 1 on all p cycle edges; its
-    surplus is therefore at least p/2.  Only the per-edge equalities and the
-    inequality (total separations >= p) are checked, since edges outside the
-    cycle may separate the pair as well.
-    """
-    _require_connected_bipartite(g)
-    cyc = shortest_cycle(g)
-    if cyc is None:
-        raise HypothesisError("acyclic input: no cycle to check")
-    p = cyc.length
-    ensure(p % 2 == 0, "odd shortest cycle in a bipartite graph")
-    verts = cyc.vertices
-    dist = all_pairs_distances(g)
-    table = mu_table(g, dist)
-    cycle_edges = []
-    for i in range(p):
-        a, b = verts[i], verts[(i + 1) % p]
-        cycle_edges.append((a, b) if a < b else (b, a))
-    failures = []
-    half = p // 2
-    for i in range(half):
-        x, y = verts[i], verts[i + half]
-        sep = table.separating(x, y)
-        missed = [e for e in cycle_edges if not sep >> table.edge_index[e] & 1]
-        failures.extend(((x, y) if x < y else (y, x), e) for e in missed)
-        if not missed:
-            everywhere = sep.bit_count()
-            ensure(everywhere >= p, "cycle edges separate a pair more often than all edges")
-            ensure(everywhere - dist.d(x, y) >= half, "antipodal pair surplus below p/2")
-    return AntipodalCheck(not failures, cyc, half, tuple(failures))
+    return SurplusMap(g.n, surpluses, total, dist, table)
 
 
 class GapDecomposition(NamedTuple):
@@ -228,8 +157,15 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     code, then by sorted vertex list.  Tied blocks above the canonical
     labeling limit are broken by sorted vertex list alone: only that case
     depends on the input's labeling.
+
+    After the floors, both lemmas of the module docstring are checked on
+    every block with >= 4 vertices, off the same surplus map and mu-table.
     """
-    _require_connected_bipartite(g)
+    connected, bipartite = connected_and_bipartite(g)
+    if not connected:
+        raise HypothesisError("connected violated")
+    if not bipartite:
+        raise HypothesisError("bipartite violated")
     if g.m < g.n:
         raise HypothesisError("m >= n violated")
 
@@ -244,7 +180,7 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
         root = min(
             tied,
             key=lambda i: (
-                canonical_code(_induced_block(g, decomp.blocks[i])),
+                canonical_code(_induced_block(decomp, i)[0]),
                 sorted(decomp.blocks[i]),
             ),
         )
@@ -279,25 +215,30 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     # surplus >= 1, and each far vertex has such a partner with surplus >= 2.
     floor_ok = True
     witnessed: set[int] = set()
-    for (x, y), s in smap.surpluses.items():
+    # Each block's least within-block surplus and a pair attaining it.
+    least: dict[int, tuple[int, tuple[int, int]]] = {}
+    for pair, s in smap.surpluses.items():
+        x, y = pair
         common = block_mask[x] & block_mask[y]
         if common:
             ensure(common & (common - 1) == 0, "a pair shares two blocks")
             b = common.bit_length() - 1
             within[b] += s
-            category[(x, y)] = ("within", b)
+            category[pair] = ("within", b)
+            if b not in least or s < least[b][0]:
+                least[b] = s, pair
         elif x in root_set or y in root_set:
             near, far = (x, y) if x in root_set else (y, x)
             b = home[far]
             cross_root[b] += s
-            category[(x, y)] = ("cross_root", b)
+            category[pair] = ("cross_root", b)
             if near != root_gate[b]:
                 floor_ok = floor_ok and s >= 1
                 if s >= 2:
                     witnessed.add(far)
         else:
             cross_other += s
-            category[(x, y)] = ("cross_other", (home[x], home[y]))
+            category[pair] = ("cross_other", (home[x], home[y]))
 
     total = sum(within) + sum(cross_root.values()) + cross_other
     ensure(len(category) == g.n * (g.n - 1) // 2, "pair categories do not cover every pair")
@@ -311,6 +252,10 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     for i, sub in cross_root.items():
         ensure(sub >= sizes[root] * (sizes[i] - 1), f"block {i}: cross surplus below n_1(n_i - 1)")
     ensure(cross_other >= 0, "negative cross-other surplus")
+    for i in big:
+        s, pair = least[i]
+        ensure(s >= 1, f"block {i}: pair {pair} has surplus {s}, below 1")
+        _check_antipodal_pairs(decomp, i, smap)
 
     return GapDecomposition(
         g,
@@ -327,7 +272,31 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     )
 
 
-def _induced_block(g: Graph, verts: frozenset[int]) -> Graph:
-    order = sorted(verts)
-    index = {v: i for i, v in enumerate(order)}
-    return Graph(len(order), [(index[u], index[v]) for u, v in g.edges if u in verts and v in verts])
+def _check_antipodal_pairs(decomp: BlockDecomposition, i: int, smap: SurplusMap) -> None:
+    """Every edge of block i's lex-least shortest cycle separates each antipodal pair.
+
+    Beyond that only its consequences (>= p separating edges, surplus >= p/2)
+    are checked, since edges off the cycle may separate the pair as well.
+    """
+    sub, order = _induced_block(decomp, i)
+    verts = [order[v] for v in shortest_cycle(sub).vertices]
+    p, half = len(verts), len(verts) // 2
+    ensure(p % 2 == 0, f"block {i}: odd shortest cycle in a bipartite graph")
+    table = smap.mu
+    cycle_mask = 0
+    for a, b in zip(verts, verts[1:] + verts[:1]):
+        cycle_mask |= 1 << table.edge_index[(a, b) if a < b else (b, a)]
+    for x, y in zip(verts, verts[half:]):
+        pair = (x, y) if x < y else (y, x)
+        sep = table.separating(x, y)
+        missed = [table.edges[j] for j in _bits(cycle_mask & ~sep)]
+        ensure(not missed, f"block {i}: cycle edges {missed} do not separate antipodal pair {pair}")
+        ensure(sep.bit_count() >= p, f"block {i}: antipodal pair {pair} has fewer than p separating edges")
+        ensure(smap.surpluses[pair] >= half, f"block {i}: antipodal pair {pair} surplus below p/2")
+
+
+def _induced_block(decomp: BlockDecomposition, i: int) -> tuple[Graph, list[int]]:
+    """Block i relabelled 0..n_i - 1 in sorted vertex order, and that order."""
+    order = sorted(decomp.blocks[i])
+    index = {v: j for j, v in enumerate(order)}
+    return Graph(len(order), [(index[u], index[v]) for u, v in decomp.block_edges[i]]), order

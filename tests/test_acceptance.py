@@ -9,6 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,7 +18,6 @@ from szlab.enumeration import EnumerationSpec, generate, verify_conjecture
 from szlab.extremal import extremal_family, rooted_trees
 from szlab.graphs import (
     all_pairs_distances,
-    block_decomposition,
     complete_bipartite,
     cycle_graph,
     path_graph,
@@ -25,7 +25,7 @@ from szlab.graphs import (
     star_graph,
 )
 from szlab.invariants import edge_partitions, gap, mu_table, revised_szeged, szeged, wiener
-from szlab.proofs import check_antipodal_cycle, check_min_pair_surplus, gap_decomposition
+from szlab.proofs import gap_decomposition
 
 from .oracles import (
     brute_force_classes,
@@ -134,19 +134,22 @@ def test_criterion_5_revised_szeged_corollary(enumerated):
 
 def test_criterion_6_pair_surplus_claims(enumerated):
     with criterion(6, "surplus >= 1 on 2-connected bipartite graphs; antipodal separations"):
-        two_connected = 0
-        cyclic = 0
+        # gap_decomposition checks both lemmas on every block with >= 4 vertices.
+        blocks = 0
         for n in range(4, 9):
             for g in enumerated[n]:
-                if block_decomposition(g).k == 1:
-                    res = check_min_pair_surplus(g)
-                    assert res.passed, f"pair {res.witness} on {g.edges}"
-                    two_connected += 1
-                if shortest_cycle(g) is not None:
-                    assert check_antipodal_cycle(g).passed
-                    cyclic += 1
-        assert two_connected >= 50
-        assert cyclic >= 200
+                if g.m < n:
+                    continue
+                d = gap_decomposition(g)
+                for verts in d.blocks.blocks:
+                    if len(verts) >= 4:
+                        pairs = combinations(sorted(verts), 2)
+                        assert min(d.surplus.surplus(x, y) for x, y in pairs) >= 1, g.edges
+                        blocks += 1
+                cycle = shortest_cycle(g).vertices
+                half = len(cycle) // 2
+                assert all(d.surplus.surplus(cycle[i], cycle[i + half]) >= half for i in range(half))
+        assert blocks >= 200
 
 
 def test_criterion_7_gap_decomposition(enumerated):

@@ -17,9 +17,9 @@ import pytest
 from szlab import extremal, graphs, invariants, proofs
 from szlab.errors import InvariantViolation
 from szlab.extremal import family_row
-from szlab.graphs import CycleInfo, DistanceMatrix, Graph, block_decomposition
+from szlab.graphs import CycleInfo, Graph, block_decomposition, cycle_graph
 from szlab.invariants import compute_invariants
-from szlab.proofs import SurplusMap, check_antipodal_cycle, gap_decomposition, surplus_map
+from szlab.proofs import gap_decomposition, surplus_map
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -43,8 +43,7 @@ def _with_surpluses(monkeypatch, changes: dict, total_shift: int = 0):
         surpluses = dict(smap.surpluses)
         for pair, delta in changes.items():
             surpluses[pair] += delta
-        total = sum(surpluses.values()) + total_shift
-        return SurplusMap(smap.n, surpluses, total, smap.dist)
+        return smap._replace(surpluses=surpluses, total=sum(surpluses.values()) + total_shift)
 
     monkeypatch.setattr(proofs, "surplus_map", corrupted)
 
@@ -81,20 +80,39 @@ def test_gap_decomposition_rejects_cross_block_deficit(monkeypatch, c4_pendant):
         gap_decomposition(c4_pendant)
 
 
+def test_gap_decomposition_rejects_zero_surplus_in_other_block(monkeypatch):
+    # Two 4-cycles sharing vertex 0; block 1 (0-4-5-6) is not the designated one.
+    # Moving a unit from (4, 5) to (4, 6) keeps block 1's sum, so no floor fires.
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)])
+    assert gap_decomposition(g).root_block == 0
+    _with_surpluses(monkeypatch, {(4, 5): -1, (4, 6): 1})
+    with pytest.raises(InvariantViolation, match=r"^block 1: pair \(4, 5\) has surplus 0, below 1$"):
+        gap_decomposition(g)
+
+
+def test_antipodal_check_rejects_missed_cycle_edge(monkeypatch, c4):
+    real = invariants.MuTable.separating
+
+    def missing(table, x, y):
+        return real(table, x, y) & ~(1 << table.edge_index[(0, 1)])
+
+    monkeypatch.setattr(invariants.MuTable, "separating", missing)
+    message = r"^block 0: cycle edges \[\(0, 1\)\] do not separate antipodal pair \(0, 2\)$"
+    with pytest.raises(InvariantViolation, match=message):
+        gap_decomposition(c4)
+
+
 def test_antipodal_check_rejects_odd_cycle(monkeypatch, c4):
     monkeypatch.setattr(proofs, "shortest_cycle", lambda g: CycleInfo((0, 1, 2)))
-    with pytest.raises(InvariantViolation, match="odd"):
-        check_antipodal_cycle(c4)
+    with pytest.raises(InvariantViolation, match="^block 0: odd shortest cycle"):
+        gap_decomposition(c4)
 
 
-def test_antipodal_check_rejects_corrupted_distance(monkeypatch, c4):
-    # Stretching d(0, 2) keeps every edge side but drops the pair's surplus below p/2.
-    rows = [list(r) for r in graphs.all_pairs_distances(c4).rows]
-    rows[0][2] = rows[2][0] = 4
-    corrupt = DistanceMatrix(4, tuple(tuple(r) for r in rows))
-    monkeypatch.setattr(proofs, "all_pairs_distances", lambda g: corrupt)
-    with pytest.raises(InvariantViolation, match="p/2"):
-        check_antipodal_cycle(c4)
+def test_antipodal_check_rejects_surplus_below_half_cycle(monkeypatch):
+    # C6's floors have slack, so only the antipodal pair (0, 3), down from 3 to 2, fails.
+    _with_surpluses(monkeypatch, {(0, 3): -1})
+    with pytest.raises(InvariantViolation, match=r"^block 0: antipodal pair \(0, 3\) surplus below p/2$"):
+        gap_decomposition(cycle_graph(6))
 
 
 def test_extremal_gaps_reject_corrupted_gap(monkeypatch):

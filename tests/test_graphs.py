@@ -140,8 +140,7 @@ def test_hypotheses_come_from_one_bfs_forest(monkeypatch, c4, c4_pendant):
     _count_calls(monkeypatch, calls, "all_pairs_distances", graphs, invariants, proofs)
     for check, g in [
         (proofs.gap_decomposition, c4_pendant),
-        (proofs.check_min_pair_surplus, c4),
-        (proofs.check_antipodal_cycle, c4_pendant),
+        (proofs.gap_decomposition, c4),
         (enumeration._examine, c4_pendant),
         (enumeration._examine, cycle_graph(5)),
     ]:
@@ -150,8 +149,10 @@ def test_hypotheses_come_from_one_bfs_forest(monkeypatch, c4, c4_pendant):
         assert calls.count("bfs_forest") == 1, check
     calls.clear()
     proofs.gap_decomposition(c4_pendant)
-    # The forest's one BFS, then the BFS tree block_decomposition is built on.
-    assert calls.count("_distances_from") == 2
+    # A count, not a bound: the forest's one BFS, the BFS tree block_decomposition
+    # is built on, then for the 4-cycle block's shortest cycle girth's BFS from
+    # each of its 4 vertices and the lex-least cycle's BFS from start 0.
+    assert calls.count("_distances_from") == 7
     calls.clear()
     invariants.compute_invariants(c4_pendant)
     assert calls == ["all_pairs_distances"]

@@ -96,3 +96,9 @@ def test_package_parses_at_the_python_floor():
     # pyproject.toml declares requires-python >= 3.10.
     for path in sorted(SRC.glob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_package_stays_within_the_seed_line_count():
+    # src/szlab had 2,131 lines at the seed; no change may grow it past that.
+    total = sum(len(path.read_text().splitlines()) for path in sorted(SRC.glob("*.py")))
+    assert total <= 2131, f"src/szlab has {total} lines, above the seed's 2,131"

@@ -7,16 +7,11 @@ import pytest
 from szlab.cli import main
 from szlab.errors import DisconnectedGraphError, HypothesisError
 from szlab.formats import to_graph6
-from szlab.graphs import Graph, block_decomposition, cycle_graph, path_graph
+from szlab.graphs import Graph, block_decomposition, cycle_graph, path_graph, shortest_cycle
 from szlab.invariants import gap
-from szlab.proofs import (
-    check_antipodal_cycle,
-    check_min_pair_surplus,
-    gap_decomposition,
-    surplus_map,
-)
+from szlab.proofs import gap_decomposition, surplus_map
 
-from .oracles import floyd_warshall, gap_brute, surplus_brute
+from .oracles import floyd_warshall, gap_brute, mu_brute, surplus_brute
 
 
 def test_surplus_map_c4(c4):
@@ -63,34 +58,51 @@ def test_surpluses_nonnegative_on_connected_graphs(enumerated, c5):
     assert all(v >= 0 for v in surplus_map(c5).surpluses.values())
 
 
+def _lemma_blocks(g, d):
+    """Each block of d with >= 4 vertices, with the lex-least shortest cycle of the subgraph it induces in g."""
+    for verts in d.blocks.blocks:
+        if len(verts) >= 4:
+            order = sorted(verts)
+            index = {v: i for i, v in enumerate(order)}
+            block = Graph(len(order), [(index[u], index[v]) for u, v in g.edges if u in verts and v in verts])
+            yield order, tuple(order[v] for v in shortest_cycle(block).vertices)
+
+
+def _least_block_surplus(d, order):
+    return min(d.surplus.surplus(x, y) for x, y in combinations(order, 2))
+
+
 def test_min_pair_surplus_c4_and_k23(c4, k23):
-    res = check_min_pair_surplus(c4)
-    assert res.passed and res.min_surplus == 1 and res.witness is None
-    assert check_min_pair_surplus(k23).passed
+    # gap_decomposition checks the surplus lemma on the one block of each.
+    assert _least_block_surplus(gap_decomposition(c4), range(4)) == 1
+    assert _least_block_surplus(gap_decomposition(k23), range(5)) == 2
 
 
 def test_min_pair_surplus_hypothesis_gates(c4_pendant, c5, p3):
-    with pytest.raises(HypothesisError, match="2-connected"):
-        check_min_pair_surplus(c4_pendant)
+    # The lemma is checked on each block with >= 4 vertices, so a graph that is
+    # not 2-connected is in scope, and gap_decomposition's hypotheses gate it.
+    assert _least_block_surplus(gap_decomposition(c4_pendant), range(4)) == 1
     with pytest.raises(HypothesisError, match="bipartite"):
-        check_min_pair_surplus(c5)
-    with pytest.raises(HypothesisError, match="n >= 4"):
-        check_min_pair_surplus(p3)
+        gap_decomposition(c5)
+    with pytest.raises(HypothesisError, match="m >= n"):
+        gap_decomposition(p3)
     with pytest.raises(HypothesisError, match="connected"):
-        check_min_pair_surplus(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        gap_decomposition(Graph(6, [(0, 1), (1, 2), (2, 3), (3, 0)]))
 
 
 def test_min_pair_surplus_exhaustive(enumerated):
-    # every pair of every 2-connected bipartite graph on 4..8 vertices
+    # every pair inside every block with >= 4 vertices, over every connected
+    # bipartite graph with m >= n on 4..8 vertices
     count = 0
     for n in range(4, 9):
         for g in enumerated[n]:
-            if block_decomposition(g).k != 1:
+            if g.m < n:
                 continue
-            res = check_min_pair_surplus(g)
-            assert res.passed, f"pair {res.witness} fails on {g.edges}"
-            count += 1
-    assert count > 20
+            d = gap_decomposition(g)
+            for order, _ in _lemma_blocks(g, d):
+                assert _least_block_surplus(d, order) >= 1, (g.edges, order)
+                count += 1
+    assert count == 213
 
 
 def test_two_connected_bound_equality_only_c4(enumerated):
@@ -108,24 +120,31 @@ def test_two_connected_bound_equality_only_c4(enumerated):
 
 
 def test_antipodal_cycle_c4(c4):
-    res = check_antipodal_cycle(c4)
-    assert res.passed and res.pairs_checked == 2 and not res.failures
+    d = gap_decomposition(c4)
+    assert list(_lemma_blocks(c4, d)) == [([0, 1, 2, 3], (0, 1, 2, 3))]
+    for x, y in [(0, 2), (1, 3)]:
+        assert d.surplus.mu.separating(x, y) == 0b1111
+        assert d.surplus.surplus(x, y) == 2
 
 
 def test_antipodal_cycle_c6(c6):
-    res = check_antipodal_cycle(c6)
-    assert res.passed and res.pairs_checked == 3
-    s = surplus_map(c6)
+    s = gap_decomposition(c6).surplus
     for i in range(3):
+        assert s.mu.separating(i, i + 3) == 0b111111
         assert s.surplus(i, i + 3) == 3  # 6 separating edges minus distance 3
 
 
 def test_antipodal_cycle_c4_pendant(c4_pendant):
-    res = check_antipodal_cycle(c4_pendant)
-    assert res.passed and res.cycle.length == 4
+    d = gap_decomposition(c4_pendant)
+    ((order, cycle),) = _lemma_blocks(c4_pendant, d)
+    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant).vertices
+    for x, y in [(0, 2), (1, 3)]:
+        assert all(mu_brute(c4_pendant, x, y, e) == 1 for e in [(0, 1), (1, 2), (2, 3), (0, 3)])
+        assert d.surplus.surplus(x, y) >= 2
 
 
 def test_antipodal_cycle_builds_distances_once(monkeypatch):
+    # The antipodal lemma reads gap_decomposition's one surplus map and mu-table.
     from szlab import graphs, invariants, proofs
 
     calls = []
@@ -137,23 +156,35 @@ def test_antipodal_cycle_builds_distances_once(monkeypatch):
 
     for module in (graphs, invariants, proofs):
         monkeypatch.setattr(module, "all_pairs_distances", counted)
-    assert check_antipodal_cycle(cycle_graph(8)).passed
+    gap_decomposition(cycle_graph(8))
     assert len(calls) == 1
 
 
 def test_antipodal_cycle_gates(c5, p3):
+    # m >= n, which forces a cycle, is the gate that keeps acyclic input out.
     with pytest.raises(HypothesisError, match="bipartite"):
-        check_antipodal_cycle(c5)
-    with pytest.raises(HypothesisError, match="acyclic"):
-        check_antipodal_cycle(p3)
+        gap_decomposition(c5)
+    with pytest.raises(HypothesisError, match="m >= n"):
+        gap_decomposition(p3)
 
 
 def test_antipodal_cycle_exhaustive(enumerated):
+    # gap_decomposition checks the lemma on every block's shortest cycle; the
+    # graph's own lex-least shortest cycle is one of them, and each of its
+    # edges separates each antipodal pair (brute-force mu).
     for n in range(4, 9):
         for g in enumerated[n]:
             if g.m < n:
-                continue  # acyclic otherwise
-            assert check_antipodal_cycle(g).passed
+                continue
+            d = gap_decomposition(g)
+            cycle = shortest_cycle(g).vertices
+            assert cycle in [c for _, c in _lemma_blocks(g, d)]
+            p, dist = len(cycle), floyd_warshall(g)
+            for i in range(p // 2):
+                x, y = cycle[i], cycle[i + p // 2]
+                for j in range(p):
+                    e = tuple(sorted((cycle[j], cycle[(j + 1) % p])))
+                    assert mu_brute(g, x, y, e, dist) == 1
 
 
 def test_gap_decomposition_c4_pendant(c4_pendant):
@@ -230,14 +261,10 @@ def test_hypothesis_errors_name_the_first_violation():
     cases = [
         (gap_decomposition, disconnected_tree, "connected"),
         (gap_decomposition, disconnected_c3, "connected"),
-        (check_min_pair_surplus, disconnected_c3, "connected"),
-        (check_min_pair_surplus, Graph(3, [(0, 1)]), "n >= 4"),
-        (check_min_pair_surplus, c5_pendant, "bipartite"),
-        (check_antipodal_cycle, disconnected_c3, "connected"),
-        (check_antipodal_cycle, disconnected_tree, "connected"),
+        (gap_decomposition, Graph(3, [(0, 1)]), "connected"),
+        (gap_decomposition, c5_pendant, "bipartite"),
         # At n = 0 connected, bipartite and m >= n would otherwise hold vacuously.
         (gap_decomposition, Graph(0, []), "connected"),
-        (check_antipodal_cycle, Graph(0, []), "connected"),
     ]
     for check, g, first in cases:
         with pytest.raises(HypothesisError, match=f"^{first} violated$"):

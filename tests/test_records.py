@@ -5,16 +5,14 @@ import pytest
 from szlab.enumeration import EnumerationSpec, verify_conjecture
 from szlab.extremal import extremal_family, rooted_trees
 from szlab.graphs import block_decomposition, shortest_cycle
-from szlab.invariants import compute_invariants
-from szlab.proofs import check_antipodal_cycle, check_min_pair_surplus, gap_decomposition, surplus_map
+from szlab.invariants import MuTable, compute_invariants
+from szlab.proofs import gap_decomposition, surplus_map
 
 FIELDS = {
     "CycleInfo": ("vertices",),
     "BlockDecomposition": ("blocks", "block_edges", "cut_vertices"),
     "InvariantReport": ("n", "m", "wiener", "szeged", "revised_szeged_times4", "gap", "per_edge"),
-    "SurplusMap": ("n", "surpluses", "total", "dist"),
-    "SurplusCheck": ("passed", "min_surplus", "witness"),
-    "AntipodalCheck": ("passed", "cycle", "pairs_checked", "failures"),
+    "SurplusMap": ("n", "surpluses", "total", "dist", "mu"),
     "GapDecomposition": (
         "graph",
         "blocks",
@@ -53,8 +51,6 @@ def records(c4, c4_pendant):
         block_decomposition(c4_pendant),
         compute_invariants(c4),
         surplus_map(c4),
-        check_min_pair_surplus(c4),
-        check_antipodal_cycle(c4),
         gap_decomposition(c4_pendant),
         rooted_trees(3)[0],
         extremal_family(5)[0],
@@ -85,3 +81,11 @@ def test_enumeration_spec_defaults_and_checks():
         EnumerationSpec(n=4, min_edges=-1)
     with pytest.raises(ValueError, match="n must be >= 1"):
         EnumerationSpec(4)._replace(n=0)
+
+
+def test_surplus_map_carries_its_mu_table(c4_pendant):
+    # The table the surpluses were read off, not a second one.
+    smap = surplus_map(c4_pendant)
+    assert isinstance(smap.mu, MuTable)
+    rows = smap.dist.rows
+    assert {(x, y): c - rows[x][y] for (x, y), c in smap.mu.pair_sums.items()} == smap.surpluses
