@@ -9,6 +9,8 @@ each with its own provable floor; this script prints the whole accounting
 for a 4-cycle carrying a three-vertex tail.
 """
 
+from itertools import combinations
+
 from szlab import Graph, gap_decomposition, surplus_map
 
 # 4-cycle 0-1-2-3 with the path 0-4-5-6 hanging off vertex 0 (n = m = 7).
@@ -16,7 +18,8 @@ g = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6)])
 
 smap = surplus_map(g)
 print("pair surpluses (only nonzero shown):")
-for (x, y), s in sorted(smap.surpluses.items()):
+# The surpluses are listed in pair order (0, 1), (0, 2), ..., (5, 6).
+for (x, y), s in zip(combinations(range(g.n), 2), smap.surpluses):
     if s:
         print(f"  s({x},{y}) = {s}")
 print(f"total = {smap.total} = Sz - W, and 4n - 8 = {4 * g.n - 8}")

@@ -24,7 +24,7 @@ import sys
 import time
 from contextlib import nullcontext
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterator
 
 from .canon import canonical_code
@@ -48,6 +48,8 @@ EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_HYPOTHESIS = 4
 EXIT_LIMIT = 5
+
+_PAIR_JSON = '{"x": %d, "y": %d, "distance": %d, "surplus": %d, "category": "%s"}'
 
 
 def _err(msg: str) -> None:
@@ -132,14 +134,16 @@ def cmd_decompose(args) -> int:
                 line += f", cross {b['cross_surplus']} (floor {b['cross_floor']})"
             print(line)
         print(f"cross-other {d['cross_other']}")
+    elif args.pairs:
+        # The pairs follow the payload's last key, a chunk at a time, each as json.dumps writes its dict.
+        sys.stdout.write(json.dumps(decomp.to_json_dict(), sort_keys=False)[:-1] + ', "pairs": [')
+        rows = (_PAIR_JSON % (x, y, d, s, cat[0]) for x, y, d, s, cat in decomp.pair_rows())
+        sys.stdout.write(", ".join(islice(rows, 4096)))
+        while chunk := ", ".join(islice(rows, 4096)):
+            sys.stdout.write(", " + chunk)
+        sys.stdout.write("]}\n")
     else:
-        payload = decomp.to_json_dict()
-        if args.pairs:
-            payload["pairs"] = [
-                {"x": x, "y": y, "distance": d, "surplus": s, "category": cat[0]}
-                for x, y, d, s, cat in decomp.pair_rows()
-            ]
-        print(json.dumps(payload, sort_keys=False))
+        print(json.dumps(decomp.to_json_dict(), sort_keys=False))
     return EXIT_OK
 
 

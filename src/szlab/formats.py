@@ -17,6 +17,10 @@ from .errors import EdgeListFormatError, Graph6Error
 from .graphs import Graph
 
 _HEADER_PREFIX = ">>graph6<<"
+# Bytes 63..126 carry six bits each, which _SHIFT takes to 0..63 and _SIX_BITS spells out.
+_VALID = bytes(range(63, 127))
+_SHIFT = bytes.maketrans(_VALID, bytes(range(64)))
+_SIX_BITS = tuple(f"{i:06b}" for i in range(64))
 
 
 def _pair_bit(u: int, v: int) -> int:
@@ -51,7 +55,7 @@ def parse_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise Graph6Error("graph6 record contains non-ASCII characters") from exc
-    if any(b < 63 or b > 126 for b in data):
+    if data.translate(None, _VALID):
         raise Graph6Error("graph6 record contains bytes outside 63..126")
     if data[0] == 126:
         if len(data) < 4 or data[1] == 126:
@@ -67,7 +71,7 @@ def parse_graph6(text: str) -> Graph:
     nbytes = (nbits + 5) // 6
     if len(body) != nbytes:
         raise Graph6Error(f"graph6 bit region has {len(body)} bytes, expected {nbytes} for n={n}")
-    bits = "".join([f"{b - 63:06b}" for b in body])
+    bits = "".join(map(_SIX_BITS.__getitem__, body.translate(_SHIFT)))
     if "1" in bits[nbits:]:
         raise Graph6Error("nonzero padding bits in final graph6 byte")
     edges = []

@@ -9,6 +9,7 @@ path works for every graph size this package targets.
 from __future__ import annotations
 
 from collections import Counter
+from struct import Struct
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DisconnectedGraphError, GraphConstructionError, ensure
@@ -49,9 +50,6 @@ class Graph:
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neigh[v]
-
-    def neighbor_mask(self, v: int) -> int:
-        return self._mask[v]
 
     def degree(self, v: int) -> int:
         return len(self._neigh[v])
@@ -104,38 +102,44 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class DistanceMatrix:
-    """All-pairs hop counts, held as balls: balls[v][k] masks the vertices within distance k of v.
+def _field_width(n: int) -> int:
+    """Bytes per distance field: d(v, w) <= n - 1 fits one byte up to n = 256."""
+    return 1 if n <= 256 else 2
 
-    k runs over 0..ecc(v), so the last ball is v's component.  `rows` (-1
-    marks an unreachable pair) is derived on first use; DistanceMatrix(n, rows)
-    builds the balls from given rows instead.
+
+class DistanceMatrix:
+    """All-pairs hop counts, one packed integer per vertex: field w of packed[v] is d(v, w).
+
+    A field is `width` bytes, little-endian: one byte for n <= 256, two above
+    (so n is at most 65,536).  `ones` has every field 1.  Field w of reach[v]
+    is 1 when w is reachable from v; an unreachable field of packed[v] holds
+    0, and `row(v)` reads it as -1.  `rows` is every row, decoded on first
+    use; DistanceMatrix(n, rows) packs given rows instead.
     """
 
-    __slots__ = ("n", "balls", "_rows")
+    __slots__ = ("n", "width", "ones", "packed", "reach", "_codec", "_rows")
 
-    def __init__(self, n: int, rows=None, balls=None):
+    def __init__(self, n: int, rows=None, packed=None, reach=None):
         self.n, self._rows = n, rows
-        if balls is None:
-            balls = tuple(
-                tuple(
-                    sum(1 << w for w, d in enumerate(r) if 0 <= d <= k) for k in range(max(r) + 1)
-                )
-                for r in rows
-            )
-        self.balls = balls
+        self.width = _field_width(n)
+        self.ones = int.from_bytes((b"\x01" + bytes(self.width - 1)) * n, "little")
+        self._codec = Struct(f"<{n}{'BH'[self.width - 1]}")
+        if packed is None:
+            fields = self._codec.pack
+            packed = [int.from_bytes(fields(*(max(d, 0) for d in r)), "little") for r in rows]
+            reach = [int.from_bytes(fields(*(d >= 0 for d in r)), "little") for r in rows]
+        self.packed, self.reach = packed, reach
+
+    def row(self, v: int) -> tuple[int, ...]:
+        row = self._codec.unpack(self.packed[v].to_bytes(self._codec.size, "little"))
+        if self.reach[v] != self.ones:
+            row = tuple(d if d or w == v else -1 for w, d in enumerate(row))
+        return row
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         if self._rows is None:
-            rows = []
-            for balls in self.balls:
-                row = [-1] * self.n
-                for k, ball in enumerate(balls):
-                    for w in _bits(ball & ~balls[k - 1] if k else ball):
-                        row[w] = k
-                rows.append(tuple(row))
-            self._rows = tuple(rows)
+            self._rows = tuple(map(self.row, range(self.n)))
         return self._rows
 
     def d(self, u: int, v: int) -> int:
@@ -143,20 +147,23 @@ class DistanceMatrix:
 
     @property
     def all_reachable(self) -> bool:
-        return all(b[-1] == (1 << self.n) - 1 for b in self.balls)
+        return all(r == self.ones for r in self.reach)
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Grow the balls of every vertex at once: ball_v[k+1] = ball_v[k] | OR of ball_u[k], u ~ v.
+    """Grow every vertex's ball at once: ball_v[k+1] = ball_v[k] | OR of ball_u[k], u ~ v.
 
-    A ball that stops growing is its whole component, so only vertices whose
-    ball grew in a round take part in the next.
+    A ball is held in DistanceMatrix's field layout, field w 1 when w is inside, so round k
+    adds k times the gain of ball_v, the vertices at distance k, to packed[v].  A ball that
+    stops growing is v's component, its reach; only vertices whose ball grew go on.
     """
     neigh = g._neigh
-    ball = [1 << v for v in g.vertices()]
-    balls = [[b] for b in ball]
+    ball = [1 << 8 * _field_width(g.n) * v for v in g.vertices()]
+    packed = [0] * g.n
     active = [v for v in g.vertices() if neigh[v]]
+    step = 0
     while active:
+        step += 1
         grown = []
         for v in active:
             b = ball[v]
@@ -165,10 +172,10 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
             if b != ball[v]:
                 grown.append((v, b))
         for v, b in grown:
+            packed[v] += step * (b - ball[v])
             ball[v] = b
-            balls[v].append(b)
         active = [v for v, _ in grown]
-    return DistanceMatrix(g.n, balls=tuple(map(tuple, balls)))
+    return DistanceMatrix(g.n, packed=packed, reach=ball)
 
 
 def _distances_from(g: Graph, s: int) -> list[int]:
@@ -285,17 +292,17 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return decomp
 
 
-def girth(g: Graph) -> int | None:
+def girth(g: Graph, rows=None) -> int | None:
     """Length of a shortest cycle, or None for forests, read off the distance shells of each vertex.
 
     A vertex at distance k from s with two neighbors at k - 1 closes a cycle
     of length at most 2k; an edge inside shell k closes one of at most
     2k + 1.  A shortest cycle is isometric, so from any of its vertices one
-    of the two shows its length exactly.
+    of the two shows its length exactly.  `rows` (g's distance rows) default to all_pairs_distances.
     """
+    rows = all_pairs_distances(g).rows if rows is None else rows
     lengths = []
-    for s in g.vertices():
-        dist = _distances_from(g, s)
+    for dist in rows:
         for v, k in enumerate(dist):
             near = [dist[w] for w in g._neigh[v]]
             if k > 0 and near.count(k - 1) > 1:
@@ -305,16 +312,16 @@ def girth(g: Graph) -> int | None:
     return min(lengths, default=None)
 
 
-def _lex_least_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
+def _lex_least_cycle(g: Graph, length: int, rows) -> tuple[int, ...] | None:
     """Lexicographically least closed vertex sequence of the given length.
 
     The canonical sequence starts at the cycle's smallest vertex; starts are
     tried in ascending order and the DFS explores neighbors ascending, so the
-    first complete sequence found is the least.  One BFS per start tried
-    bounds the search.
+    first complete sequence found is the least.  The distances back to the
+    start, rows[start], bound the search.
     """
 
-    def extend(path: list[int], to_start: list[int]) -> bool:
+    def extend(path: list[int], to_start) -> bool:
         if len(path) == length:
             return g.has_edge(path[-1], path[0])
         # After appending w there are length - len(path) edges left on the
@@ -330,16 +337,17 @@ def _lex_least_cycle(g: Graph, length: int) -> tuple[int, ...] | None:
 
     for start in g.vertices():
         path = [start]
-        if extend(path, _distances_from(g, start)):
+        if extend(path, rows[start]):
             return tuple(path)
     return None
 
 
-def shortest_cycle(g: Graph) -> CycleInfo | None:
-    """A shortest cycle with deterministic lexicographic tie-break, or None."""
-    glen = girth(g)
+def shortest_cycle(g: Graph, rows=None) -> CycleInfo | None:
+    """A shortest cycle with deterministic lexicographic tie-break, or None; `rows` as for girth."""
+    rows = all_pairs_distances(g).rows if rows is None else rows
+    glen = girth(g, rows)
     if glen is None:
         return None
-    seq = _lex_least_cycle(g, glen)
+    seq = _lex_least_cycle(g, glen, rows)
     ensure(seq is not None, f"no closed sequence of length {glen}, the girth")
     return CycleInfo(seq)

@@ -3,24 +3,24 @@
 Everything is integer arithmetic; the revised Szeged index is carried as an
 integer scaled by 4 (its denominator always divides 4) and exposed as a
 Fraction.  Two computation routes exist on purpose.  The Szeged index sums
-per-edge partition products n_u * n_v, counted (like W) as popcounts over
-the distance balls of the edge's ends.  The separation kernel instead gives
-every vertex x two edge-index bitmasks: A_x marks the edges uv with
-d(x,u) < d(x,v), B_x those with d(x,v) < d(x,u).  An edge separates x from y
-exactly when it lies in (A_x & B_y) | (B_x & A_y), so per-pair separation
-counts are popcounts, and their sum over all pairs is the Szeged index again
-(the pair-contribution identity).  The two routes are checked against each
-other on every surplus map; `tests/oracles.py` is the outside check, built on
-Floyd-Warshall distances and brute loops.
+per-edge partition products n_u * n_v, popcounts of the difference of the
+packed distance rows of the edge's ends; W is the rows' digit sum, halved.
+The separation kernel instead gives every vertex x two edge-index bitmasks:
+A_x marks the edges uv with d(x,u) < d(x,v), B_x those with d(x,v) < d(x,u).
+An edge separates x from y exactly when it lies in (A_x & B_y) | (B_x & A_y),
+so per-pair separation counts are popcounts, listed in pair order, and their
+sum over all pairs is the Szeged index again (the pair-contribution
+identity).  The two routes are checked against each other on every surplus
+map; `tests/oracles.py` is the outside check, built on Floyd-Warshall
+distances and brute loops.
 """
 
 from __future__ import annotations
 
-from operator import and_, invert
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DisconnectedGraphError, GraphConstructionError, ensure
-from .graphs import DistanceMatrix, Graph, _bits, all_pairs_distances
+from .graphs import DistanceMatrix, Graph, all_pairs_distances
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -34,9 +34,7 @@ def _require_connected(dist: DistanceMatrix) -> None:
 def wiener(dist: DistanceMatrix) -> int:
     """Sum of distances over unordered vertex pairs."""
     _require_connected(dist)
-    # sum_w d(v, w) = sum over k < ecc(v) of the vertices outside v's k-ball.
-    n = dist.n
-    return sum(n * (len(b) - 1) - sum(map(int.bit_count, b[:-1])) for b in dist.balls) // 2
+    return sum(sum(dist.row(v)) for v in range(dist.n)) // 2
 
 
 class EdgePartition(NamedTuple):
@@ -53,19 +51,11 @@ def edge_partition(g: Graph, dist: DistanceMatrix, e: tuple[int, int]) -> EdgePa
     u, v = e
     if not g.has_edge(u, v):
         raise GraphConstructionError(f"({u}, {v}) is not an edge")
-    bu, bv = dist.balls[u], dist.balls[v]
-    n_u, n_v = _closer(bu, bv), _closer(bv, bu)
-    return EdgePartition(u, v, n_u, n_v, g.n - n_u - n_v)
-
-
-def _closer(bu: tuple[int, ...], bv: tuple[int, ...]) -> int:
-    """How many w have d(w, u) < d(w, v), given the balls of the ends of an edge uv.
-
-    On an edge |d(w, u) - d(w, v)| <= 1, so such a w lies in ball_u[k] minus
-    ball_v[k] for exactly one k, namely d(w, u); from v's last ball on nothing
-    is outside, and ecc(u) >= ecc(v) - 1 keeps the pairing below in step.
-    """
-    return sum(map(int.bit_count, map(and_, bu, map(invert, bv[:-1]))))
+    # Field w of x is d(w, v) - d(w, u) + 1, which lies in 0..2 on an edge (an
+    # unreachable w reads 0 - 0 + 1): 2 when w is closer to u, 1 when equidistant.
+    x = dist.packed[v] + dist.ones - dist.packed[u]
+    n_u, n_0 = (x >> 1 & dist.ones).bit_count(), (x & dist.ones).bit_count()
+    return EdgePartition(u, v, n_u, g.n - n_u - n_0, n_0)
 
 
 def edge_partitions(g: Graph, dist: DistanceMatrix | None = None) -> tuple[EdgePartition, ...]:
@@ -116,20 +106,18 @@ def _separating(sx: tuple[int, int], sy: tuple[int, int]) -> int:
 class MuTable:
     """Per-(pair, edge) 0/1 contributions, held as two edge masks per vertex.
 
-    The grand total over all pairs and edges reproduces the Szeged index.
+    `pair_sums` lists each pair's separating-edge count in pair order; the
+    grand total over all pairs and edges reproduces the Szeged index.
     """
 
     def __init__(self, dist: DistanceMatrix, edges: tuple[tuple[int, int], ...]):
-        self.n = dist.n
         self.edges = edges
         self.edge_index = {e: i for i, e in enumerate(edges)}
         self.sides = sides = [_edge_sides(row, edges) for row in dist.rows]
-        self.pair_sums = {
-            (x, y): _separating(sides[x], sides[y]).bit_count()
-            for x in range(self.n)
-            for y in range(x + 1, self.n)
-        }
-        self.total = sum(self.pair_sums.values())
+        self.pair_sums = [
+            _separating(sx, sy).bit_count() for x, sx in enumerate(sides) for sy in sides[x + 1 :]
+        ]
+        self.total = sum(self.pair_sums)
 
     def separating(self, x: int, y: int) -> int:
         """Edge-index mask (bit i for edges[i]) of the edges separating x and y."""
@@ -188,9 +176,9 @@ def compute_invariants(g: Graph) -> InvariantReport:
     w = wiener(dist)
     sz = sum(p.n_u * p.n_v for p in parts)
     sz4 = sum((2 * p.n_u + p.n_0) * (2 * p.n_v + p.n_0) for p in parts)
-    # A connected graph is bipartite iff no edge joins two vertices at equal distance from vertex 0.
-    shells = [ball & ~inner for b0 in dist.balls[:1] for inner, ball in zip((0,) + b0, b0)]
-    if not any(g.neighbor_mask(v) & shell for shell in shells for v in _bits(shell)):
+    # A connected graph is bipartite iff every edge joins distances of opposite parity from vertex 0.
+    d0 = dist.row(0) if g.n else ()
+    if all((d0[u] ^ d0[v]) & 1 for u, v in g.edges):
         ensure(all(p.n_0 == 0 for p in parts), "bipartite graph with an equidistant vertex")
         ensure(sz4 == 4 * sz, "bipartite graph with Sz* != Sz")
     return InvariantReport(g.n, g.m, w, sz, sz4, sz - w, parts)

@@ -22,6 +22,8 @@ which therefore has >= p separating edges and surplus >= p/2.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple
 
 from .canon import MAX_CANON_VERTICES, canonical_code
@@ -40,32 +42,41 @@ from .invariants import MuTable, edge_partitions, mu_table, wiener
 
 
 class SurplusMap(NamedTuple):
-    """Per-pair surpluses keyed (x, y), x < y, in ascending order; their total equals Sz - W."""
+    """Per-pair surpluses, the mu-table's `pair_sums` minus the distances; their total equals Sz - W.
+
+    Both lists run in pair order (0, 1), (0, 2), ..., (n - 2, n - 1), that of
+    `itertools.combinations(range(n), 2)`; `surplus(x, y)` finds a pair by its index.
+    """
 
     n: int
-    surpluses: dict[tuple[int, int], int]
+    surpluses: list[int]
     total: int
     dist: DistanceMatrix
     mu: MuTable
 
     def surplus(self, x: int, y: int) -> int:
-        return self.surpluses[(x, y) if x < y else (y, x)]
+        if x == y:
+            raise ValueError(f"({x}, {y}) is not a pair of distinct vertices")
+        if x > y:
+            x, y = y, x
+        # Rows 0..x-1 hold (n - 1) + ... + (n - x) pairs before row x's.
+        return self.surpluses[x * (2 * self.n - x - 1) // 2 + y - x - 1]
 
-    def histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = {}
-        for s in self.surpluses.values():
-            hist[s] = hist.get(s, 0) + 1
-        return dict(sorted(hist.items()))
+    def histogram(self) -> Counter:
+        return Counter(self.surpluses)
+
+
+def _pair_distances(rows) -> Iterator[int]:
+    """d(x, y) for every pair x < y, in pair order: each row past its diagonal."""
+    return chain.from_iterable(r[x + 1 :] for x, r in enumerate(rows))
 
 
 def surplus_map(g: Graph) -> SurplusMap:
     """Every pair's surplus; the mu-table raises DisconnectedGraphError on a disconnected graph."""
     dist = all_pairs_distances(g)
-    rows = dist.rows
     table = mu_table(g, dist)
-    # Keyed by the table's own pair tuples, so the two dicts share their keys.
-    surpluses = {p: c - rows[p[0]][p[1]] for p, c in table.pair_sums.items()}
-    total = sum(surpluses.values())
+    surpluses = [c - d for c, d in zip(table.pair_sums, _pair_distances(dist.rows))]
+    total = sum(surpluses)
     # Independent route: per-edge partition products minus the distance sum.
     szeged = sum(p.n_u * p.n_v for p in edge_partitions(g, dist))
     ensure(total == szeged - wiener(dist), "pair surpluses do not sum to Sz - W")
@@ -90,7 +101,7 @@ class GapDecomposition(NamedTuple):
     cross_other: int
     total: int
     surplus: SurplusMap
-    pair_category: dict[tuple[int, int], tuple]
+    pair_category: list[tuple]
     cross_pair_floor_ok: bool
     cross_witness_ok: bool
 
@@ -126,16 +137,17 @@ class GapDecomposition(NamedTuple):
             "designated_block": self.root_block,
             "blocks": blocks,
             "cross_other": self.cross_other,
-            "surplus_histogram": {str(k): v for k, v in self.surplus.histogram().items()},
+            "surplus_histogram": {str(k): v for k, v in sorted(self.surplus.histogram().items())},
             "cross_pair_floor_ok": self.cross_pair_floor_ok,
             "cross_witness_ok": self.cross_witness_ok,
         }
 
     def pair_rows(self) -> Iterator[tuple[int, int, int, int, tuple]]:
         """(x, y, distance, surplus, category) for every pair x < y, in order."""
-        rows = self.surplus.dist.rows
-        for (x, y), s in self.surplus.surpluses.items():
-            yield x, y, rows[x][y], s, self.pair_category[(x, y)]
+        smap = self.surplus
+        lists = (_pair_distances(smap.dist.rows), smap.surpluses, self.pair_category)
+        for (x, y), d, s, cat in zip(combinations(range(smap.n), 2), *lists):
+            yield x, y, d, s, cat
 
 
 def gap_decomposition(g: Graph) -> GapDecomposition:
@@ -209,7 +221,11 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     within = [0] * decomp.k
     cross_root: dict[int, int] = {i: 0 for i in range(decomp.k) if i != root}
     cross_other = 0
-    category: dict[tuple[int, int], tuple] = {}
+    # One list in pair order; the pairs of one category share its one tuple.
+    category: list[tuple] = []
+    within_tag = [("within", b) for b in range(decomp.k)]
+    cross_tag = [("cross_root", b) for b in range(decomp.k)]
+    other_tag: dict[tuple[int, int], tuple] = {}  # keyed by the two ends' homes
     root_set = decomp.blocks[root]
     # A cross pair whose designated-side end is not its far block's root gate has
     # surplus >= 1, and each far vertex has such a partner with surplus >= 2.
@@ -217,28 +233,28 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     witnessed: set[int] = set()
     # Each block's least within-block surplus and a pair attaining it.
     least: dict[int, tuple[int, tuple[int, int]]] = {}
-    for pair, s in smap.surpluses.items():
-        x, y = pair
+    for (x, y), s in zip(combinations(range(g.n), 2), smap.surpluses):
         common = block_mask[x] & block_mask[y]
         if common:
             ensure(common & (common - 1) == 0, "a pair shares two blocks")
             b = common.bit_length() - 1
             within[b] += s
-            category[pair] = ("within", b)
+            category.append(within_tag[b])
             if b not in least or s < least[b][0]:
-                least[b] = s, pair
+                least[b] = s, (x, y)
         elif x in root_set or y in root_set:
             near, far = (x, y) if x in root_set else (y, x)
             b = home[far]
             cross_root[b] += s
-            category[pair] = ("cross_root", b)
+            category.append(cross_tag[b])
             if near != root_gate[b]:
                 floor_ok = floor_ok and s >= 1
                 if s >= 2:
                     witnessed.add(far)
         else:
             cross_other += s
-            category[pair] = ("cross_other", (home[x], home[y]))
+            homes = home[x], home[y]
+            category.append(other_tag.get(homes) or other_tag.setdefault(homes, ("cross_other", homes)))
 
     total = sum(within) + sum(cross_root.values()) + cross_other
     ensure(len(category) == g.n * (g.n - 1) // 2, "pair categories do not cover every pair")
@@ -278,8 +294,11 @@ def _check_antipodal_pairs(decomp: BlockDecomposition, i: int, smap: SurplusMap)
     Beyond that only its consequences (>= p separating edges, surplus >= p/2)
     are checked, since edges off the cycle may separate the pair as well.
     """
-    sub, order = _induced_block(decomp, i)
-    verts = [order[v] for v in shortest_cycle(sub).vertices]
+    block, order = _induced_block(decomp, i)
+    # A block is isometric: a shortest path between two of its vertices stays inside it.
+    rows = smap.dist.rows
+    cycle = shortest_cycle(block, [tuple(map(rows[a].__getitem__, order)) for a in order])
+    verts = [order[v] for v in cycle.vertices]
     p, half = len(verts), len(verts) // 2
     ensure(p % 2 == 0, f"block {i}: odd shortest cycle in a bipartite graph")
     table = smap.mu
@@ -292,7 +311,7 @@ def _check_antipodal_pairs(decomp: BlockDecomposition, i: int, smap: SurplusMap)
         missed = [table.edges[j] for j in _bits(cycle_mask & ~sep)]
         ensure(not missed, f"block {i}: cycle edges {missed} do not separate antipodal pair {pair}")
         ensure(sep.bit_count() >= p, f"block {i}: antipodal pair {pair} has fewer than p separating edges")
-        ensure(smap.surpluses[pair] >= half, f"block {i}: antipodal pair {pair} surplus below p/2")
+        ensure(smap.surplus(x, y) >= half, f"block {i}: antipodal pair {pair} surplus below p/2")
 
 
 def _induced_block(decomp: BlockDecomposition, i: int) -> tuple[Graph, list[int]]:

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import comb, factorial
 
+from szlab.errors import Graph6Error
 from szlab.graphs import Graph
 
 INF = float("inf")
@@ -382,3 +383,34 @@ def random_tree(n: int, rng: random.Random) -> Graph:
         return Graph(2, [(0, 1)])
     seq = [rng.randrange(n) for _ in range(n - 2)]
     return Graph(n, prufer_to_edges(seq, n))
+
+
+def parse_graph6_bytewise(text: str) -> Graph:
+    """graph6 decoding one byte at a time: a range test and a six-bit f-string per byte."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise Graph6Error("empty graph6 record")
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise Graph6Error("graph6 record contains non-ASCII characters") from exc
+    if any(b < 63 or b > 126 for b in data):
+        raise Graph6Error("graph6 record contains bytes outside 63..126")
+    if data[0] == 126:
+        if len(data) < 4 or data[1] == 126:
+            raise Graph6Error("malformed graph6 size header")
+        n = (data[1] - 63) << 12 | (data[2] - 63) << 6 | (data[3] - 63)
+        body = data[4:]
+    else:
+        n = data[0] - 63
+        body = data[1:]
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    if len(body) != nbytes:
+        raise Graph6Error(f"graph6 bit region has {len(body)} bytes, expected {nbytes} for n={n}")
+    bits = "".join(f"{b - 63:06b}" for b in body)
+    if "1" in bits[nbits:]:
+        raise Graph6Error("nonzero padding bits in final graph6 byte")
+    return Graph(n, [(i, j) for j in range(1, n) for i in range(j) if bits[j * (j - 1) // 2 + i] == "1"])

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -40,10 +41,11 @@ def _with_surpluses(monkeypatch, changes: dict, total_shift: int = 0):
 
     def corrupted(g):
         smap = real(g)
-        surpluses = dict(smap.surpluses)
+        surpluses = list(smap.surpluses)
+        pairs = list(combinations(range(g.n), 2))
         for pair, delta in changes.items():
-            surpluses[pair] += delta
-        return smap._replace(surpluses=surpluses, total=sum(surpluses.values()) + total_shift)
+            surpluses[pairs.index(pair)] += delta
+        return smap._replace(surpluses=surpluses, total=sum(surpluses) + total_shift)
 
     monkeypatch.setattr(proofs, "surplus_map", corrupted)
 
@@ -103,7 +105,7 @@ def test_antipodal_check_rejects_missed_cycle_edge(monkeypatch, c4):
 
 
 def test_antipodal_check_rejects_odd_cycle(monkeypatch, c4):
-    monkeypatch.setattr(proofs, "shortest_cycle", lambda g: CycleInfo((0, 1, 2)))
+    monkeypatch.setattr(proofs, "shortest_cycle", lambda g, rows: CycleInfo((0, 1, 2)))
     with pytest.raises(InvariantViolation, match="^block 0: odd shortest cycle"):
         gap_decomposition(c4)
 
@@ -133,7 +135,7 @@ def test_block_decomposition_rejects_missed_vertices(monkeypatch):
 
 def test_shortest_cycle_rejects_wrong_girth(monkeypatch, c4):
     # No closed sequence of length 3 exists in a 4-cycle.
-    monkeypatch.setattr(graphs, "girth", lambda g: 3)
+    monkeypatch.setattr(graphs, "girth", lambda g, rows: 3)
     with pytest.raises(InvariantViolation, match="girth"):
         graphs.shortest_cycle(c4)
 

@@ -10,6 +10,8 @@ from szlab.errors import EdgeListFormatError, Graph6Error
 from szlab.formats import parse_edge_list, parse_graph6, to_graph6
 from szlab.graphs import Graph
 
+from .oracles import parse_graph6_bytewise
+
 
 def test_parse_cr_is_c4():
     # Hand decode: 'C' -> n=4, 'r' -> 114-63 = 0b110011 over pairs
@@ -108,6 +110,33 @@ def test_bad_bytes_rejected():
         parse_graph6("C\x1f")
     with pytest.raises(Graph6Error):
         parse_graph6("Cé")
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except Graph6Error as exc:
+        return str(exc)
+
+
+def test_every_byte_value_decodes_as_bytewise():
+    # Each byte value 0..255 in turn at the header and at body positions, in
+    # records with a one-byte and a four-byte size header: the table decoder
+    # accepts the same records as the per-byte reference, giving the same
+    # graph, and rejects the rest with the same message.
+    short = to_graph6(Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6)]))
+    long = to_graph6(Graph(64, [(i, i + 1) for i in range(63)]))
+    records = [(short, [0, 1, 2, len(short) - 1]), (long, [0, 1, 3, 4, 100, len(long) - 1])]
+    accepted = 0
+    for line, positions in records:
+        for i in positions:
+            for b in range(256):
+                text = line[:i] + chr(b) + line[i + 1 :]
+                expected = _outcome(parse_graph6_bytewise, text)
+                assert _outcome(parse_graph6, text) == expected, (text, b)
+                accepted += isinstance(expected, Graph)
+    # Body bytes 63..126 mostly decode; the header and padding reject most values.
+    assert 0 < accepted < 10 * 256
 
 
 def test_nonzero_padding_rejected():

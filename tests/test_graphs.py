@@ -149,10 +149,10 @@ def test_hypotheses_come_from_one_bfs_forest(monkeypatch, c4, c4_pendant):
         assert calls.count("bfs_forest") == 1, check
     calls.clear()
     proofs.gap_decomposition(c4_pendant)
-    # A count, not a bound: the forest's one BFS, the BFS tree block_decomposition
-    # is built on, then for the 4-cycle block's shortest cycle girth's BFS from
-    # each of its 4 vertices and the lex-least cycle's BFS from start 0.
-    assert calls.count("_distances_from") == 7
+    # A count, not a bound: the forest's one BFS and the BFS tree
+    # block_decomposition is built on.  The 4-cycle block's shortest cycle is
+    # read off the surplus map's distance rows, with no BFS of its own.
+    assert calls.count("_distances_from") == 2
     calls.clear()
     invariants.compute_invariants(c4_pendant)
     assert calls == ["all_pairs_distances"]

@@ -1,18 +1,27 @@
 """The separation kernel and the ball-mask distances against the brute-force oracles.
 
 `surplus_map`, `mu_table(...).pair_sums` and the table's `separating` masks
-all derive from the per-vertex edge-side masks; W and the edge partitions
-are popcounts over the distance balls.  `tests/oracles.py` recomputes the same numbers from
+all derive from the per-vertex edge-side masks; W is the digit sum of the
+packed distance rows and the edge partitions are popcounts of their differences.  `tests/oracles.py` recomputes the same numbers from
 Floyd-Warshall distances and plain loops.
 """
+
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from szlab.errors import DisconnectedGraphError
-from szlab.graphs import DistanceMatrix, Graph, all_pairs_distances, connected_and_bipartite
-from szlab.invariants import edge_partition, mu_table, revised_szeged_times4, wiener
+from szlab.graphs import (
+    DistanceMatrix,
+    Graph,
+    all_pairs_distances,
+    connected_and_bipartite,
+    cycle_graph,
+    path_graph,
+)
+from szlab.invariants import compute_invariants, edge_partition, mu_table, revised_szeged_times4, wiener
 from szlab.proofs import surplus_map
 
 from .oracles import (
@@ -52,13 +61,14 @@ def test_kernel_matches_oracles(g):
     d = floyd_warshall(g)
     smap = surplus_map(g)
     table = mu_table(g)
-    for x in range(g.n):
-        for y in range(x + 1, g.n):
-            assert smap.surplus(x, y) == surplus_brute(g, x, y, d)
-            assert table.pair_sums[(x, y)] == mu_pair_sum_brute(g, x, y, d)
-            mask = table.separating(x, y)
-            for i, e in enumerate(g.edges):
-                assert mask >> i & 1 == mu_brute(g, x, y, e, d)
+    pairs = list(combinations(range(g.n), 2))
+    assert len(table.pair_sums) == len(smap.surpluses) == len(pairs)
+    for (x, y), count in zip(pairs, table.pair_sums):
+        assert smap.surplus(x, y) == smap.surplus(y, x) == surplus_brute(g, x, y, d)
+        assert count == mu_pair_sum_brute(g, x, y, d)
+        mask = table.separating(x, y)
+        for i, e in enumerate(g.edges):
+            assert mask >> i & 1 == mu_brute(g, x, y, e, d)
 
 
 def test_triangle_surpluses_are_zero():
@@ -66,7 +76,8 @@ def test_triangle_surpluses_are_zero():
     # opposite edge is equidistant from its endpoints.
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert not connected_and_bipartite(triangle)[1]
-    assert surplus_map(triangle).surpluses == {(0, 1): 0, (0, 2): 0, (1, 2): 0}
+    # Pairs (0, 1), (0, 2), (1, 2), in pair order.
+    assert surplus_map(triangle).surpluses == [0, 0, 0]
 
 
 @st.composite
@@ -105,7 +116,7 @@ def test_ball_distances_match_oracles(g):
     assert dist.rows == rows
     connected = all(x >= 0 for row in rows for x in row)
     assert dist.all_reachable == connected
-    # The same counts from balls rebuilt out of Floyd-Warshall rows.
+    # The same counts from rows packed out of Floyd-Warshall rows.
     from_rows = DistanceMatrix(g.n, rows)
     for e in g.edges:
         expected = edge_partition_brute(g, e)
@@ -118,3 +129,21 @@ def test_ball_distances_match_oracles(g):
     else:
         with pytest.raises(DisconnectedGraphError):
             wiener(dist)
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 300])
+def test_two_byte_fields_match_closed_forms(n):
+    # Above n = 256 a distance field is two bytes wide.
+    path = all_pairs_distances(path_graph(n))
+    assert path.width == (1 if n <= 256 else 2)
+    assert path.rows == tuple(tuple(abs(x - y) for y in range(n)) for x in range(n))
+    assert path.d(0, n - 1) == n - 1
+    assert DistanceMatrix(n, path.rows).packed == path.packed
+    report = compute_invariants(path_graph(n))
+    assert report.wiener == report.szeged == (n**3 - n) // 6
+    if n % 2 == 0:
+        cycle = all_pairs_distances(cycle_graph(n))
+        assert cycle.rows == tuple(zip(*cycle.rows))
+        assert cycle.rows[0] == tuple(min(y, n - y) for y in range(n))
+        report = compute_invariants(cycle_graph(n))
+        assert (report.wiener, report.szeged) == (n**3 // 8, n**3 // 4)

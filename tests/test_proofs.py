@@ -38,7 +38,7 @@ def test_surplus_map_rejects_disconnected_graph():
 
 def test_surplus_map_tree_is_zero(p3):
     s = surplus_map(p3)
-    assert set(s.surpluses.values()) == {0}
+    assert set(s.surpluses) == {0}
     assert s.total == 0
 
 
@@ -54,8 +54,8 @@ def test_surpluses_nonnegative_on_connected_graphs(enumerated, c5):
     # every edge of a shortest path separates the pair, so surplus >= 0
     for graphs in enumerated.values():
         for g in graphs:
-            assert all(v >= 0 for v in surplus_map(g).surpluses.values())
-    assert all(v >= 0 for v in surplus_map(c5).surpluses.values())
+            assert all(v >= 0 for v in surplus_map(g).surpluses)
+    assert all(v >= 0 for v in surplus_map(c5).surpluses)
 
 
 def _lemma_blocks(g, d):
@@ -274,7 +274,7 @@ def test_hypothesis_errors_name_the_first_violation():
 def test_gap_decomposition_categories_partition_pairs(c4_tail3):
     d = gap_decomposition(c4_tail3)
     assert len(d.pair_category) == c4_tail3.n * (c4_tail3.n - 1) // 2
-    within = sum(s for (x, y), s in d.surplus.surpluses.items() if d.pair_category[(x, y)][0] == "within")
+    within = sum(s for s, cat in zip(d.surplus.surpluses, d.pair_category) if cat[0] == "within")
     assert within == sum(d.within_block)
 
 
@@ -307,7 +307,7 @@ def test_gap_decomposition_blocks_of_size_two_contribute_zero(enumerated):
             d = gap_decomposition(g)
             bridge_pairs = [
                 (x, y)
-                for (x, y), cat in d.pair_category.items()
+                for (x, y), cat in zip(combinations(range(n), 2), d.pair_category, strict=True)
                 if cat[0] == "within" and d.blocks.block_sizes[cat[1]] == 2
             ]
             for x, y in bridge_pairs:
@@ -340,7 +340,7 @@ def test_gap_decomposition_block_above_canon_limit():
     g = _relabeled(27, edges, 20)
     d = gap_decomposition(g)
     assert d.blocks.block_sizes[d.root_block] == 20
-    assert sum(d.surplus.surpluses.values()) == d.total == gap(g) >= 4 * g.n - 8
+    assert sum(d.surplus.surpluses) == d.total == gap(g) >= 4 * g.n - 8
     assert d.total == sum(d.within_block) + sum(d.cross_root.values()) + d.cross_other
 
 
@@ -357,7 +357,7 @@ def test_gap_decomposition_tied_blocks_above_canon_limit():
     tied = [i for i in range(d.blocks.k) if sizes[i] == 18]
     assert len(tied) == 2
     assert d.root_block == min(tied, key=lambda i: sorted(d.blocks.blocks[i]))
-    assert sum(d.surplus.surpluses.values()) == d.total == gap(g) >= 4 * g.n - 8
+    assert sum(d.surplus.surpluses) == d.total == gap(g) >= 4 * g.n - 8
 
 
 def test_pair_rows_ascend_on_relabelled_block_tree():
