@@ -35,7 +35,6 @@ from .extremal import (
 from .formats import parse_edge_list, parse_graph6, to_graph6
 from .graphs import (
     BlockDecomposition,
-    CycleInfo,
     DistanceMatrix,
     Graph,
     all_pairs_distances,
@@ -43,7 +42,6 @@ from .graphs import (
     complete_bipartite,
     connected_and_bipartite,
     cycle_graph,
-    girth,
     path_graph,
     shortest_cycle,
     star_graph,

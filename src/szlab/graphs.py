@@ -46,7 +46,8 @@ class Graph:
             neigh[u].append(v)
             neigh[v].append(u)
         self._mask = tuple(mask)
-        self._neigh = tuple(tuple(sorted(a)) for a in neigh)
+        # Sorted edges append each vertex's lower neighbors, then its higher ones, both ascending.
+        self._neigh = tuple(map(tuple, neigh))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._neigh[v]
@@ -113,22 +114,16 @@ class DistanceMatrix:
     A field is `width` bytes, little-endian: one byte for n <= 256, two above
     (so n is at most 65,536).  `ones` has every field 1.  Field w of reach[v]
     is 1 when w is reachable from v; an unreachable field of packed[v] holds
-    0, and `row(v)` reads it as -1.  `rows` is every row, decoded on first
-    use; DistanceMatrix(n, rows) packs given rows instead.
+    0, and `row(v)` reads it as -1.  `rows` is every row, decoded on first use.
     """
 
     __slots__ = ("n", "width", "ones", "packed", "reach", "_codec", "_rows")
 
-    def __init__(self, n: int, rows=None, packed=None, reach=None):
-        self.n, self._rows = n, rows
+    def __init__(self, n: int, packed: list[int], reach: list[int]):
+        self.n, self.packed, self.reach, self._rows = n, packed, reach, None
         self.width = _field_width(n)
         self.ones = int.from_bytes((b"\x01" + bytes(self.width - 1)) * n, "little")
         self._codec = Struct(f"<{n}{'BH'[self.width - 1]}")
-        if packed is None:
-            fields = self._codec.pack
-            packed = [int.from_bytes(fields(*(max(d, 0) for d in r)), "little") for r in rows]
-            reach = [int.from_bytes(fields(*(d >= 0 for d in r)), "little") for r in rows]
-        self.packed, self.reach = packed, reach
 
     def row(self, v: int) -> tuple[int, ...]:
         row = self._codec.unpack(self.packed[v].to_bytes(self._codec.size, "little"))
@@ -141,9 +136,6 @@ class DistanceMatrix:
         if self._rows is None:
             self._rows = tuple(map(self.row, range(self.n)))
         return self._rows
-
-    def d(self, u: int, v: int) -> int:
-        return self.rows[u][v]
 
     @property
     def all_reachable(self) -> bool:
@@ -175,7 +167,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
             packed[v] += step * (b - ball[v])
             ball[v] = b
         active = [v for v, _ in grown]
-    return DistanceMatrix(g.n, packed=packed, reach=ball)
+    return DistanceMatrix(g.n, packed, ball)
 
 
 def _distances_from(g: Graph, s: int) -> list[int]:
@@ -194,16 +186,6 @@ def _distances_from(g: Graph, s: int) -> list[int]:
         for v in _bits(frontier):
             dist[v] = step
     return dist
-
-
-class CycleInfo(NamedTuple):
-    """A cyclically ordered vertex list; consecutive entries are adjacent."""
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
 
 
 def bfs_forest(g: Graph) -> tuple[list[int], list[int]]:
@@ -292,62 +274,41 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return decomp
 
 
-def girth(g: Graph, rows=None) -> int | None:
-    """Length of a shortest cycle, or None for forests, read off the distance shells of each vertex.
+def shortest_cycle(g: Graph, rows=None) -> tuple[int, ...] | None:
+    """A shortest cycle as a cyclically ordered vertex tuple, or None for forests.
 
-    A vertex at distance k from s with two neighbors at k - 1 closes a cycle
-    of length at most 2k; an edge inside shell k closes one of at most
-    2k + 1.  A shortest cycle is isometric, so from any of its vertices one
-    of the two shows its length exactly.  `rows` (g's distance rows) default to all_pairs_distances.
+    One scan of each source's distance row: a vertex at distance k with two
+    neighbors at k - 1 closes a walk of length 2k, and an edge inside shell k
+    one of 2k + 1; shells that cannot beat the best closing are skipped.  The
+    cycle is the best closing's two descents to its source, each stepping to
+    the least neighbor one shell down.  Ties go to the least source, then the
+    least vertex and its least two lower neighbors.  At the least length the
+    descents meet only at the source, or a shorter cycle would exist, so the
+    result is simple.  `rows` (g's distance rows) default to all_pairs_distances.
     """
     rows = all_pairs_distances(g).rows if rows is None else rows
-    lengths = []
-    for dist in rows:
+    neigh = g._neigh
+    best, closing = 2 * g.n, None  # longer than any closing
+    for s, dist in enumerate(rows):
         for v, k in enumerate(dist):
-            near = [dist[w] for w in g._neigh[v]]
-            if k > 0 and near.count(k - 1) > 1:
-                lengths.append(2 * k)
-            elif k > 0 and k in near:
-                lengths.append(2 * k + 1)
-    return min(lengths, default=None)
-
-
-def _lex_least_cycle(g: Graph, length: int, rows) -> tuple[int, ...] | None:
-    """Lexicographically least closed vertex sequence of the given length.
-
-    The canonical sequence starts at the cycle's smallest vertex; starts are
-    tried in ascending order and the DFS explores neighbors ascending, so the
-    first complete sequence found is the least.  The distances back to the
-    start, rows[start], bound the search.
-    """
-
-    def extend(path: list[int], to_start) -> bool:
-        if len(path) == length:
-            return g.has_edge(path[-1], path[0])
-        # After appending w there are length - len(path) edges left on the
-        # route back to the start (including the closing edge).
-        remaining = length - len(path)
-        for w in g.neighbors(path[-1]):
-            if w > path[0] and w not in path and 0 <= to_start[w] <= remaining:
-                path.append(w)
-                if extend(path, to_start):
-                    return True
-                path.pop()
-        return False
-
-    for start in g.vertices():
-        path = [start]
-        if extend(path, rows[start]):
-            return tuple(path)
-    return None
-
-
-def shortest_cycle(g: Graph, rows=None) -> CycleInfo | None:
-    """A shortest cycle with deterministic lexicographic tie-break, or None; `rows` as for girth."""
-    rows = all_pairs_distances(g).rows if rows is None else rows
-    glen = girth(g, rows)
-    if glen is None:
+            if 0 < k and 2 * k < best:
+                near = [dist[w] for w in neigh[v]]
+                if near.count(k - 1) > 1:
+                    a, b = [w for w, d in zip(neigh[v], near) if d < k][:2]
+                    best, closing = 2 * k, (s, a, [v], b)
+                elif 2 * k + 1 < best and k in near:
+                    best, closing = 2 * k + 1, (s, v, [], neigh[v][near.index(k)])
+    if closing is None:
         return None
-    seq = _lex_least_cycle(g, glen, rows)
-    ensure(seq is not None, f"no closed sequence of length {glen}, the girth")
-    return CycleInfo(seq)
+    s, x, middle, y = closing
+    dist = rows[s]
+
+    def descent(v: int) -> list[int]:
+        path = [v]
+        for k in range(dist[v] - 1, -1, -1):
+            path.append(next(w for w in neigh[path[-1]] if dist[w] == k))
+        return path
+
+    cycle = descent(x)[::-1] + middle + descent(y)[:-1]
+    ensure(len(set(cycle)) == best, f"the descents of a closing of length {best} meet before its source")
+    return tuple(cycle)

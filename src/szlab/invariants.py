@@ -32,9 +32,12 @@ def _require_connected(dist: DistanceMatrix) -> None:
 
 
 def wiener(dist: DistanceMatrix) -> int:
-    """Sum of distances over unordered vertex pairs."""
+    """Sum of distances over unordered vertex pairs: the packed rows' digit sum, halved."""
     _require_connected(dist)
-    return sum(sum(dist.row(v)) for v in range(dist.n)) // 2
+    width = dist.width
+    data = b"".join(p.to_bytes(dist.n * width, "little") for p in dist.packed)
+    # Byte i of a little-endian field carries 256**i of its value.
+    return sum(sum(data[i::width]) << 8 * i for i in range(width)) // 2
 
 
 class EdgePartition(NamedTuple):

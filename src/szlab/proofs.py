@@ -289,7 +289,7 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
 
 
 def _check_antipodal_pairs(decomp: BlockDecomposition, i: int, smap: SurplusMap) -> None:
-    """Every edge of block i's lex-least shortest cycle separates each antipodal pair.
+    """Every edge of block i's shortest cycle (shortest_cycle's tie-break) separates each antipodal pair.
 
     Beyond that only its consequences (>= p separating edges, surplus >= p/2)
     are checked, since edges off the cycle may separate the pair as well.
@@ -298,7 +298,7 @@ def _check_antipodal_pairs(decomp: BlockDecomposition, i: int, smap: SurplusMap)
     # A block is isometric: a shortest path between two of its vertices stays inside it.
     rows = smap.dist.rows
     cycle = shortest_cycle(block, [tuple(map(rows[a].__getitem__, order)) for a in order])
-    verts = [order[v] for v in cycle.vertices]
+    verts = [order[v] for v in cycle]
     p, half = len(verts), len(verts) // 2
     ensure(p % 2 == 0, f"block {i}: odd shortest cycle in a bipartite graph")
     table = smap.mu

@@ -146,7 +146,7 @@ def test_criterion_6_pair_surplus_claims(enumerated):
                         pairs = combinations(sorted(verts), 2)
                         assert min(d.surplus.surplus(x, y) for x, y in pairs) >= 1, g.edges
                         blocks += 1
-                cycle = shortest_cycle(g).vertices
+                cycle = shortest_cycle(g)
                 half = len(cycle) // 2
                 assert all(d.surplus.surplus(cycle[i], cycle[i + half]) >= half for i in range(half))
         assert blocks >= 200

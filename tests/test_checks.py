@@ -18,7 +18,7 @@ import pytest
 from szlab import extremal, graphs, invariants, proofs
 from szlab.errors import InvariantViolation
 from szlab.extremal import family_row
-from szlab.graphs import CycleInfo, Graph, block_decomposition, cycle_graph
+from szlab.graphs import Graph, all_pairs_distances, block_decomposition, cycle_graph
 from szlab.invariants import compute_invariants
 from szlab.proofs import gap_decomposition, surplus_map
 
@@ -105,7 +105,7 @@ def test_antipodal_check_rejects_missed_cycle_edge(monkeypatch, c4):
 
 
 def test_antipodal_check_rejects_odd_cycle(monkeypatch, c4):
-    monkeypatch.setattr(proofs, "shortest_cycle", lambda g, rows: CycleInfo((0, 1, 2)))
+    monkeypatch.setattr(proofs, "shortest_cycle", lambda g, rows: (0, 1, 2))
     with pytest.raises(InvariantViolation, match="^block 0: odd shortest cycle"):
         gap_decomposition(c4)
 
@@ -133,11 +133,14 @@ def test_block_decomposition_rejects_missed_vertices(monkeypatch):
         block_decomposition(g)
 
 
-def test_shortest_cycle_rejects_wrong_girth(monkeypatch, c4):
-    # No closed sequence of length 3 exists in a 4-cycle.
-    monkeypatch.setattr(graphs, "girth", lambda g, rows: 3)
-    with pytest.raises(InvariantViolation, match="girth"):
-        graphs.shortest_cycle(c4)
+def test_shortest_cycle_rejects_descents_that_meet_early():
+    # A 4-cycle 1-2-4-3 with vertex 0 hanging off 1.  Given only vertex 0's
+    # distance row, the best closing is vertex 4 with lower neighbors 2 and 3,
+    # whose descents to 0 meet at 1: a closed walk of length 6, not a cycle.
+    g = Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
+    rows = all_pairs_distances(g).rows[:1]
+    with pytest.raises(InvariantViolation, match="^the descents of a closing of length 6 meet before its source$"):
+        graphs.shortest_cycle(g, rows)
 
 
 def test_package_has_no_bare_asserts():

@@ -17,7 +17,6 @@ from szlab.graphs import (
     complete_bipartite,
     connected_and_bipartite,
     cycle_graph,
-    girth,
     path_graph,
     shortest_cycle,
     star_graph,
@@ -44,6 +43,20 @@ def test_from_edge_list_collapses_duplicates():
     assert g.m == 2
 
 
+def test_neighbors_are_sorted_whatever_the_pair_order():
+    rng = random.Random(3)
+    for _ in range(200):
+        n = rng.randint(1, 10)
+        pairs = [e for e in combinations(range(n), 2) if rng.random() < 0.4]
+        flipped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+        shuffled = flipped * 2
+        rng.shuffle(shuffled)
+        for given in (pairs, pairs[::-1], [(v, u) for u, v in reversed(pairs)], shuffled):
+            g = Graph(n, given)
+            for v in g.vertices():
+                assert g.neighbors(v) == tuple(sorted({w for e in pairs if v in e for w in e} - {v}))
+
+
 def test_from_edge_list_rejects_bad_input():
     with pytest.raises(GraphConstructionError):
         Graph(3, [(0, 3)])
@@ -53,8 +66,8 @@ def test_from_edge_list_rejects_bad_input():
 
 def test_distances_c4(c4):
     d = all_pairs_distances(c4)
-    assert d.d(0, 2) == 2 and d.d(1, 3) == 2
-    assert d.d(0, 1) == 1
+    assert d.rows[0][2] == 2 and d.rows[1][3] == 2
+    assert d.rows[0][1] == 1
 
 
 def test_distances_match_floyd_warshall(enumerated):
@@ -64,26 +77,26 @@ def test_distances_match_floyd_warshall(enumerated):
             fw = floyd_warshall(g)
             for x in g.vertices():
                 for y in g.vertices():
-                    assert d.d(x, y) == int(fw[x][y])
+                    assert d.rows[x][y] == int(fw[x][y])
 
 
 def test_distance_matrix_properties(enumerated, k23, p3):
     d = all_pairs_distances(k23)
-    assert d.d(0, 1) == 2  # the two degree-3 vertices
-    assert all_pairs_distances(p3).d(0, 2) == 2
+    assert d.rows[0][1] == 2  # the two degree-3 vertices
+    assert all_pairs_distances(p3).rows[0][2] == 2
     for g in enumerated[6]:
         d = all_pairs_distances(g)
         for x in g.vertices():
-            assert d.d(x, x) == 0
+            assert d.rows[x][x] == 0
             for y in g.vertices():
-                assert d.d(x, y) == d.d(y, x)
-                assert (d.d(x, y) == 1) == g.has_edge(x, y)
+                assert d.rows[x][y] == d.rows[y][x]
+                assert (d.rows[x][y] == 1) == g.has_edge(x, y)
 
 
 def test_distances_flag_unreachable():
     g = Graph(4, [(0, 1), (2, 3)])
     d = all_pairs_distances(g)
-    assert d.d(0, 2) == -1
+    assert d.rows[0][2] == -1
     assert not d.all_reachable
 
 
@@ -236,24 +249,42 @@ def test_block_identity_and_cut_membership(enumerated):
                 assert (in_blocks >= 2) == (v in d.cut_vertices)
 
 
+def _assert_shortest_cycle(g):
+    """shortest_cycle(g) is a simple closed cycle of length girth_brute(g), or None for forests."""
+    cyc = shortest_cycle(g)
+    expected = girth_brute(g)
+    if expected is None:
+        assert cyc is None
+    else:
+        assert len(set(cyc)) == len(cyc) == expected
+        assert all(g.has_edge(v, cyc[i - 1]) for i, v in enumerate(cyc))
+    return cyc
+
+
 def test_shortest_cycle_basics(c4_pendant):
-    cyc = shortest_cycle(c4_pendant)
-    assert cyc.length == 4
+    assert shortest_cycle(c4_pendant) == (0, 1, 2, 3)
     assert shortest_cycle(path_graph(5)) is None
+    # Ties go to the least source, vertex and lower neighbors.  C7's closing
+    # from source 0 is the edge 3-4 inside shell 3.
+    assert shortest_cycle(cycle_graph(7)) == (0, 1, 2, 3, 4, 5, 6)
+    # K_{2,3}: source 0, vertex 1 with lower neighbors 2 and 3, the least of 2, 3, 4.
+    assert shortest_cycle(complete_bipartite(2, 3)) == (0, 2, 1, 3)
+    # Vertex 0 lies on no cycle; source 1 closes 1-2-4-3 at vertex 4.
+    assert shortest_cycle(Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])) == (1, 2, 4, 3)
 
 
 def test_shortest_cycle_c6_with_chord():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
     assert girth_brute(g) == 4
-    cyc = shortest_cycle(g)
-    assert cyc.length == 4
-    assert cyc.vertices == (0, 1, 2, 3)  # lexicographically least sequence
+    # Source 0, vertex 2 with lower neighbors 1 and 3 (not 0-3-4-5 from vertex 4).
+    assert shortest_cycle(g) == (0, 1, 2, 3)
 
 
 def test_girth_matches_per_edge_oracle(enumerated):
     for graphs in enumerated.values():
         for g in graphs:
-            assert girth(g) == girth_brute(g)
+            cyc = shortest_cycle(g)
+            assert (cyc and len(cyc)) == girth_brute(g)
 
 
 def test_girth_matches_per_edge_oracle_off_bipartite():
@@ -265,9 +296,7 @@ def test_girth_matches_per_edge_oracle_off_bipartite():
         n = rng.randint(1, 12)
         p = rng.choice([0.1, 0.2, 0.35, 0.6])
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
-        expected = girth_brute(g)
-        assert girth(g) == expected
-        odd += expected is not None and expected % 2 == 1
+        odd += len(_assert_shortest_cycle(g) or ()) % 2
         disconnected += not connected_and_bipartite(g)[0]
     assert odd >= 300 and disconnected >= 300
 
@@ -275,17 +304,10 @@ def test_girth_matches_per_edge_oracle_off_bipartite():
 def test_shortest_cycle_is_valid_cycle(enumerated):
     for graphs in enumerated.values():
         for g in graphs:
-            cyc = shortest_cycle(g)
-            if cyc is None:
-                assert girth_brute(g) is None
-                continue
-            verts = cyc.vertices
-            assert len(set(verts)) == cyc.length >= 3
-            for i, v in enumerate(verts):
-                assert g.has_edge(v, verts[(i + 1) % cyc.length])
+            cyc = _assert_shortest_cycle(g)
             # bipartite graphs only have even cycles
             if connected_and_bipartite(g)[1]:
-                assert cyc.length % 2 == 0
+                assert len(cyc or ()) % 2 == 0
 
 
 def test_complete_bipartite_shape():

@@ -59,13 +59,13 @@ def test_surpluses_nonnegative_on_connected_graphs(enumerated, c5):
 
 
 def _lemma_blocks(g, d):
-    """Each block of d with >= 4 vertices, with the lex-least shortest cycle of the subgraph it induces in g."""
+    """Each block of d with >= 4 vertices, with the shortest cycle of the subgraph it induces in g."""
     for verts in d.blocks.blocks:
         if len(verts) >= 4:
             order = sorted(verts)
             index = {v: i for i, v in enumerate(order)}
             block = Graph(len(order), [(index[u], index[v]) for u, v in g.edges if u in verts and v in verts])
-            yield order, tuple(order[v] for v in shortest_cycle(block).vertices)
+            yield order, tuple(order[v] for v in shortest_cycle(block))
 
 
 def _least_block_surplus(d, order):
@@ -137,7 +137,7 @@ def test_antipodal_cycle_c6(c6):
 def test_antipodal_cycle_c4_pendant(c4_pendant):
     d = gap_decomposition(c4_pendant)
     ((order, cycle),) = _lemma_blocks(c4_pendant, d)
-    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant).vertices
+    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant)
     for x, y in [(0, 2), (1, 3)]:
         assert all(mu_brute(c4_pendant, x, y, e) == 1 for e in [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert d.surplus.surplus(x, y) >= 2
@@ -170,14 +170,16 @@ def test_antipodal_cycle_gates(c5, p3):
 
 def test_antipodal_cycle_exhaustive(enumerated):
     # gap_decomposition checks the lemma on every block's shortest cycle; the
-    # graph's own lex-least shortest cycle is one of them, and each of its
-    # edges separates each antipodal pair (brute-force mu).
+    # graph's own shortest cycle is one of them (the scan's least source,
+    # vertex and lower neighbors stay least when a block is relabelled in
+    # sorted order), and each of its edges separates each antipodal pair
+    # (brute-force mu).
     for n in range(4, 9):
         for g in enumerated[n]:
             if g.m < n:
                 continue
             d = gap_decomposition(g)
-            cycle = shortest_cycle(g).vertices
+            cycle = shortest_cycle(g)
             assert cycle in [c for _, c in _lemma_blocks(g, d)]
             p, dist = len(cycle), floyd_warshall(g)
             for i in range(p // 2):

@@ -6,12 +6,11 @@ import pytest
 
 from szlab.enumeration import EnumerationSpec, verify_conjecture
 from szlab.extremal import extremal_family, rooted_trees
-from szlab.graphs import block_decomposition, shortest_cycle
+from szlab.graphs import block_decomposition
 from szlab.invariants import MuTable, compute_invariants
 from szlab.proofs import gap_decomposition, surplus_map
 
 FIELDS = {
-    "CycleInfo": ("vertices",),
     "BlockDecomposition": ("blocks", "block_edges", "cut_vertices"),
     "InvariantReport": ("n", "m", "wiener", "szeged", "revised_szeged_times4", "gap", "per_edge"),
     "SurplusMap": ("n", "surpluses", "total", "dist", "mu"),
@@ -49,7 +48,6 @@ FIELDS = {
 def records(c4, c4_pendant):
     (report,) = verify_conjecture([c4])
     found = [
-        shortest_cycle(c4),
         block_decomposition(c4_pendant),
         compute_invariants(c4),
         surplus_map(c4),
