@@ -49,12 +49,10 @@ from .graphs import (
 from .invariants import (
     EdgePartition,
     InvariantReport,
-    MuTable,
     compute_invariants,
     edge_partition,
     edge_partitions,
     gap,
-    mu_table,
     revised_szeged,
     revised_szeged_times4,
     szeged,

@@ -109,27 +109,23 @@ def _field_width(n: int) -> int:
 
 
 class DistanceMatrix:
-    """All-pairs hop counts, one packed integer per vertex: field w of packed[v] is d(v, w).
+    """A connected graph's hop counts, one packed integer per vertex: field w of packed[v] is d(v, w).
 
     A field is `width` bytes, little-endian: one byte for n <= 256, two above
-    (so n is at most 65,536).  `ones` has every field 1.  Field w of reach[v]
-    is 1 when w is reachable from v; an unreachable field of packed[v] holds
-    0, and `row(v)` reads it as -1.  `rows` is every row, decoded on first use.
+    (so n is at most 65,536).  `ones` has every field 1.  `rows` is every row,
+    decoded on first use.  Only all_pairs_distances builds one.
     """
 
-    __slots__ = ("n", "width", "ones", "packed", "reach", "_codec", "_rows")
+    __slots__ = ("n", "width", "ones", "packed", "_codec", "_rows")
 
-    def __init__(self, n: int, packed: list[int], reach: list[int]):
-        self.n, self.packed, self.reach, self._rows = n, packed, reach, None
+    def __init__(self, n: int, packed: list[int]):
+        self.n, self.packed, self._rows = n, packed, None
         self.width = _field_width(n)
         self.ones = int.from_bytes((b"\x01" + bytes(self.width - 1)) * n, "little")
         self._codec = Struct(f"<{n}{'BH'[self.width - 1]}")
 
     def row(self, v: int) -> tuple[int, ...]:
-        row = self._codec.unpack(self.packed[v].to_bytes(self._codec.size, "little"))
-        if self.reach[v] != self.ones:
-            row = tuple(d if d or w == v else -1 for w, d in enumerate(row))
-        return row
+        return self._codec.unpack(self.packed[v].to_bytes(self._codec.size, "little"))
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -137,17 +133,14 @@ class DistanceMatrix:
             self._rows = tuple(map(self.row, range(self.n)))
         return self._rows
 
-    @property
-    def all_reachable(self) -> bool:
-        return all(r == self.ones for r in self.reach)
-
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """Grow every vertex's ball at once: ball_v[k+1] = ball_v[k] | OR of ball_u[k], u ~ v.
 
     A ball is held in DistanceMatrix's field layout, field w 1 when w is inside, so round k
     adds k times the gain of ball_v, the vertices at distance k, to packed[v].  A ball that
-    stops growing is v's component, its reach; only vertices whose ball grew go on.
+    stops growing is v's component; only vertices whose ball grew go on.  Raises
+    DisconnectedGraphError when a ball stops short of every vertex (the null graph passes).
     """
     neigh = g._neigh
     ball = [1 << 8 * _field_width(g.n) * v for v in g.vertices()]
@@ -167,7 +160,10 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
             packed[v] += step * (b - ball[v])
             ball[v] = b
         active = [v for v, _ in grown]
-    return DistanceMatrix(g.n, packed, ball)
+    dist = DistanceMatrix(g.n, packed)
+    if any(b != dist.ones for b in ball):
+        raise DisconnectedGraphError("invariant requires a connected graph")
+    return dist
 
 
 def _distances_from(g: Graph, s: int) -> list[int]:
@@ -274,7 +270,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     return decomp
 
 
-def shortest_cycle(g: Graph, rows=None) -> tuple[int, ...] | None:
+def shortest_cycle(g: Graph, rows) -> tuple[int, ...] | None:
     """A shortest cycle as a cyclically ordered vertex tuple, or None for forests.
 
     One scan of each source's distance row: a vertex at distance k with two
@@ -284,9 +280,9 @@ def shortest_cycle(g: Graph, rows=None) -> tuple[int, ...] | None:
     the least neighbor one shell down.  Ties go to the least source, then the
     least vertex and its least two lower neighbors.  At the least length the
     descents meet only at the source, or a shorter cycle would exist, so the
-    result is simple.  `rows` (g's distance rows) default to all_pairs_distances.
+    result is simple.  `rows` are g's distance rows; a vertex a source cannot
+    reach may read -1 there, which the scan never takes for a shell.
     """
-    rows = all_pairs_distances(g).rows if rows is None else rows
     neigh = g._neigh
     best, closing = 2 * g.n, None  # longer than any closing
     for s, dist in enumerate(rows):

@@ -2,38 +2,25 @@
 
 Everything is integer arithmetic; the revised Szeged index is carried as an
 integer scaled by 4 (its denominator always divides 4) and exposed as a
-Fraction.  Two computation routes exist on purpose.  The Szeged index sums
-per-edge partition products n_u * n_v, popcounts of the difference of the
-packed distance rows of the edge's ends; W is the rows' digit sum, halved.
-The separation kernel instead gives every vertex x two edge-index bitmasks:
-A_x marks the edges uv with d(x,u) < d(x,v), B_x those with d(x,v) < d(x,u).
-An edge separates x from y exactly when it lies in (A_x & B_y) | (B_x & A_y),
-so per-pair separation counts are popcounts, listed in pair order, and their
-sum over all pairs is the Szeged index again (the pair-contribution
-identity).  The two routes are checked against each other on every surplus
-map; `tests/oracles.py` is the outside check, built on Floyd-Warshall
-distances and brute loops.
+Fraction.  The Szeged index sums per-edge partition products n_u * n_v,
+popcounts of the difference of the packed distance rows of the edge's ends;
+W is the rows' digit sum, halved.  `tests/oracles.py` is the outside check,
+built on Floyd-Warshall distances and brute loops.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DisconnectedGraphError, GraphConstructionError, ensure
+from .errors import GraphConstructionError, ensure
 from .graphs import DistanceMatrix, Graph, all_pairs_distances
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _require_connected(dist: DistanceMatrix) -> None:
-    if not dist.all_reachable:
-        raise DisconnectedGraphError("invariant requires a connected graph")
-
-
 def wiener(dist: DistanceMatrix) -> int:
     """Sum of distances over unordered vertex pairs: the packed rows' digit sum, halved."""
-    _require_connected(dist)
     width = dist.width
     data = b"".join(p.to_bytes(dist.n * width, "little") for p in dist.packed)
     # Byte i of a little-endian field carries 256**i of its value.
@@ -54,16 +41,14 @@ def edge_partition(g: Graph, dist: DistanceMatrix, e: tuple[int, int]) -> EdgePa
     u, v = e
     if not g.has_edge(u, v):
         raise GraphConstructionError(f"({u}, {v}) is not an edge")
-    # Field w of x is d(w, v) - d(w, u) + 1, which lies in 0..2 on an edge (an
-    # unreachable w reads 0 - 0 + 1): 2 when w is closer to u, 1 when equidistant.
+    # Field w of x is d(w, v) - d(w, u) + 1, which lies in 0..2 on an edge:
+    # 2 when w is closer to u, 1 when equidistant.
     x = dist.packed[v] + dist.ones - dist.packed[u]
     n_u, n_0 = (x >> 1 & dist.ones).bit_count(), (x & dist.ones).bit_count()
     return EdgePartition(u, v, n_u, g.n - n_u - n_0, n_0)
 
 
-def edge_partitions(g: Graph, dist: DistanceMatrix | None = None) -> tuple[EdgePartition, ...]:
-    if dist is None:
-        dist = all_pairs_distances(g)
+def edge_partitions(g: Graph, dist: DistanceMatrix) -> tuple[EdgePartition, ...]:
     return tuple(edge_partition(g, dist, e) for e in g.edges)
 
 
@@ -80,58 +65,6 @@ def revised_szeged_times4(g: Graph) -> int:
 def revised_szeged(g: Graph) -> Fraction:
     """Szeged variant crediting half the equidistant count to each side."""
     return compute_invariants(g).revised_szeged
-
-
-def _edge_sides(row: tuple[int, ...], edges) -> tuple[int, int]:
-    """The masks (A_x, B_x) of the vertex x whose distance row is `row`.
-
-    Bit i of A_x is set when x is strictly closer to the first endpoint of
-    edges[i], bit i of B_x when it is strictly closer to the second.  With
-    `_separating` this is the package's one separation predicate.
-    """
-    a = b = 0
-    bit = 1
-    for u, v in edges:
-        du, dv = row[u], row[v]
-        if du < dv:
-            a |= bit
-        elif dv < du:
-            b |= bit
-        bit <<= 1
-    return a, b
-
-
-def _separating(sx: tuple[int, int], sy: tuple[int, int]) -> int:
-    """Edge-index mask of the edges whose partition puts x and y on opposite sides."""
-    return (sx[0] & sy[1]) | (sx[1] & sy[0])
-
-
-class MuTable:
-    """Per-(pair, edge) 0/1 contributions, held as two edge masks per vertex.
-
-    `pair_sums` lists each pair's separating-edge count in pair order; the
-    grand total over all pairs and edges reproduces the Szeged index.
-    """
-
-    def __init__(self, dist: DistanceMatrix, edges: tuple[tuple[int, int], ...]):
-        self.edges = edges
-        self.edge_index = {e: i for i, e in enumerate(edges)}
-        self.sides = sides = [_edge_sides(row, edges) for row in dist.rows]
-        self.pair_sums = [
-            _separating(sx, sy).bit_count() for x, sx in enumerate(sides) for sy in sides[x + 1 :]
-        ]
-        self.total = sum(self.pair_sums)
-
-    def separating(self, x: int, y: int) -> int:
-        """Edge-index mask (bit i for edges[i]) of the edges separating x and y."""
-        return _separating(self.sides[x], self.sides[y])
-
-
-def mu_table(g: Graph, dist: DistanceMatrix | None = None) -> MuTable:
-    if dist is None:
-        dist = all_pairs_distances(g)
-    _require_connected(dist)
-    return MuTable(dist, g.edges)
 
 
 def gap(g: Graph) -> int:
@@ -174,7 +107,6 @@ class InvariantReport(NamedTuple):
 def compute_invariants(g: Graph) -> InvariantReport:
     """W, Sz, Sz* and the gap from one distance computation; Sz* = Sz is checked on bipartite graphs."""
     dist = all_pairs_distances(g)
-    _require_connected(dist)
     parts = edge_partitions(g, dist)
     w = wiener(dist)
     sz = sum(p.n_u * p.n_v for p in parts)

@@ -22,6 +22,7 @@ which therefore has >= p separating edges and surplus >= p/2.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain, combinations
 from typing import Iterator, NamedTuple
@@ -38,25 +39,51 @@ from .graphs import (
     connected_and_bipartite,
     shortest_cycle,
 )
-from .invariants import MuTable, edge_partitions, mu_table, wiener
+from .invariants import edge_partitions, wiener
+
+
+def _edge_sides(row: tuple[int, ...], edges) -> tuple[int, int]:
+    """The masks (A_x, B_x) of the vertex x whose distance row is `row`.
+
+    Bit i of A_x is set when x is strictly closer to the first endpoint of
+    edges[i], bit i of B_x when it is strictly closer to the second.  An edge
+    separates x from y exactly when it lies in (A_x & B_y) | (B_x & A_y).
+    """
+    a = b = 0
+    bit = 1
+    for u, v in edges:
+        du, dv = row[u], row[v]
+        if du < dv:
+            a |= bit
+        elif dv < du:
+            b |= bit
+        bit <<= 1
+    return a, b
 
 
 class SurplusMap(NamedTuple):
-    """Per-pair surpluses, the mu-table's `pair_sums` minus the distances; their total equals Sz - W.
+    """Per-pair surpluses, separating-edge counts minus distances; their total equals Sz - W.
 
-    Both lists run in pair order (0, 1), (0, 2), ..., (n - 2, n - 1), that of
-    `itertools.combinations(range(n), 2)`; `surplus(x, y)` finds a pair by its index.
+    `surpluses` runs in pair order (0, 1), (0, 2), ..., (n - 2, n - 1), that of
+    `itertools.combinations(range(n), 2)`; `surplus(x, y)` finds a pair by its
+    index.  `sides[x]` is x's masks (A_x, B_x) over `edges`, the graph's sorted edges.
     """
 
     n: int
     surpluses: list[int]
     total: int
     dist: DistanceMatrix
-    mu: MuTable
+    edges: tuple[tuple[int, int], ...]
+    sides: list[tuple[int, int]]
+
+    def separating(self, x: int, y: int) -> int:
+        """Edge-index mask (bit i for edges[i]) of the edges putting x and y on opposite sides."""
+        (ax, bx), (ay, by) = self.sides[x], self.sides[y]
+        return (ax & by) | (bx & ay)
 
     def surplus(self, x: int, y: int) -> int:
-        if x == y:
-            raise ValueError(f"({x}, {y}) is not a pair of distinct vertices")
+        if x == y or not (0 <= x < self.n and 0 <= y < self.n):
+            raise ValueError(f"({x}, {y}) is not a pair of distinct vertices of 0..{self.n - 1}")
         if x > y:
             x, y = y, x
         # Rows 0..x-1 hold (n - 1) + ... + (n - x) pairs before row x's.
@@ -72,15 +99,23 @@ def _pair_distances(rows) -> Iterator[int]:
 
 
 def surplus_map(g: Graph) -> SurplusMap:
-    """Every pair's surplus; the mu-table raises DisconnectedGraphError on a disconnected graph."""
+    """Every pair's surplus, the popcount of (A_x & B_y) | (B_x & A_y) minus d(x, y).
+
+    all_pairs_distances raises DisconnectedGraphError on a disconnected graph.
+    """
     dist = all_pairs_distances(g)
-    table = mu_table(g, dist)
-    surpluses = [c - d for c, d in zip(table.pair_sums, _pair_distances(dist.rows))]
+    rows = dist.rows
+    sides = [_edge_sides(row, g.edges) for row in rows]
+    surpluses = [
+        ((ax & by) | (bx & ay)).bit_count() - d
+        for x, (ax, bx) in enumerate(sides)
+        for (ay, by), d in zip(sides[x + 1 :], rows[x][x + 1 :])
+    ]
     total = sum(surpluses)
     # Independent route: per-edge partition products minus the distance sum.
     szeged = sum(p.n_u * p.n_v for p in edge_partitions(g, dist))
     ensure(total == szeged - wiener(dist), "pair surpluses do not sum to Sz - W")
-    return SurplusMap(g.n, surpluses, total, dist, table)
+    return SurplusMap(g.n, surpluses, total, dist, g.edges, sides)
 
 
 class GapDecomposition(NamedTuple):
@@ -166,12 +201,13 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     takes w itself when that block is the designated one.
 
     The designated block is the largest block; ties are broken by canonical
-    code, then by sorted vertex list.  Tied blocks above the canonical
-    labeling limit are broken by sorted vertex list alone: only that case
-    depends on the input's labeling.
+    code, then by sorted vertex list (alone above the canonical labeling
+    limit).  Tied isomorphic blocks share a code, so there too the sorted
+    vertex list decides: which block is designated, and with it the
+    categories, depends on the input's labeling; the gap and floors do not.
 
     After the floors, both lemmas of the module docstring are checked on
-    every block with >= 4 vertices, off the same surplus map and mu-table.
+    every block with >= 4 vertices, off the same surplus map and its side masks.
     """
     connected, bipartite = connected_and_bipartite(g)
     if not connected:
@@ -301,14 +337,14 @@ def _check_antipodal_pairs(decomp: BlockDecomposition, i: int, smap: SurplusMap)
     verts = [order[v] for v in cycle]
     p, half = len(verts), len(verts) // 2
     ensure(p % 2 == 0, f"block {i}: odd shortest cycle in a bipartite graph")
-    table = smap.mu
+    edges = smap.edges  # sorted, so an edge's index is its bisection point
     cycle_mask = 0
     for a, b in zip(verts, verts[1:] + verts[:1]):
-        cycle_mask |= 1 << table.edge_index[(a, b) if a < b else (b, a)]
+        cycle_mask |= 1 << bisect_left(edges, (a, b) if a < b else (b, a))
     for x, y in zip(verts, verts[half:]):
         pair = (x, y) if x < y else (y, x)
-        sep = table.separating(x, y)
-        missed = [table.edges[j] for j in _bits(cycle_mask & ~sep)]
+        sep = smap.separating(x, y)
+        missed = [edges[j] for j in _bits(cycle_mask & ~sep)]
         ensure(not missed, f"block {i}: cycle edges {missed} do not separate antipodal pair {pair}")
         ensure(sep.bit_count() >= p, f"block {i}: antipodal pair {pair} has fewer than p separating edges")
         ensure(smap.surplus(x, y) >= half, f"block {i}: antipodal pair {pair} surplus below p/2")

@@ -24,18 +24,21 @@ from szlab.graphs import (
     shortest_cycle,
     star_graph,
 )
-from szlab.invariants import edge_partitions, gap, mu_table, revised_szeged, szeged, wiener
-from szlab.proofs import gap_decomposition
+from szlab.invariants import edge_partitions, gap, revised_szeged, szeged, wiener
+from szlab.proofs import gap_decomposition, surplus_map
 
 from .oracles import (
     brute_force_classes,
+    floyd_warshall,
     gap_brute,
+    mu_brute,
     pair_contribution_total_brute,
     random_tree,
     revised_szeged_times4_brute,
     szeged_brute,
     wiener_brute,
 )
+from .test_kernel import separation_counts
 
 
 @contextmanager
@@ -108,13 +111,13 @@ def test_criterion_4_pair_contribution_identity(enumerated):
     with criterion(4, "sum of pair contributions equals Sz on all graphs and random trees"):
         for n in range(1, 9):
             for g in enumerated[n]:
-                assert mu_table(g).total == szeged(g)
+                assert sum(separation_counts(surplus_map(g))) == szeged(g)
         rng = random.Random(68141)
         checked = 0
         for _ in range(100):
             g = random_tree(rng.randint(4, 30), rng)
             sz = szeged(g)
-            assert mu_table(g).total == sz
+            assert sum(separation_counts(surplus_map(g))) == sz
             assert pair_contribution_total_brute(g) == sz
             checked += 1
         assert checked == 100
@@ -124,7 +127,7 @@ def test_criterion_5_revised_szeged_corollary(enumerated):
     with criterion(5, "Sz* = Sz with all n_0 = 0 on bipartite graphs; Sz*(C5) = 125/4"):
         for n in range(1, 9):
             for g in enumerated[n]:
-                parts = edge_partitions(g)
+                parts = edge_partitions(g, all_pairs_distances(g))
                 assert all(p.n_0 == 0 for p in parts)
                 assert revised_szeged(g) == Fraction(szeged(g))
         c5 = cycle_graph(5)
@@ -146,9 +149,15 @@ def test_criterion_6_pair_surplus_claims(enumerated):
                         pairs = combinations(sorted(verts), 2)
                         assert min(d.surplus.surplus(x, y) for x, y in pairs) >= 1, g.edges
                         blocks += 1
-                cycle = shortest_cycle(g)
-                half = len(cycle) // 2
-                assert all(d.surplus.surplus(cycle[i], cycle[i + half]) >= half for i in range(half))
+                smap = d.surplus
+                cycle = shortest_cycle(g, smap.dist.rows)
+                p, half, dist = len(cycle), len(cycle) // 2, floyd_warshall(g)
+                cycle_edges = [tuple(sorted((cycle[j], cycle[(j + 1) % p]))) for j in range(p)]
+                for x, y in zip(cycle, cycle[half:]):
+                    assert smap.surplus(x, y) >= half
+                    sep = smap.separating(x, y)
+                    assert [sep >> j & 1 for j in range(g.m)] == [mu_brute(g, x, y, e, dist) for e in g.edges]
+                    assert all(sep >> g.edges.index(e) & 1 for e in cycle_edges)
         assert blocks >= 200
 
 

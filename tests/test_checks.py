@@ -28,7 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def _shifted_partitions(monkeypatch, module, **delta):
     real = invariants.edge_partitions
 
-    def corrupted(g, dist=None):
+    def corrupted(g, dist):
         return tuple(
             p._replace(**{k: getattr(p, k) + v for k, v in delta.items()}) for p in real(g, dist)
         )
@@ -93,12 +93,12 @@ def test_gap_decomposition_rejects_zero_surplus_in_other_block(monkeypatch):
 
 
 def test_antipodal_check_rejects_missed_cycle_edge(monkeypatch, c4):
-    real = invariants.MuTable.separating
+    real = proofs.SurplusMap.separating
 
-    def missing(table, x, y):
-        return real(table, x, y) & ~(1 << table.edge_index[(0, 1)])
+    def missing(smap, x, y):
+        return real(smap, x, y) & ~(1 << smap.edges.index((0, 1)))
 
-    monkeypatch.setattr(invariants.MuTable, "separating", missing)
+    monkeypatch.setattr(proofs.SurplusMap, "separating", missing)
     message = r"^block 0: cycle edges \[\(0, 1\)\] do not separate antipodal pair \(0, 2\)$"
     with pytest.raises(InvariantViolation, match=message):
         gap_decomposition(c4)

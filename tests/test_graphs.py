@@ -93,11 +93,13 @@ def test_distance_matrix_properties(enumerated, k23, p3):
                 assert (d.rows[x][y] == 1) == g.has_edge(x, y)
 
 
-def test_distances_flag_unreachable():
-    g = Graph(4, [(0, 1), (2, 3)])
-    d = all_pairs_distances(g)
-    assert d.rows[0][2] == -1
-    assert not d.all_reachable
+def test_distances_reject_disconnected():
+    # The one connectivity check for distances; the null graph and K_1 pass.
+    for g in [Graph(4, [(0, 1), (2, 3)]), Graph(2, []), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])]:
+        with pytest.raises(DisconnectedGraphError, match="^invariant requires a connected graph$"):
+            all_pairs_distances(g)
+    assert all_pairs_distances(Graph(0, [])).rows == ()
+    assert all_pairs_distances(Graph(1, [])).rows == ((0,),)
 
 
 def test_is_connected(c4):
@@ -249,9 +251,14 @@ def test_block_identity_and_cut_membership(enumerated):
                 assert (in_blocks >= 2) == (v in d.cut_vertices)
 
 
+def _cycle(g):
+    """shortest_cycle on Floyd-Warshall rows, -1 where unreachable, so disconnected g is in scope too."""
+    return shortest_cycle(g, [[-1 if d == INF else d for d in row] for row in floyd_warshall(g)])
+
+
 def _assert_shortest_cycle(g):
-    """shortest_cycle(g) is a simple closed cycle of length girth_brute(g), or None for forests."""
-    cyc = shortest_cycle(g)
+    """The shortest cycle is a simple closed cycle of length girth_brute(g), or None for forests."""
+    cyc = _cycle(g)
     expected = girth_brute(g)
     if expected is None:
         assert cyc is None
@@ -262,28 +269,28 @@ def _assert_shortest_cycle(g):
 
 
 def test_shortest_cycle_basics(c4_pendant):
-    assert shortest_cycle(c4_pendant) == (0, 1, 2, 3)
-    assert shortest_cycle(path_graph(5)) is None
+    assert _cycle(c4_pendant) == (0, 1, 2, 3)
+    assert _cycle(path_graph(5)) is None
     # Ties go to the least source, vertex and lower neighbors.  C7's closing
     # from source 0 is the edge 3-4 inside shell 3.
-    assert shortest_cycle(cycle_graph(7)) == (0, 1, 2, 3, 4, 5, 6)
+    assert _cycle(cycle_graph(7)) == (0, 1, 2, 3, 4, 5, 6)
     # K_{2,3}: source 0, vertex 1 with lower neighbors 2 and 3, the least of 2, 3, 4.
-    assert shortest_cycle(complete_bipartite(2, 3)) == (0, 2, 1, 3)
+    assert _cycle(complete_bipartite(2, 3)) == (0, 2, 1, 3)
     # Vertex 0 lies on no cycle; source 1 closes 1-2-4-3 at vertex 4.
-    assert shortest_cycle(Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])) == (1, 2, 4, 3)
+    assert _cycle(Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])) == (1, 2, 4, 3)
 
 
 def test_shortest_cycle_c6_with_chord():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
     assert girth_brute(g) == 4
     # Source 0, vertex 2 with lower neighbors 1 and 3 (not 0-3-4-5 from vertex 4).
-    assert shortest_cycle(g) == (0, 1, 2, 3)
+    assert _cycle(g) == (0, 1, 2, 3)
 
 
 def test_girth_matches_per_edge_oracle(enumerated):
     for graphs in enumerated.values():
         for g in graphs:
-            cyc = shortest_cycle(g)
+            cyc = _cycle(g)
             assert (cyc and len(cyc)) == girth_brute(g)
 
 

@@ -12,12 +12,12 @@ from szlab.cli import main
 from szlab.errors import DisconnectedGraphError, GraphConstructionError
 from szlab.formats import to_graph6
 from szlab.graphs import Graph, all_pairs_distances, connected_and_bipartite, star_graph
+from szlab.proofs import surplus_map
 from szlab.invariants import (
     compute_invariants,
     edge_partition,
     edge_partitions,
     gap,
-    mu_table,
     revised_szeged,
     revised_szeged_times4,
     szeged,
@@ -34,7 +34,7 @@ from .oracles import (
     szeged_brute,
     wiener_brute,
 )
-from .test_kernel import connected_graphs
+from .test_kernel import connected_graphs, separation_counts
 
 
 def test_wiener_frozen_values(c4, k23, p3):
@@ -97,13 +97,13 @@ def test_revised_szeged_values(c4, c5, p3):
     assert revised_szeged(p3) == Fraction(4)
 
 
-def _mu(t, x, y, e) -> int:
-    """Whether edge e separates x and y, read off the table's separating mask."""
-    return t.separating(x, y) >> t.edge_index[e] & 1
+def _mu(smap, x, y, e) -> int:
+    """Whether edge e separates x and y, read off the surplus map's separating mask."""
+    return smap.separating(x, y) >> smap.edges.index(e) & 1
 
 
 def test_mu_examples(c4):
-    t = mu_table(c4)
+    t = surplus_map(c4)
     # antipodal pair separated by an incident edge
     assert _mu(t, 0, 2, (0, 1)) == 1
     assert mu_brute(c4, 0, 2, (0, 1)) == 1
@@ -115,19 +115,19 @@ def test_mu_examples(c4):
 
 
 def test_mu_table_c4(c4):
-    t = mu_table(c4)
-    sums = dict(zip(combinations(range(4), 2), t.pair_sums))
-    assert len(sums) == len(t.pair_sums) == 6
+    t = surplus_map(c4)
+    sums = dict(zip(combinations(range(4), 2), separation_counts(t)))
+    assert len(sums) == len(t.surpluses) == 6
     assert sums[(0, 2)] == 4 and sums[(1, 3)] == 4
-    assert t.total == 16 == szeged(c4)
+    assert sum(sums.values()) == 16 == szeged(c4)
     assert _mu(t, 0, 2, (0, 1)) == 1
     assert _mu(t, 0, 1, (1, 2)) == 0
 
 
 def test_mu_table_p3(p3):
-    t = mu_table(p3)
-    assert sorted(t.pair_sums) == [1, 1, 2]
-    assert t.total == 4 == szeged(p3)
+    counts = separation_counts(surplus_map(p3))
+    assert sorted(counts) == [1, 1, 2]
+    assert sum(counts) == 4 == szeged(p3)
 
 
 def test_gap_frozen_values(c4, k23, c4_pendant, p3):
@@ -144,9 +144,8 @@ def test_gap_frozen_values(c4, k23, c4_pendant, p3):
 def test_pair_contribution_identity_per_edge(enumerated):
     # per-edge form: the pair separations across one edge count n_u * n_v
     for g in enumerated[6]:
-        d = all_pairs_distances(g)
-        t = mu_table(g)
-        for e, part in zip(g.edges, edge_partitions(g, d)):
+        t = surplus_map(g)
+        for e, part in zip(g.edges, edge_partitions(g, t.dist)):
             sep = sum(_mu(t, x, y, e) for x, y in combinations(range(g.n), 2))
             assert sep == part.n_u * part.n_v
 
@@ -154,7 +153,8 @@ def test_pair_contribution_identity_per_edge(enumerated):
 def test_pair_contribution_identity_exhaustive(enumerated):
     for graphs in enumerated.values():
         for g in graphs:
-            assert mu_table(g).total == szeged(g) == pair_contribution_total_brute(g)
+            total = sum(separation_counts(surplus_map(g)))
+            assert total == pair_contribution_total_brute(g) == compute_invariants(g).szeged
 
 
 def test_tree_identities_up_to_nine_vertices():
@@ -182,14 +182,14 @@ def test_bipartite_identity(enumerated):
     for graphs in enumerated.values():
         for g in graphs:
             assert connected_and_bipartite(g)[1]
-            for p in edge_partitions(g):
+            for p in edge_partitions(g, all_pairs_distances(g)):
                 assert p.n_0 == 0
             assert revised_szeged_times4(g) == 4 * szeged(g)
 
 
 def test_partition_identity_including_nonbipartite(c5):
     for g in [c5, Graph(4, [(0, 1), (1, 2), (2, 0), (2, 3)])]:
-        for p in edge_partitions(g):
+        for p in edge_partitions(g, all_pairs_distances(g)):
             assert p.n_u + p.n_v + p.n_0 == g.n
             assert p.n_u >= 1 and p.n_v >= 1
 

@@ -1,9 +1,10 @@
 """The separation kernel and the ball-mask distances against the brute-force oracles.
 
-`surplus_map`, `mu_table(...).pair_sums` and the table's `separating` masks
-all derive from the per-vertex edge-side masks; W is the digit sum of the
-packed distance rows and the edge partitions are popcounts of their differences.  `tests/oracles.py` recomputes the same numbers from
-Floyd-Warshall distances and plain loops.
+`surplus_map`'s surpluses and its `separating` masks both derive from the
+per-vertex edge-side masks; W is the digit sum of the packed distance rows
+and the edge partitions are popcounts of their differences.
+`tests/oracles.py` recomputes the same numbers from Floyd-Warshall
+distances and plain loops.
 """
 
 from itertools import combinations
@@ -20,7 +21,7 @@ from szlab.graphs import (
     cycle_graph,
     path_graph,
 )
-from szlab.invariants import compute_invariants, edge_partition, mu_table, revised_szeged_times4, wiener
+from szlab.invariants import compute_invariants, edge_partition, revised_szeged_times4, wiener
 from szlab.proofs import surplus_map
 
 from .oracles import (
@@ -54,18 +55,25 @@ def connected_graphs(draw, max_n=12):
     return Graph(n, [(parent[v - 1], v) for v in range(1, n)] + extra)
 
 
+def separation_counts(smap) -> list[int]:
+    """Each pair's separating-edge count, surplus + d(x, y), in pair order."""
+    rows = smap.dist.rows
+    return [s + rows[x][y] for (x, y), s in zip(combinations(range(smap.n), 2), smap.surpluses)]
+
+
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
 @given(connected_graphs())
 def test_kernel_matches_oracles(g):
     d = floyd_warshall(g)
     smap = surplus_map(g)
-    table = mu_table(g)
     pairs = list(combinations(range(g.n), 2))
-    assert len(table.pair_sums) == len(smap.surpluses) == len(pairs)
-    for (x, y), count in zip(pairs, table.pair_sums):
+    counts = separation_counts(smap)
+    assert len(counts) == len(smap.surpluses) == len(pairs)
+    for (x, y), count in zip(pairs, counts):
         assert smap.surplus(x, y) == smap.surplus(y, x) == surplus_brute(g, x, y, d)
         assert count == mu_pair_sum_brute(g, x, y, d)
-        mask = table.separating(x, y)
+        mask = smap.separating(x, y)
+        assert mask == smap.separating(y, x)
         for i, e in enumerate(g.edges):
             assert mask >> i & 1 == mu_brute(g, x, y, e, d)
 
@@ -110,20 +118,18 @@ def graphs_up_to_16(draw):
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
 @given(graphs_up_to_16())
 def test_ball_distances_match_oracles(g):
-    rows = tuple(tuple(-1 if x == INF else x for x in row) for row in floyd_warshall(g))
+    rows = floyd_warshall(g)
+    if any(INF in row for row in rows):
+        with pytest.raises(DisconnectedGraphError, match="^invariant requires a connected graph$"):
+            all_pairs_distances(g)
+        return
     dist = all_pairs_distances(g)
-    assert dist.rows == rows
-    connected = all(x >= 0 for row in rows for x in row)
-    assert dist.all_reachable == connected
+    assert dist.rows == tuple(map(tuple, rows))
     for e in g.edges:
         p = edge_partition(g, dist, e)
         assert (p.n_u, p.n_v, p.n_0) == edge_partition_brute(g, e)
-    if connected:
-        assert wiener(dist) == wiener_brute(g)
-        assert revised_szeged_times4(g) == revised_szeged_times4_brute(g)
-    else:
-        with pytest.raises(DisconnectedGraphError):
-            wiener(dist)
+    assert wiener(dist) == wiener_brute(g)
+    assert revised_szeged_times4(g) == revised_szeged_times4_brute(g)
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 300])

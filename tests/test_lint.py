@@ -61,6 +61,38 @@ def test_package_has_no_orphaned_private_helpers():
         pytest.fail(f"private helpers nothing in src/szlab references: {', '.join(offenders)}")
 
 
+def _call_sites(tree: ast.Module, callee: str) -> list[str]:
+    """The innermost enclosing function, or `<module>`, of each call to `callee` by name or attribute."""
+    sites = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
+                    sites.append(scope)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope)
+
+    visit(tree, "<module>")
+    return sites
+
+
+def test_call_site_detector():
+    tree = ast.parse("X()\ndef f():\n    m.X(1)\n    def g():\n        return [X() for _ in y]\nclass C:\n    z = X\n")
+    assert _call_sites(tree, "X") == ["<module>", "f", "g"]
+
+
+def test_distance_matrix_has_one_constructor_site():
+    # all_pairs_distances raises on a disconnected graph, so building a
+    # DistanceMatrix anywhere else could hand out one that is not connected.
+    sites = [
+        f"{path.name}: {scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _call_sites(ast.parse(path.read_text(), str(path)), "DistanceMatrix")
+    ]
+    assert sites == ["graphs.py: all_pairs_distances"]
+
+
 def _imported_modules(tree: ast.Module) -> set[str]:
     nodes = list(ast.walk(tree))
     names = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}

@@ -7,7 +7,14 @@ import pytest
 from szlab.cli import main
 from szlab.errors import DisconnectedGraphError, HypothesisError
 from szlab.formats import to_graph6
-from szlab.graphs import Graph, block_decomposition, cycle_graph, path_graph, shortest_cycle
+from szlab.graphs import (
+    Graph,
+    all_pairs_distances,
+    block_decomposition,
+    cycle_graph,
+    path_graph,
+    shortest_cycle,
+)
 from szlab.invariants import gap
 from szlab.proofs import gap_decomposition, surplus_map
 
@@ -29,6 +36,13 @@ def test_surplus_map_c4_pendant(c4_pendant):
     assert s.surplus(4, 1) == 1 and s.surplus(4, 3) == 1
     assert s.surplus(4, 0) == 0
     assert s.total == 12
+
+
+def test_surplus_rejects_vertices_out_of_range(c4_pendant):
+    s = surplus_map(c4_pendant)
+    for x, y in [(0, 5), (-1, 2), (4, 7), (3, 3)]:
+        with pytest.raises(ValueError, match=rf"^\({x}, {y}\) is not a pair of distinct vertices of 0\.\.4$"):
+            s.surplus(x, y)
 
 
 def test_surplus_map_rejects_disconnected_graph():
@@ -65,7 +79,7 @@ def _lemma_blocks(g, d):
             order = sorted(verts)
             index = {v: i for i, v in enumerate(order)}
             block = Graph(len(order), [(index[u], index[v]) for u, v in g.edges if u in verts and v in verts])
-            yield order, tuple(order[v] for v in shortest_cycle(block))
+            yield order, tuple(order[v] for v in shortest_cycle(block, all_pairs_distances(block).rows))
 
 
 def _least_block_surplus(d, order):
@@ -123,28 +137,28 @@ def test_antipodal_cycle_c4(c4):
     d = gap_decomposition(c4)
     assert list(_lemma_blocks(c4, d)) == [([0, 1, 2, 3], (0, 1, 2, 3))]
     for x, y in [(0, 2), (1, 3)]:
-        assert d.surplus.mu.separating(x, y) == 0b1111
+        assert d.surplus.separating(x, y) == 0b1111
         assert d.surplus.surplus(x, y) == 2
 
 
 def test_antipodal_cycle_c6(c6):
     s = gap_decomposition(c6).surplus
     for i in range(3):
-        assert s.mu.separating(i, i + 3) == 0b111111
+        assert s.separating(i, i + 3) == 0b111111
         assert s.surplus(i, i + 3) == 3  # 6 separating edges minus distance 3
 
 
 def test_antipodal_cycle_c4_pendant(c4_pendant):
     d = gap_decomposition(c4_pendant)
     ((order, cycle),) = _lemma_blocks(c4_pendant, d)
-    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant)
+    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant, d.surplus.dist.rows)
     for x, y in [(0, 2), (1, 3)]:
         assert all(mu_brute(c4_pendant, x, y, e) == 1 for e in [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert d.surplus.surplus(x, y) >= 2
 
 
 def test_antipodal_cycle_builds_distances_once(monkeypatch):
-    # The antipodal lemma reads gap_decomposition's one surplus map and mu-table.
+    # The antipodal lemma reads gap_decomposition's one surplus map and its side masks.
     from szlab import graphs, invariants, proofs
 
     calls = []
@@ -179,7 +193,7 @@ def test_antipodal_cycle_exhaustive(enumerated):
             if g.m < n:
                 continue
             d = gap_decomposition(g)
-            cycle = shortest_cycle(g)
+            cycle = shortest_cycle(g, d.surplus.dist.rows)
             assert cycle in [c for _, c in _lemma_blocks(g, d)]
             p, dist = len(cycle), floyd_warshall(g)
             for i in range(p // 2):
@@ -360,6 +374,26 @@ def test_gap_decomposition_tied_blocks_above_canon_limit():
     assert len(tied) == 2
     assert d.root_block == min(tied, key=lambda i: sorted(d.blocks.blocks[i]))
     assert sum(d.surplus.surpluses) == d.total == gap(g) >= 4 * g.n - 8
+
+
+def test_tied_designated_block_follows_the_labeling():
+    # Two 4-cycles sharing vertex 3 tie for largest with equal canonical codes,
+    # so the least sorted vertex list is designated, below the canon limit
+    # too.  Relabelled, the 2-path on vertex 1 hangs off the other cycle:
+    # the categories move, the gap and every floor do not.
+    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (3, 6), (1, 7), (7, 8)]
+    perm = [4, 5, 6, 3, 0, 1, 2, 7, 8]
+    found = []
+    for pairs in (edges, [(perm[u], perm[v]) for u, v in edges]):
+        d = gap_decomposition(Graph(9, pairs))
+        tied = [sorted(b) for b in d.blocks.blocks if len(b) == 4]
+        assert len(tied) == 2 and sorted(d.blocks.blocks[d.root_block]) == min(tied)
+        blocks = d.to_json_dict()["blocks"]
+        within = sorted(b["within_floor"] for b in blocks)
+        cross = sorted(b["cross_floor"] for b in blocks if "cross_floor" in b)
+        found.append((d.total, (within, cross), d.cross_other))
+    assert found[0][:2] == found[1][:2] == (68, ([0, 0, 8, 8], [4, 4, 12]))
+    assert (found[0][2], found[1][2]) == (20, 4)
 
 
 def test_pair_rows_ascend_on_relabelled_block_tree():

@@ -7,13 +7,13 @@ import pytest
 from szlab.enumeration import EnumerationSpec, verify_conjecture
 from szlab.extremal import extremal_family, rooted_trees
 from szlab.graphs import block_decomposition
-from szlab.invariants import MuTable, compute_invariants
+from szlab.invariants import compute_invariants
 from szlab.proofs import gap_decomposition, surplus_map
 
 FIELDS = {
     "BlockDecomposition": ("blocks", "block_edges", "cut_vertices"),
     "InvariantReport": ("n", "m", "wiener", "szeged", "revised_szeged_times4", "gap", "per_edge"),
-    "SurplusMap": ("n", "surpluses", "total", "dist", "mu"),
+    "SurplusMap": ("n", "surpluses", "total", "dist", "edges", "sides"),
     "GapDecomposition": (
         "graph",
         "blocks",
@@ -83,10 +83,11 @@ def test_enumeration_spec_defaults_and_checks():
         EnumerationSpec(4)._replace(n=0)
 
 
-def test_surplus_map_carries_its_mu_table(c4_pendant):
-    # The table the surpluses were read off, not a second one.
+def test_surplus_map_carries_its_side_masks(c4_pendant):
+    # The masks the surpluses were read off, over the graph's own sorted edges.
     smap = surplus_map(c4_pendant)
-    assert isinstance(smap.mu, MuTable)
+    assert smap.edges is c4_pendant.edges
+    assert len(smap.sides) == c4_pendant.n
     rows = smap.dist.rows
     pairs = combinations(range(c4_pendant.n), 2)
-    assert [c - rows[x][y] for (x, y), c in zip(pairs, smap.mu.pair_sums)] == smap.surpluses
+    assert [smap.separating(x, y).bit_count() - rows[x][y] for x, y in pairs] == smap.surpluses
