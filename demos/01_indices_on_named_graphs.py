@@ -6,17 +6,10 @@ equals 4n - 8 on the 4-cycle, and is strictly larger on every other connected
 bipartite graph with at least as many edges as vertices.
 """
 
-from szlab import (
-    complete_bipartite,
-    compute_invariants,
-    cycle_graph,
-    path_graph,
-    revised_szeged,
-    star_graph,
-)
+from szlab import Graph, complete_bipartite, compute_invariants, cycle_graph, star_graph
 
 named = {
-    "path P5": path_graph(5),
+    "path P5": Graph(5, [(i, i + 1) for i in range(4)]),
     "star K_{1,4}": star_graph(4),
     "cycle C4": cycle_graph(4),
     "cycle C5": cycle_graph(5),
@@ -37,4 +30,4 @@ print("Per-edge partition of C5 (note the equidistant vertex on odd cycles):")
 rep = compute_invariants(cycle_graph(5))
 for p in rep.per_edge:
     print(f"  edge ({p.u},{p.v}): n_u={p.n_u} n_v={p.n_v} n_0={p.n_0}")
-print(f"Sz*(C5) = {revised_szeged(cycle_graph(5))} exactly (denominator divides 4).")
+print(f"Sz*(C5) = {rep.revised_szeged} exactly (denominator divides 4).")

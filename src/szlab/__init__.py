@@ -26,7 +26,6 @@ from .errors import (
 )
 from .extremal import (
     ExtremalGraph,
-    RootedTree,
     extremal_family,
     is_extremal_form,
     rooted_tree_count,
@@ -42,7 +41,6 @@ from .graphs import (
     complete_bipartite,
     connected_and_bipartite,
     cycle_graph,
-    path_graph,
     shortest_cycle,
     star_graph,
 )
@@ -50,12 +48,8 @@ from .invariants import (
     EdgePartition,
     InvariantReport,
     compute_invariants,
-    edge_partition,
     edge_partitions,
     gap,
-    revised_szeged,
-    revised_szeged_times4,
-    szeged,
     wiener,
 )
 from .proofs import GapDecomposition, SurplusMap, gap_decomposition, surplus_map

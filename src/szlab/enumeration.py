@@ -166,7 +166,7 @@ class VerificationReport(NamedTuple):
         }
 
 
-def _examine(g: Graph, rows: bool = False) -> dict:
+def _examine(g: Graph, rows: bool) -> dict:
     """One graph's record: whether it meets the hypotheses, its gap, and the names reports use.
 
     A graph a report lists is named by its standard graph6, whatever line it
@@ -195,7 +195,7 @@ def _examine(g: Graph, rows: bool = False) -> dict:
     return rec
 
 
-def _examine_line(item: tuple[int, str], rows: bool = False) -> dict:
+def _examine_line(item: tuple[int, str], rows: bool) -> dict:
     lineno, text = item
     try:
         g = parse_graph6(text)
@@ -219,7 +219,7 @@ def _in_order(fn, items: Iterable, workers: int) -> Iterator[dict]:
         yield from pool.imap(fn, items, chunksize=16)
 
 
-def examine_lines(lines: Iterable[str], workers: int = 1, rows: bool = False) -> Iterator[dict]:
+def examine_lines(lines: Iterable[str], workers: int, rows: bool) -> Iterator[dict]:
     """Records of the non-blank graph6 lines in line order, each line parsed once, by a worker.
 
     Every record carries its "lineno"; an unparseable line gives one with
@@ -229,7 +229,7 @@ def examine_lines(lines: Iterable[str], workers: int = 1, rows: bool = False) ->
     return _in_order(partial(_examine_line, rows=rows), items, workers)
 
 
-def examine(graphs: Iterable[Graph], workers: int = 1, rows: bool = False) -> Iterator[dict]:
+def examine(graphs: Iterable[Graph], workers: int, rows: bool = False) -> Iterator[dict]:
     """Records of the graphs in order; a pool receives the graphs themselves, generators and all."""
     return _in_order(partial(_examine, rows=rows), graphs, workers)
 

@@ -29,7 +29,7 @@ class HypothesisError(SzlabError, ValueError):
 
 
 class SizeLimitError(SzlabError, ValueError):
-    """Input exceeds a documented size limit (canonical labeling, built-in enumeration)."""
+    """Input exceeds a documented size limit (canonical labeling, built-in enumeration, distances)."""
 
 
 class InvariantViolation(SzlabError):

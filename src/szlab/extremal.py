@@ -16,19 +16,10 @@ from .graphs import Graph, block_decomposition
 from .invariants import gap
 
 
-class RootedTree(NamedTuple):
-    """Tree in preorder with parent pointers; parent[0] is None (the root)."""
+def rooted_trees(k: int) -> list[tuple[int | None, ...]]:
+    """All rooted trees on k vertices, one per rooted-isomorphism class, as parent tuples.
 
-    size: int
-    parent: tuple[int | None, ...]
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(p, i) for i, p in enumerate(self.parent) if p is not None]
-
-
-def rooted_trees(k: int) -> list[RootedTree]:
-    """All rooted trees on k vertices, one per rooted-isomorphism class.
-
+    A tree's vertices are in preorder, and parent[0] is None (the root).
     Canonical level-sequence successor generation: a tree is encoded by the
     depths of its vertices in preorder with subtrees ordered so the sequence
     is lexicographically maximal; successive sequences are produced directly,
@@ -36,19 +27,22 @@ def rooted_trees(k: int) -> list[RootedTree]:
     """
     if k < 1:
         raise GraphConstructionError(f"rooted trees need k >= 1, got {k}")
-    if k == 1:
-        return [RootedTree(1, (None,))]
     levels = list(range(1, k + 1))
     out = []
     while True:
-        out.append(_tree_from_levels(levels))
+        # A vertex's parent is the last vertex seen one level up.
+        last: list[int | None] = [None] * (k + 1)
+        parent = []
+        for i, level in enumerate(levels):
+            parent.append(last[level - 1])
+            last[level] = i
+        out.append(tuple(parent))
         # Find the last vertex deeper than level 2; the star is the fixpoint.
         p = max((i for i in range(k) if levels[i] > 2), default=None)
         if p is None:
             return out
-        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
-        # Repeat the segment starting at the new parent until length k.
-        seg = levels[q:p]
+        # Repeat the segment starting at p's parent until length k.
+        seg = levels[parent[p]:p]
         for i in range(p, k):
             levels[i] = seg[(i - p) % len(seg)]
 
@@ -56,21 +50,13 @@ def rooted_trees(k: int) -> list[RootedTree]:
 def rooted_tree_count(k: int) -> int:
     """OEIS A000081(k), the number of rooted trees on k vertices, by the Cayley/Otter
     recurrence a(m + 1) = (1/m) sum_{j=1..m} (sum_{d | j} d a(d)) a(m - j + 1)."""
+    if k < 1:
+        raise GraphConstructionError(f"rooted trees need k >= 1, got {k}")
     a = [0, 1]
     for m in range(1, k):
         weights = [sum(d * a[d] for d in range(1, j + 1) if j % d == 0) for j in range(m + 1)]
         a.append(sum(weights[j] * a[m - j + 1] for j in range(1, m + 1)) // m)
     return a[k]
-
-
-def _tree_from_levels(levels: list[int]) -> RootedTree:
-    parent: list[int | None] = [None] * len(levels)
-    for i in range(1, len(levels)):
-        for j in range(i - 1, -1, -1):
-            if levels[j] == levels[i] - 1:
-                parent[i] = j
-                break
-    return RootedTree(len(levels), tuple(parent))
 
 
 class ExtremalGraph(NamedTuple):
@@ -89,12 +75,11 @@ def extremal_family(n: int) -> list[ExtremalGraph]:
         raise GraphConstructionError(f"family members need n >= 4, got {n}")
     members = []
     seen = set()
-    for tree in rooted_trees(n - 3):
-        # Cycle on 0..3; the tree root is identified with vertex 0 and its
-        # remaining vertices become 4..n-1.
+    for parent in rooted_trees(n - 3):
+        # Cycle on 0..3; the tree root is identified with vertex 0 and tree
+        # vertex i > 0 becomes i + 3.
         edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
-        relabel = lambda t: 0 if t == 0 else t + 3
-        edges.extend((relabel(p), relabel(c)) for p, c in tree.edges())
+        edges.extend((p + 3 if p else 0, i + 3) for i, p in enumerate(parent) if p is not None)
         g = Graph(n, edges)
         if not is_extremal_form(g):
             raise InvariantViolation(f"member {g.edges} is not a 4-cycle plus a hanging tree")

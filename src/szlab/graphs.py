@@ -12,7 +12,7 @@ from collections import Counter
 from struct import Struct
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DisconnectedGraphError, GraphConstructionError, ensure
+from .errors import DisconnectedGraphError, GraphConstructionError, SizeLimitError, ensure
 
 
 class Graph:
@@ -75,10 +75,6 @@ def cycle_graph(p: int) -> Graph:
     return Graph(p, [(i, (i + 1) % p) for i in range(p)])
 
 
-def path_graph(p: int) -> Graph:
-    return Graph(p, [(i, i + 1) for i in range(p - 1)])
-
-
 def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
@@ -113,7 +109,7 @@ class DistanceMatrix:
 
     A field is `width` bytes, little-endian: one byte for n <= 256, two above
     (so n is at most 65,536).  `ones` has every field 1.  `rows` is every row,
-    decoded on first use.  Only all_pairs_distances builds one.
+    decoded on first use.  Only all_pairs_distances builds one, and it holds n to that limit.
     """
 
     __slots__ = ("n", "width", "ones", "packed", "_codec", "_rows")
@@ -140,8 +136,11 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     A ball is held in DistanceMatrix's field layout, field w 1 when w is inside, so round k
     adds k times the gain of ball_v, the vertices at distance k, to packed[v].  A ball that
     stops growing is v's component; only vertices whose ball grew go on.  Raises
-    DisconnectedGraphError when a ball stops short of every vertex (the null graph passes).
+    DisconnectedGraphError when a ball stops short of every vertex (the null graph passes),
+    and SizeLimitError first above 65,536 vertices, where a distance overflows its field.
     """
+    if g.n > 65_536:
+        raise SizeLimitError(f"packed distances support n <= 65,536, got {g.n}")
     neigh = g._neigh
     ball = [1 << 8 * _field_width(g.n) * v for v in g.vertices()]
     packed = [0] * g.n

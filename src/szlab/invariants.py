@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import GraphConstructionError, ensure
+from .errors import ensure
 from .graphs import DistanceMatrix, Graph, all_pairs_distances
 
 if TYPE_CHECKING:
@@ -37,34 +37,15 @@ class EdgePartition(NamedTuple):
     n_0: int
 
 
-def edge_partition(g: Graph, dist: DistanceMatrix, e: tuple[int, int]) -> EdgePartition:
-    u, v = e
-    if not g.has_edge(u, v):
-        raise GraphConstructionError(f"({u}, {v}) is not an edge")
-    # Field w of x is d(w, v) - d(w, u) + 1, which lies in 0..2 on an edge:
-    # 2 when w is closer to u, 1 when equidistant.
-    x = dist.packed[v] + dist.ones - dist.packed[u]
-    n_u, n_0 = (x >> 1 & dist.ones).bit_count(), (x & dist.ones).bit_count()
-    return EdgePartition(u, v, n_u, g.n - n_u - n_0, n_0)
-
-
 def edge_partitions(g: Graph, dist: DistanceMatrix) -> tuple[EdgePartition, ...]:
-    return tuple(edge_partition(g, dist, e) for e in g.edges)
-
-
-def szeged(g: Graph) -> int:
-    """Sum over edges of n_u * n_v."""
-    return compute_invariants(g).szeged
-
-
-def revised_szeged_times4(g: Graph) -> int:
-    """4 * Sz*, exact: sum over edges of (2 n_u + n_0)(2 n_v + n_0)."""
-    return compute_invariants(g).revised_szeged_times4
-
-
-def revised_szeged(g: Graph) -> Fraction:
-    """Szeged variant crediting half the equidistant count to each side."""
-    return compute_invariants(g).revised_szeged
+    packed, ones, parts = dist.packed, dist.ones, []
+    for u, v in g.edges:
+        # Field w of x is d(w, v) - d(w, u) + 1, which lies in 0..2 on an edge:
+        # 2 when w is closer to u, 1 when equidistant.
+        x = packed[v] + ones - packed[u]
+        n_u, n_0 = (x >> 1 & ones).bit_count(), (x & ones).bit_count()
+        parts.append(EdgePartition(u, v, n_u, g.n - n_u - n_0, n_0))
+    return tuple(parts)
 
 
 def gap(g: Graph) -> int:
@@ -85,6 +66,7 @@ class InvariantReport(NamedTuple):
 
     @property
     def revised_szeged(self) -> Fraction:
+        """Sz*, exactly: each edge credits half its equidistant count to each side."""
         from fractions import Fraction  # imported on first use: it loads decimal
         return Fraction(self.revised_szeged_times4, 4)
 

@@ -1,7 +1,11 @@
 import pytest
 
 from szlab.enumeration import EnumerationSpec, generate
-from szlab.graphs import Graph, complete_bipartite, cycle_graph, path_graph
+from szlab.graphs import Graph, complete_bipartite, cycle_graph
+
+
+def path_graph(p: int) -> Graph:
+    return Graph(p, [(i, i + 1) for i in range(p - 1)])
 
 
 @pytest.fixture(scope="session")

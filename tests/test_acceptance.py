@@ -20,13 +20,13 @@ from szlab.graphs import (
     all_pairs_distances,
     complete_bipartite,
     cycle_graph,
-    path_graph,
     shortest_cycle,
     star_graph,
 )
-from szlab.invariants import edge_partitions, gap, revised_szeged, szeged, wiener
+from szlab.invariants import compute_invariants, edge_partitions, gap, wiener
 from szlab.proofs import gap_decomposition, surplus_map
 
+from .conftest import path_graph
 from .oracles import (
     brute_force_classes,
     floyd_warshall,
@@ -96,8 +96,8 @@ def test_criterion_3_named_graph_oracle_values(c4_pendant):
             (gap_brute, gap, k23, 22),
             (gap_brute, gap, tree, 0),
             (gap_brute, gap, path, 0),
-            (szeged_brute, szeged, c4, 16),
-            (szeged_brute, szeged, k23, 36),
+            (szeged_brute, lambda g: compute_invariants(g).szeged, c4, 16),
+            (szeged_brute, lambda g: compute_invariants(g).szeged, k23, 36),
         ]
         for oracle, impl, g, value in expected:
             assert oracle(g) == value
@@ -111,12 +111,12 @@ def test_criterion_4_pair_contribution_identity(enumerated):
     with criterion(4, "sum of pair contributions equals Sz on all graphs and random trees"):
         for n in range(1, 9):
             for g in enumerated[n]:
-                assert sum(separation_counts(surplus_map(g))) == szeged(g)
+                assert sum(separation_counts(surplus_map(g))) == compute_invariants(g).szeged
         rng = random.Random(68141)
         checked = 0
         for _ in range(100):
             g = random_tree(rng.randint(4, 30), rng)
-            sz = szeged(g)
+            sz = compute_invariants(g).szeged
             assert sum(separation_counts(surplus_map(g))) == sz
             assert pair_contribution_total_brute(g) == sz
             checked += 1
@@ -129,10 +129,11 @@ def test_criterion_5_revised_szeged_corollary(enumerated):
             for g in enumerated[n]:
                 parts = edge_partitions(g, all_pairs_distances(g))
                 assert all(p.n_0 == 0 for p in parts)
-                assert revised_szeged(g) == Fraction(szeged(g))
+                report = compute_invariants(g)
+                assert report.revised_szeged == Fraction(report.szeged)
         c5 = cycle_graph(5)
         assert revised_szeged_times4_brute(c5) == 125
-        assert revised_szeged(c5) == Fraction(125, 4)
+        assert compute_invariants(c5).revised_szeged == Fraction(125, 4)
 
 
 def test_criterion_6_pair_surplus_claims(enumerated):

@@ -13,8 +13,9 @@ from szlab.enumeration import EnumerationSpec, generate
 from szlab.errors import SizeLimitError
 from szlab.extremal import extremal_family
 from szlab.formats import parse_graph6
-from szlab.graphs import Graph, complete_bipartite, path_graph, star_graph
+from szlab.graphs import Graph, complete_bipartite, star_graph
 
+from .conftest import path_graph
 from .oracles import (
     all_labeled_trees,
     automorphism_count_brute,

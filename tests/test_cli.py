@@ -10,7 +10,9 @@ import szlab.enumeration as enumeration
 from szlab.cli import main
 from szlab.errors import InvariantViolation
 from szlab.formats import to_graph6
-from szlab.graphs import Graph, complete_bipartite, cycle_graph, path_graph
+from szlab.graphs import Graph, complete_bipartite, cycle_graph
+
+from .conftest import path_graph
 
 
 def run_cli(capsys, *argv):

@@ -1,13 +1,16 @@
 """Each demo runs to completion and prints exactly its recorded output.
 
 Demo 4 reports its own wall time on a `done in` line, which is dropped
-before hashing.
+before hashing.  The README's library quick start prints what its comments say.
 """
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
@@ -37,3 +40,15 @@ def test_demo_output_unchanged(name):
     lines = proc.stdout.splitlines(keepends=True)
     stdout = b"".join(line for line in lines if not line.startswith(b"done in"))
     assert hashlib.sha256(stdout).hexdigest() == STDOUT_SHA256[name]
+
+
+def test_readme_quick_start_prints_what_its_comments_say():
+    (block,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    comments = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    out = StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(comments) == 3
+    for line, comment in zip(printed, comments):
+        assert comment.startswith(line), (line, comment)

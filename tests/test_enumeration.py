@@ -118,17 +118,17 @@ def test_edge_key_is_only_a_shortcut(monkeypatch, connected):
 
 
 def test_examine_lines_stream():
-    records = list(examine_lines(["Cr", "D?{", "Bw"]))
+    records = list(examine_lines(["Cr", "D?{", "Bw"], 1, False))
     assert len(records) == 3
     assert all("error" not in r for r in records)
 
-    records = list(examine_lines(["Cr", "C", "Cr"]))
+    records = list(examine_lines(["Cr", "C", "Cr"], 1, False))
     assert [r["lineno"] for r in records] == [1, 2, 3]
     assert set(records[1]) == {"lineno", "error"} and records[1]["error"]
     assert records[0]["n"] == records[2]["n"] == 4
 
-    assert list(examine_lines([])) == []
-    assert list(examine_lines(["", "  "])) == []
+    assert list(examine_lines([], 1, False)) == []
+    assert list(examine_lines(["", "  "], 1, False)) == []
 
 
 def test_verify_conjecture_n4(enumerated):
@@ -178,7 +178,7 @@ def test_examine_two_colors_each_checked_graph_once(monkeypatch, rows):
     gate, compute = enumeration.connected_and_bipartite, enumeration.compute_invariants
     monkeypatch.setattr(enumeration, "connected_and_bipartite", lambda g: gates.append(g) or gate(g))
     monkeypatch.setattr(enumeration, "compute_invariants", lambda g: computed.append(g) or compute(g))
-    records = list(examine(stream, rows=rows))
+    records = list(examine(stream, 1, rows))
     assert [r["ok"] for r in records] == [False, False, False, True, True]
     assert gates == stream
     assert computed == (stream[1:] if rows else stream[3:])
@@ -220,8 +220,9 @@ def _family_graphs(n: int) -> list[Graph]:
     """The extremal family on n vertices as plain graphs, one per rooted tree on
     n - 3 vertices hung from vertex 0 of a 4-cycle, built without canon."""
     return [
-        Graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)] + [(0 if p == 0 else p + 3, c + 3) for p, c in t.edges()])
-        for t in rooted_trees(n - 3)
+        Graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)]
+              + [(0 if p == 0 else p + 3, c + 3) for c, p in enumerate(parent) if p is not None])
+        for parent in rooted_trees(n - 3)
     ]
 
 
@@ -246,7 +247,7 @@ def test_extremal_match_at_n16_without_building_the_family():
 
 def test_extremal_match_false_on_an_equality_graph_of_another_shape():
     # A forged record of an equality graph that is not of extremal form.
-    records = list(examine([cycle_graph(4)]))
+    records = list(examine([cycle_graph(4)], 1))
     assert verify_conjecture([cycle_graph(4)])[0].extremal_match is True
     records[0]["extremal"] = False
     assert enumeration.fold_records(records)[0][0].extremal_match is False
@@ -280,7 +281,7 @@ def test_examine_sends_graphs_to_the_pool_without_graph6(enumerated, monkeypatch
         raise AssertionError("examine parsed graph6")
 
     graphs = [g for g in enumerated[6] if g.m >= 6]
-    solo = list(examine(graphs, rows=True))
+    solo = list(examine(graphs, 1, rows=True))
     monkeypatch.setattr(enumeration, "parse_graph6", refuse)
     assert list(examine(graphs, workers=2, rows=True)) == solo
 

@@ -39,16 +39,20 @@ def test_rooted_trees_are_valid_and_distinct():
     for k in range(1, 8):
         seen = set()
         for t in rooted_trees(k):
-            assert t.size == k and t.parent[0] is None
-            g = Graph(k, t.edges())
+            assert len(t) == k and t[0] is None
+            assert all(p < i for i, p in enumerate(t) if p is not None)
+            g = Graph(k, [(p, i) for i, p in enumerate(t) if p is not None])
             assert g.m == k - 1 and connected_and_bipartite(g)[0]
-            seen.add(t.parent)
+            seen.add(t)
         assert len(seen) == len(rooted_trees(k))
 
 
 def test_rooted_trees_rejects_zero():
-    with pytest.raises(GraphConstructionError):
-        rooted_trees(0)
+    # And every k below 1, in the count too, where a[k] would index from the end of its list.
+    for k in range(-3, 1):
+        for fn in (rooted_trees, rooted_tree_count):
+            with pytest.raises(GraphConstructionError, match=f"need k >= 1, got {k}$"):
+                fn(k)
 
 
 def test_family_small_n():

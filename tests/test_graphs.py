@@ -17,11 +17,11 @@ from szlab.graphs import (
     complete_bipartite,
     connected_and_bipartite,
     cycle_graph,
-    path_graph,
     shortest_cycle,
     star_graph,
 )
 
+from .conftest import path_graph
 from .oracles import INF, floyd_warshall, girth_brute, two_colorings
 from .test_kernel import connected_graphs
 
@@ -153,11 +153,12 @@ def test_hypotheses_come_from_one_bfs_forest(monkeypatch, c4, c4_pendant):
     _count_calls(monkeypatch, calls, "bfs_forest", graphs)
     _count_calls(monkeypatch, calls, "_distances_from", graphs)
     _count_calls(monkeypatch, calls, "all_pairs_distances", graphs, invariants, proofs)
+    examine = lambda g: enumeration._examine(g, False)
     for check, g in [
         (proofs.gap_decomposition, c4_pendant),
         (proofs.gap_decomposition, c4),
-        (enumeration._examine, c4_pendant),
-        (enumeration._examine, cycle_graph(5)),
+        (examine, c4_pendant),
+        (examine, cycle_graph(5)),
     ]:
         calls.clear()
         check(g)

@@ -9,20 +9,11 @@ from hypothesis import strategies as st
 
 from szlab.canon import canonical_code
 from szlab.cli import main
-from szlab.errors import DisconnectedGraphError, GraphConstructionError
+from szlab.errors import DisconnectedGraphError
 from szlab.formats import to_graph6
 from szlab.graphs import Graph, all_pairs_distances, connected_and_bipartite, star_graph
 from szlab.proofs import surplus_map
-from szlab.invariants import (
-    compute_invariants,
-    edge_partition,
-    edge_partitions,
-    gap,
-    revised_szeged,
-    revised_szeged_times4,
-    szeged,
-    wiener,
-)
+from szlab.invariants import compute_invariants, edge_partitions, gap, wiener
 
 from .oracles import (
     edge_partition_brute,
@@ -53,48 +44,38 @@ def test_wiener_rejects_disconnected():
 
 
 def test_edge_partition_c4(c4):
-    d = all_pairs_distances(c4)
-    for e in c4.edges:
-        p = edge_partition(c4, d, e)
+    for e, p in zip(c4.edges, edge_partitions(c4, all_pairs_distances(c4))):
+        assert (p.u, p.v) == e
         assert (p.n_u, p.n_v, p.n_0) == (2, 2, 0)
 
 
 def test_edge_partition_c5(c5):
-    d = all_pairs_distances(c5)
-    for e in c5.edges:
-        p = edge_partition(c5, d, e)
+    for e, p in zip(c5.edges, edge_partitions(c5, all_pairs_distances(c5))):
         assert (p.n_u, p.n_v, p.n_0) == (2, 2, 1)
         assert edge_partition_brute(c5, e) == (2, 2, 1)
 
 
 def test_edge_partition_k23(k23):
-    d = all_pairs_distances(k23)
-    for e in k23.edges:
-        p = edge_partition(k23, d, e)
+    for e, p in zip(k23.edges, edge_partitions(k23, all_pairs_distances(k23))):
         assert sorted((p.n_u, p.n_v)) == [2, 3] and p.n_0 == 0
         brute = edge_partition_brute(k23, e)
         assert (p.n_u, p.n_v, p.n_0) == brute
 
 
-def test_edge_partition_rejects_non_edge(c4):
-    with pytest.raises(GraphConstructionError):
-        edge_partition(c4, all_pairs_distances(c4), (0, 2))
-
-
 def test_szeged_frozen_values(c4, k23):
     assert szeged_brute(c4) == 16
-    assert szeged(c4) == 16
+    assert compute_invariants(c4).szeged == 16
     assert szeged_brute(k23) == 36
-    assert szeged(k23) == 36
+    assert compute_invariants(k23).szeged == 36
     # stars are trees, so Sz equals W
-    assert szeged(star_graph(4)) == 16 == wiener(all_pairs_distances(star_graph(4)))
+    assert compute_invariants(star_graph(4)).szeged == 16 == wiener(all_pairs_distances(star_graph(4)))
 
 
 def test_revised_szeged_values(c4, c5, p3):
-    assert revised_szeged(c4) == Fraction(16)
+    assert compute_invariants(c4).revised_szeged == Fraction(16)
     assert revised_szeged_times4_brute(c5) == 125
-    assert revised_szeged(c5) == Fraction(125, 4)
-    assert revised_szeged(p3) == Fraction(4)
+    assert compute_invariants(c5).revised_szeged == Fraction(125, 4)
+    assert compute_invariants(p3).revised_szeged == Fraction(4)
 
 
 def _mu(smap, x, y, e) -> int:
@@ -119,7 +100,7 @@ def test_mu_table_c4(c4):
     sums = dict(zip(combinations(range(4), 2), separation_counts(t)))
     assert len(sums) == len(t.surpluses) == 6
     assert sums[(0, 2)] == 4 and sums[(1, 3)] == 4
-    assert sum(sums.values()) == 16 == szeged(c4)
+    assert sum(sums.values()) == 16 == compute_invariants(c4).szeged
     assert _mu(t, 0, 2, (0, 1)) == 1
     assert _mu(t, 0, 1, (1, 2)) == 0
 
@@ -127,7 +108,7 @@ def test_mu_table_c4(c4):
 def test_mu_table_p3(p3):
     counts = separation_counts(surplus_map(p3))
     assert sorted(counts) == [1, 1, 2]
-    assert sum(counts) == 4 == szeged(p3)
+    assert sum(counts) == 4 == compute_invariants(p3).szeged
 
 
 def test_gap_frozen_values(c4, k23, c4_pendant, p3):
@@ -164,8 +145,8 @@ def test_tree_identities_up_to_nine_vertices():
     for n in range(1, 10):
         seen = set()
         trees = []
-        for t in rooted_trees(n):
-            g = Graph(n, t.edges())
+        for parent in rooted_trees(n):
+            g = Graph(n, [(p, i) for i, p in enumerate(parent) if p is not None])
             code = canonical_code(g)
             if code not in seen:
                 seen.add(code)
@@ -174,8 +155,9 @@ def test_tree_identities_up_to_nine_vertices():
         assert len(trees) == [1, 1, 1, 2, 3, 6, 11, 23, 47][n - 1]
         for g in trees:
             w = wiener(all_pairs_distances(g))
-            assert szeged(g) == w
-            assert revised_szeged(g) == Fraction(w)
+            report = compute_invariants(g)
+            assert report.szeged == w
+            assert report.revised_szeged == Fraction(w)
 
 
 def test_bipartite_identity(enumerated):
@@ -184,7 +166,8 @@ def test_bipartite_identity(enumerated):
             assert connected_and_bipartite(g)[1]
             for p in edge_partitions(g, all_pairs_distances(g)):
                 assert p.n_0 == 0
-            assert revised_szeged_times4(g) == 4 * szeged(g)
+            report = compute_invariants(g)
+            assert report.revised_szeged_times4 == 4 * report.szeged
 
 
 def test_partition_identity_including_nonbipartite(c5):
@@ -201,7 +184,7 @@ def test_random_trees_match_oracle():
         g = random_tree(n, rng)
         w = wiener(all_pairs_distances(g))
         assert w == wiener_brute(g)
-        assert szeged(g) == w
+        assert compute_invariants(g).szeged == w
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)

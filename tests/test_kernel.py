@@ -13,17 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from szlab.errors import DisconnectedGraphError
+from szlab.errors import DisconnectedGraphError, SizeLimitError
 from szlab.graphs import (
     Graph,
     all_pairs_distances,
     connected_and_bipartite,
     cycle_graph,
-    path_graph,
 )
-from szlab.invariants import compute_invariants, edge_partition, revised_szeged_times4, wiener
+from szlab.invariants import compute_invariants, edge_partitions, wiener
 from szlab.proofs import surplus_map
 
+from .conftest import path_graph
 from .oracles import (
     INF,
     edge_partition_brute,
@@ -125,11 +125,17 @@ def test_ball_distances_match_oracles(g):
         return
     dist = all_pairs_distances(g)
     assert dist.rows == tuple(map(tuple, rows))
-    for e in g.edges:
-        p = edge_partition(g, dist, e)
+    for e, p in zip(g.edges, edge_partitions(g, dist)):
         assert (p.n_u, p.n_v, p.n_0) == edge_partition_brute(g, e)
     assert wiener(dist) == wiener_brute(g)
-    assert revised_szeged_times4(g) == revised_szeged_times4_brute(g)
+    assert compute_invariants(g).revised_szeged_times4 == revised_szeged_times4_brute(g)
+
+
+def test_distances_refuse_more_vertices_than_two_byte_fields_hold():
+    # A distance of 65,536 or more would carry into the next field; the
+    # refusal comes before the balls grow, so it is not DisconnectedGraphError.
+    with pytest.raises(SizeLimitError, match="n <= 65,536, got 65537$"):
+        all_pairs_distances(Graph(65_537, []))
 
 
 @pytest.mark.parametrize("n", [255, 256, 257, 300])

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "szlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "szlab"
+BENCH = ROOT / "perfbench"
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:
@@ -59,6 +61,95 @@ def test_package_has_no_orphaned_private_helpers():
     offenders = _orphaned_private_helpers(trees)
     if offenders:
         pytest.fail(f"private helpers nothing in src/szlab references: {', '.join(offenders)}")
+
+
+def _dotted(node: ast.AST) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    base = _dotted(node.value) if isinstance(node, ast.Attribute) else None
+    return base and f"{base}.{node.attr}"
+
+
+def _bench_reads(tree: ast.Module) -> set[str]:
+    """Names a benchmark file imports from szlab or reads off a szlab module (`m.name`)."""
+    nodes = list(ast.walk(tree))
+    # `import szlab.x as y` binds y, and `import szlab.x` binds szlab.
+    bound = {
+        alias.asname or "szlab"
+        for node in nodes
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name.split(".")[0] == "szlab"
+    }
+    names = {
+        alias.name
+        for node in nodes
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "szlab"
+        for alias in node.names
+    }
+    names.update(
+        node.attr
+        for node in nodes
+        if isinstance(node, ast.Attribute) and (_dotted(node.value) or "").split(".")[0] in bound
+    )
+    return names
+
+
+def _uncalled_public_names(package: dict[str, ast.Module], bench: dict[str, ast.Module]) -> list[str]:
+    """Module-level public functions and classes with no caller.
+
+    A caller is another package module importing the name, the name's own
+    module loading it, or a benchmark file importing it or reading it off a
+    szlab module.  `__init__.py` re-exports are not callers, and neither is
+    an attribute read off a record (`report.szeged`).
+    """
+    modules = {name: tree for name, tree in package.items() if name != "__init__.py"}
+    defined = [
+        (name, node.name)
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    loaded = {
+        name: {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for name, tree in modules.items()
+    }
+    imported = {
+        name: {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level for alias in node.names}
+        for name, tree in modules.items()
+    }
+    from_bench = set().union(*map(_bench_reads, bench.values()))
+    return sorted(
+        f"{name}: {public}"
+        for name, public in defined
+        if public not in loaded[name] | from_bench
+        and not any(public in names for other, names in imported.items() if other != name)
+    )
+
+
+def test_uncalled_public_name_detector():
+    package = {
+        "a.py": ast.parse(
+            "def imported(): pass\ndef gone(): pass\nclass Lost: pass\ndef own(): pass\nX = own()\n"
+            "def traced(): pass\ndef read(): pass\ndef chained(): pass\ndef field(): pass\ndef exported(): pass\n"
+        ),
+        "b.py": ast.parse("from .a import imported\nfrom typing import gone\n"),
+        "__init__.py": ast.parse("from .a import exported\n"),
+    }
+    bench = {
+        "k.py": ast.parse("from szlab.a import traced\nimport szlab.a as mod\nmod.read()\n"),
+        "r.py": ast.parse("import szlab.cli\nszlab.a.chained()\nreport.field\nLost = 1\n"),
+    }
+    assert _uncalled_public_names(package, bench) == ["a.py: Lost", "a.py: exported", "a.py: field", "a.py: gone"]
+
+
+def test_package_has_no_uncalled_public_names():
+    # Names only tests call are kept out: tests reach the package through the routes it uses itself.
+    package = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    bench = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(BENCH.glob("*.py"))}
+    offenders = _uncalled_public_names(package, bench)
+    if offenders:
+        pytest.fail(f"public names nothing in src/szlab or perfbench calls: {', '.join(offenders)}")
 
 
 def _call_sites(tree: ast.Module, callee: str) -> list[str]:

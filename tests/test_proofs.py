@@ -12,12 +12,12 @@ from szlab.graphs import (
     all_pairs_distances,
     block_decomposition,
     cycle_graph,
-    path_graph,
     shortest_cycle,
 )
 from szlab.invariants import gap
 from szlab.proofs import gap_decomposition, surplus_map
 
+from .conftest import path_graph
 from .oracles import floyd_warshall, gap_brute, mu_brute, surplus_brute
 
 

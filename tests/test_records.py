@@ -27,7 +27,6 @@ FIELDS = {
         "cross_pair_floor_ok",
         "cross_witness_ok",
     ),
-    "RootedTree": ("size", "parent"),
     "ExtremalGraph": ("graph", "canonical"),
     "EnumerationSpec": ("n", "min_edges", "connected"),
     "EqualityEntry": ("canonical", "graph6"),
@@ -52,7 +51,6 @@ def records(c4, c4_pendant):
         compute_invariants(c4),
         surplus_map(c4),
         gap_decomposition(c4_pendant),
-        rooted_trees(3)[0],
         extremal_family(5)[0],
         EnumerationSpec(4),
         report.equality_graphs[0],
