@@ -24,7 +24,8 @@ import sys
 import time
 from contextlib import nullcontext
 from functools import partial
-from itertools import chain, islice
+from itertools import chain, count, repeat
+from operator import itemgetter
 from typing import Iterator
 
 from .canon import canonical_code
@@ -135,13 +136,15 @@ def cmd_decompose(args) -> int:
             print(line)
         print(f"cross-other {d['cross_other']}")
     elif args.pairs:
-        # The pairs follow the payload's last key, a chunk at a time, each as json.dumps writes its dict.
-        sys.stdout.write(json.dumps(decomp.to_json_dict(), sort_keys=False)[:-1] + ', "pairs": [')
-        rows = (_PAIR_JSON % (x, y, d, s, cat[0]) for x, y, d, s, cat in decomp.pair_rows())
-        sys.stdout.write(", ".join(islice(rows, 4096)))
-        while chunk := ", ".join(islice(rows, 4096)):
-            sys.stdout.write(", " + chunk)
-        sys.stdout.write("]}\n")
+        # The pairs follow the payload's last key, one row of text at a time, each
+        # pair as json.dumps writes its dict.
+        write = sys.stdout.write
+        write(json.dumps(decomp.to_json_dict(), sort_keys=False)[:-1] + ', "pairs": [')
+        for x, distances, surpluses, categories in decomp.by_row():
+            if distances:  # the last row holds no pair
+                pairs = zip(repeat(x), count(x + 1), distances, surpluses, map(itemgetter(0), categories))
+                write((", " if x else "") + ", ".join(map(_PAIR_JSON.__mod__, pairs)))
+        write("]}\n")
     else:
         print(json.dumps(decomp.to_json_dict(), sort_keys=False))
     return EXIT_OK

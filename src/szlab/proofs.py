@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, combinations
+from itertools import combinations, count, repeat
 from typing import Iterator, NamedTuple
 
 from .canon import MAX_CANON_VERTICES, canonical_code
@@ -91,11 +91,6 @@ class SurplusMap(NamedTuple):
 
     def histogram(self) -> Counter:
         return Counter(self.surpluses)
-
-
-def _pair_distances(rows) -> Iterator[int]:
-    """d(x, y) for every pair x < y, in pair order: each row past its diagonal."""
-    return chain.from_iterable(r[x + 1 :] for x, r in enumerate(rows))
 
 
 def surplus_map(g: Graph) -> SurplusMap:
@@ -177,12 +172,18 @@ class GapDecomposition(NamedTuple):
             "cross_witness_ok": self.cross_witness_ok,
         }
 
+    def by_row(self) -> Iterator[tuple[int, tuple[int, ...], list[int], list[tuple]]]:
+        """For each x in order, (x, distances, surpluses, categories) of the pairs (x, y), y > x."""
+        n, surpluses, rows = self.graph.n, self.surplus.surpluses, self.surplus.dist.rows
+        end = 0
+        for x in range(n):
+            start, end = end, end + n - 1 - x
+            yield x, rows[x][x + 1 :], surpluses[start:end], self.pair_category[start:end]
+
     def pair_rows(self) -> Iterator[tuple[int, int, int, int, tuple]]:
         """(x, y, distance, surplus, category) for every pair x < y, in order."""
-        smap = self.surplus
-        lists = (_pair_distances(smap.dist.rows), smap.surpluses, self.pair_category)
-        for (x, y), d, s, cat in zip(combinations(range(smap.n), 2), *lists):
-            yield x, y, d, s, cat
+        for x, *row in self.by_row():
+            yield from zip(repeat(x), count(x + 1), *row)
 
 
 def gap_decomposition(g: Graph) -> GapDecomposition:

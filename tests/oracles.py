@@ -2,7 +2,9 @@
 
 Nothing here shares an algorithm with the package: distances come from
 Floyd-Warshall instead of BFS, isomorphism from permutation backtracking
-instead of canonical codes, girth from per-edge deletion, 2-colorings by
+instead of canonical codes, girth from per-edge deletion, blocks and pair
+categories from separating vertices instead of fundamental cycles and an
+outward walk of the block-cut tree, 2-colorings by
 trying every coloring instead of BFS-depth parity, rooted-tree
 counting from labeled Prufer trees deduplicated by recursive subtree
 encoding, automorphism counts by trying every permutation, labeled bipartite
@@ -101,9 +103,84 @@ def surplus_brute(g: Graph, x: int, y: int, d=None) -> int:
     return mu_pair_sum_brute(g, x, y, d) - int(d[x][y])
 
 
+def side_masks_brute(g: Graph, d) -> list[tuple[int, int]]:
+    """(A_x, B_x) for every x: bit i of A_x iff d(x, u_i) < d(x, v_i), of B_x iff d(x, v_i) < d(x, u_i)."""
+    return [
+        (
+            sum(1 << i for i, (u, v) in enumerate(g.edges) if d[x][u] < d[x][v]),
+            sum(1 << i for i, (u, v) in enumerate(g.edges) if d[x][v] < d[x][u]),
+        )
+        for x in range(g.n)
+    ]
+
+
 def pair_contribution_total_brute(g: Graph) -> int:
     d = floyd_warshall(g)
     return sum(mu_pair_sum_brute(g, x, y, d) for x, y in combinations(range(g.n), 2))
+
+
+def _components_without(g: Graph, z: int) -> list[int]:
+    """A component label for every vertex of g - z (z itself gets -1), by flood fill."""
+    adj = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    label = [-1] * g.n
+    for s in range(g.n):
+        if s == z or label[s] != -1:
+            continue
+        label[s] = s
+        stack = [s]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w != z and label[w] == -1:
+                    label[w] = s
+                    stack.append(w)
+    return label
+
+
+def pair_categories_brute(g: Graph, root_block: int) -> dict[tuple[int, int], tuple]:
+    """Every pair's gap-decomposition category on a connected graph, from separating vertices.
+
+    x and y share a block iff they are adjacent or no third vertex separates
+    them; the block of such a pair is {x, y} and every w sharing a block with
+    both.  Blocks are numbered in order of their sorted vertex lists, and
+    `root_block` (the package's choice) names the designated one.  A vertex's
+    home is the designated block for its own vertices, and otherwise its one
+    block holding a vertex nearer the designated block than itself.
+    """
+    n = g.n
+    apart = [_components_without(g, z) for z in range(n)]
+    share = [[False] * n for _ in range(n)]
+    for x, y in combinations(range(n), 2):
+        share[x][y] = share[y][x] = g.has_edge(x, y) or all(
+            apart[z][x] == apart[z][y] for z in range(n) if z not in (x, y)
+        )
+    block_of = {
+        (x, y): tuple(w for w in range(n) if w in (x, y) or (share[w][x] and share[w][y]))
+        for x, y in combinations(range(n), 2)
+        if share[x][y]
+    }
+    blocks = sorted(set(block_of.values()))
+    index = {b: i for i, b in enumerate(blocks)}
+    root = set(blocks[root_block])
+    d = floyd_warshall(g)
+    to_root = [min(d[v][r] for r in root) for v in range(n)]
+    home = [
+        root_block
+        if v in root
+        else next(i for i, b in enumerate(blocks) if v in b and min(to_root[w] for w in b) < to_root[v])
+        for v in range(n)
+    ]
+    categories = {}
+    for x, y in combinations(range(n), 2):
+        if share[x][y]:
+            categories[x, y] = ("within", index[block_of[x, y]])
+        elif x in root or y in root:
+            categories[x, y] = ("cross_root", home[y] if x in root else home[x])
+        else:
+            categories[x, y] = ("cross_other", (home[x], home[y]))
+    return categories
 
 
 def girth_brute(g: Graph) -> int | None:

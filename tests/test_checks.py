@@ -82,14 +82,87 @@ def test_gap_decomposition_rejects_cross_block_deficit(monkeypatch, c4_pendant):
         gap_decomposition(c4_pendant)
 
 
+def test_gap_decomposition_rejects_pair_in_two_blocks(monkeypatch, c4_pendant):
+    # Vertex 1 forced into the bridge block 0-4 as well: (0, 1) shares both blocks.
+    real = proofs.block_decomposition
+
+    def corrupted(g):
+        decomp = real(g)
+        return decomp._replace(blocks=(decomp.blocks[0], decomp.blocks[1] | {1}))
+
+    monkeypatch.setattr(proofs, "block_decomposition", corrupted)
+    with pytest.raises(InvariantViolation, match="^a pair shares two blocks$"):
+        gap_decomposition(c4_pendant)
+
+
+# Two 4-cycles sharing vertex 0: block 1 (0-4-5-6) is entered through its root
+# gate 0, and its cross surplus 24 is well above the floor 4 * 3.
+TWO_C4 = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)])
+
+
 def test_gap_decomposition_rejects_zero_surplus_in_other_block(monkeypatch):
     # Two 4-cycles sharing vertex 0; block 1 (0-4-5-6) is not the designated one.
     # Moving a unit from (4, 5) to (4, 6) keeps block 1's sum, so no floor fires.
-    g = Graph(7, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (4, 5), (5, 6), (0, 6)])
+    g = TWO_C4
     assert gap_decomposition(g).root_block == 0
+    assert surplus_map(g).surplus(4, 5) == 1  # the least surplus 1 itself passes
     _with_surpluses(monkeypatch, {(4, 5): -1, (4, 6): 1})
     with pytest.raises(InvariantViolation, match=r"^block 1: pair \(4, 5\) has surplus 0, below 1$"):
         gap_decomposition(g)
+    # Of two pairs tied at the least surplus, the first in pair order is named.
+    monkeypatch.undo()
+    _with_surpluses(monkeypatch, {(4, 5): -1, (5, 6): -1, (4, 6): 2})
+    with pytest.raises(InvariantViolation, match=r"^block 1: pair \(4, 5\) has surplus 0, below 1$"):
+        gap_decomposition(g)
+
+
+# Boundary checks: each threshold below is met exactly and passes, and one
+# unit below it raises or flips a flag.  In c4_pendant (4-cycle 0-1-2-3,
+# bridge 0-4) block 0 is the designated cycle and block 1 the bridge.
+
+
+def test_within_floor_holds_at_4n_minus_8_and_fails_one_below(monkeypatch, c4_pendant):
+    assert gap_decomposition(c4_pendant).within_block[0] == 4 * 4 - 8
+    _with_surpluses(monkeypatch, {(0, 1): -1})
+    with pytest.raises(InvariantViolation, match=r"^block 0: within surplus below 4n_i - 8$"):
+        gap_decomposition(c4_pendant)
+
+
+def test_cross_floor_holds_at_n1_times_ni_minus_1_and_fails_one_below(monkeypatch, c4_pendant):
+    assert gap_decomposition(c4_pendant).cross_root == {1: 4 * (2 - 1)}
+    _with_surpluses(monkeypatch, {(1, 4): -1, (0, 2): 1})
+    with pytest.raises(InvariantViolation, match=r"^block 1: cross surplus below n_1\(n_i - 1\)$"):
+        gap_decomposition(c4_pendant)
+
+
+def test_cross_pair_floor_flag_holds_at_1_and_flips_one_below(monkeypatch):
+    assert surplus_map(TWO_C4).surplus(1, 4) == 2
+    _with_surpluses(monkeypatch, {(1, 4): -1})
+    assert gap_decomposition(TWO_C4).cross_pair_floor_ok
+    monkeypatch.undo()
+    _with_surpluses(monkeypatch, {(1, 4): -2})
+    d = gap_decomposition(TWO_C4)
+    assert not d.cross_pair_floor_ok and d.cross_witness_ok
+
+
+def test_cross_witness_flag_holds_at_2_and_flips_one_below(monkeypatch):
+    # Vertex 4's partners off the gate, 1, 2 and 3, have surpluses 2, 3 and 2.
+    assert [surplus_map(TWO_C4).surplus(r, 4) for r in (1, 2, 3)] == [2, 3, 2]
+    _with_surpluses(monkeypatch, {(2, 4): -1})
+    assert gap_decomposition(TWO_C4).cross_witness_ok
+    monkeypatch.undo()
+    _with_surpluses(monkeypatch, {(1, 4): -1, (2, 4): -2, (3, 4): -1})
+    d = gap_decomposition(TWO_C4)
+    assert not d.cross_witness_ok and d.cross_pair_floor_ok
+
+
+def test_cross_other_holds_at_0_and_fails_one_below(monkeypatch, c4_tail3):
+    # (4, 6) on the tail 0-4-5-6 shares no block and has no end in the cycle.
+    d = gap_decomposition(c4_tail3)
+    assert d.cross_other == 0 and d.surplus.surplus(4, 6) == 0
+    _with_surpluses(monkeypatch, {(4, 6): -1, (0, 2): 1})
+    with pytest.raises(InvariantViolation, match="^negative cross-other surplus$"):
+        gap_decomposition(c4_tail3)
 
 
 def test_antipodal_check_rejects_missed_cycle_edge(monkeypatch, c4):

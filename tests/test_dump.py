@@ -1,7 +1,8 @@
 """The `decompose` output formats against the dict-built form, pinned digests and a memory ceiling.
 
-`szlab decompose --pairs` writes its pair dump a chunk at a time from one row
-template; these tests hold it to `json.dumps` of the pair dicts it replaced.
+`szlab decompose --pairs` writes its pair dump a row of pairs (x, y), y > x, at
+a time from one pair template; these tests hold it to `json.dumps` of the
+pair dicts it replaced.
 """
 
 import hashlib
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from szlab.cli import main
 from szlab.formats import to_graph6
-from szlab.graphs import Graph
+from szlab.graphs import Graph, cycle_graph
 from szlab.proofs import gap_decomposition
 
 from .oracles import floyd_warshall, surplus_brute
@@ -63,6 +64,8 @@ LONG = Graph(22, [(i, (i + 1) % 18) for i in range(18)] + [(0, 18), (18, 19), (1
 @given(st.builds(block_tree, st.randoms(use_true_random=False), st.integers(4, 40)))
 @example(TIED)
 @example(LONG)
+@example(cycle_graph(4))
+@example(block_tree(random.Random(92), 100))  # 4,950 pairs
 def test_pairs_dump_is_json_dumps_of_the_pair_dicts(g):
     d = gap_decomposition(g)
     payload = d.to_json_dict()
@@ -70,7 +73,9 @@ def test_pairs_dump_is_json_dumps_of_the_pair_dicts(g):
         {"x": x, "y": y, "distance": dist, "surplus": s, "category": cat[0]}
         for x, y, dist, s, cat in d.pair_rows()
     ]
-    assert _stdout("decompose", "--pairs", "--graph6", to_graph6(g)) == json.dumps(payload) + "\n"
+    out, expected = _stdout("decompose", "--pairs", "--graph6", to_graph6(g)), json.dumps(payload) + "\n"
+    # Byte-exact, compared a pair at a time so that a failure names the first differing pair.
+    assert out.split("}, {") == expected.split("}, {")
     fw = floyd_warshall(g)
     pairs = [(p["x"], p["y"], p["distance"], p["surplus"]) for p in payload["pairs"]]
     assert pairs == [(x, y, fw[x][y], surplus_brute(g, x, y, fw)) for x in range(g.n) for y in range(x + 1, g.n)]
@@ -102,17 +107,42 @@ def test_decompose_formats_keep_their_bytes():
         assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
 
 
+class _Sink:
+    """A stdout that keeps nothing but a count of the pairs written to it."""
+
+    pairs = 0
+
+    def write(self, text: str) -> int:
+        self.pairs += text.count('{"x": ')
+        return len(text)
+
+
 def test_pairs_dump_peak_traced_memory(tmp_path):
-    # 200 vertices, 19,900 pairs: a dump of about 1.5 MB, which the pair dicts held
-    # at some 13.5 MiB traced and the chunked writer at about 2.3 MiB.
+    # 200 vertices, 19,900 pairs, a dump of about 1.5 MB, which the pair dicts held
+    # at some 13.5 MiB traced.  The writer holds one row of text at a time, so the
+    # whole command peaks little above gap_decomposition's own traced peak
+    # (4,096-pair chunks added 1.1 MiB).
+    g = block_tree(random.Random(3), 200)
     path = tmp_path / "g.g6"
-    path.write_text(to_graph6(block_tree(random.Random(3), 200)) + "\n")
+    path.write_text(to_graph6(g) + "\n")
+    argv = ["decompose", "--pairs", "--file", str(path)]
+    sink = _Sink()
+    tracemalloc.start()
+    try:
+        gap_decomposition(g)
+        own = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        with redirect_stdout(sink):
+            assert main(argv) == 0
+        top = tracemalloc.get_traced_memory()[1]
+        peak = top - base
+    finally:
+        tracemalloc.stop()
+    assert sink.pairs == 19_900
+    assert top < 4 * 2**20, f"traced peak {top / 2**20:.2f} MiB"
+    assert peak <= own + 256 * 1024, f"traced peak {peak / 2**20:.2f} MiB, gap_decomposition {own / 2**20:.2f} MiB"
+    # The same dump, untraced, parses as JSON with every pair.
     with open(tmp_path / "out.json", "w") as out, redirect_stdout(out):
-        tracemalloc.start()
-        try:
-            assert main(["decompose", "--pairs", "--file", str(path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        assert main(argv) == 0
     assert len(json.loads((tmp_path / "out.json").read_text())["pairs"]) == 19_900
-    assert peak < 4 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"

@@ -7,10 +7,11 @@ and the edge partitions are popcounts of their differences.
 distances and plain loops.
 """
 
+import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from szlab.errors import DisconnectedGraphError, SizeLimitError
@@ -18,6 +19,7 @@ from szlab.graphs import (
     Graph,
     all_pairs_distances,
     connected_and_bipartite,
+    complete_bipartite,
     cycle_graph,
 )
 from szlab.invariants import compute_invariants, edge_partitions, wiener
@@ -31,6 +33,7 @@ from .oracles import (
     mu_brute,
     mu_pair_sum_brute,
     revised_szeged_times4_brute,
+    side_masks_brute,
     surplus_brute,
     wiener_brute,
 )
@@ -76,6 +79,45 @@ def test_kernel_matches_oracles(g):
         assert mask == smap.separating(y, x)
         for i, e in enumerate(g.edges):
             assert mask >> i & 1 == mu_brute(g, x, y, e, d)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(connected_graphs())
+@example(Graph(0, []))
+@example(Graph(1, []))
+@example(Graph(2, [(0, 1)]))
+@example(Graph(12, list(combinations(range(12), 2))))  # K_12, 66 edges
+@example(complete_bipartite(10, 10))  # 100 edges
+def test_side_masks_match_their_definition(g):
+    assert surplus_map(g).sides == side_masks_brute(g, floyd_warshall(g))
+
+
+def _relabelled(n, edges, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges]), perm
+
+
+def test_side_masks_on_two_byte_fields():
+    # Closed-form distances above n = 256, where a field is two bytes: the odd
+    # cycle C257, whose every edge has an equidistant vertex, and K_{3,255}
+    # (765 edges), bipartite and with a triangle on its small side.
+    cycle, perm = _relabelled(257, [(i, (i + 1) % 257) for i in range(257)], 1)
+    at = {v: i for i, v in enumerate(perm)}
+    d = [[min(abs(at[x] - at[y]), 257 - abs(at[x] - at[y])) for y in range(257)] for x in range(257)]
+    assert surplus_map(cycle).sides == side_masks_brute(cycle, d)
+    for triangle in ([], [(0, 1), (1, 2), (0, 2)]):
+        edges = [(i, 3 + j) for i in range(3) for j in range(255)] + triangle
+        dense, perm = _relabelled(258, edges, 2)
+        small = {perm[i] for i in range(3)}
+        inside = 1 if triangle else 2  # between two vertices of the small side
+        d = [
+            [0 if x == y else inside if x in small and y in small else 1 if x in small or y in small else 2
+             for y in range(258)]
+            for x in range(258)
+        ]
+        assert all_pairs_distances(dense).width == 2
+        assert surplus_map(dense).sides == side_masks_brute(dense, d)
 
 
 def test_triangle_surpluses_are_zero():

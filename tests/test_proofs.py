@@ -18,7 +18,8 @@ from szlab.invariants import gap
 from szlab.proofs import gap_decomposition, surplus_map
 
 from .conftest import path_graph
-from .oracles import floyd_warshall, gap_brute, mu_brute, surplus_brute
+from .oracles import floyd_warshall, gap_brute, mu_brute, pair_categories_brute, surplus_brute
+from .test_dump import block_tree
 
 
 def test_surplus_map_c4(c4):
@@ -402,3 +403,35 @@ def test_pair_rows_ascend_on_relabelled_block_tree():
              (0, 9), (3, 10), (10, 11), (11, 12), (7, 13)]
     d = gap_decomposition(_relabeled(14, edges, 7))
     assert [(x, y) for x, y, *_ in d.pair_rows()] == list(combinations(range(14), 2))
+
+
+def _assert_categories_match_oracle(g):
+    # Each pair's category and every subtotal, regrouped from the oracle's categories.
+    d = gap_decomposition(g)
+    expected = pair_categories_brute(g, d.root_block)
+    pairs = list(combinations(range(g.n), 2))
+    assert d.pair_category == [expected[p] for p in pairs]
+    within = [0] * d.blocks.k
+    cross_root = {i: 0 for i in range(d.blocks.k) if i != d.root_block}
+    cross_other = 0
+    for p, s in zip(pairs, d.surplus.surpluses, strict=True):
+        kind, where = expected[p]
+        if kind == "within":
+            within[where] += s
+        elif kind == "cross_root":
+            cross_root[where] += s
+        else:
+            cross_other += s
+    assert (d.within_block, d.cross_root, d.cross_other) == (tuple(within), cross_root, cross_other)
+
+
+def test_pair_categories_match_oracle_exhaustive(enumerated):
+    for n in range(4, 9):
+        for g in enumerated[n]:
+            if g.m >= n:
+                _assert_categories_match_oracle(g)
+
+
+def test_pair_categories_match_oracle_on_relabelled_block_trees():
+    for seed in range(24):
+        _assert_categories_match_oracle(block_tree(random.Random(seed), 12 + 2 * seed))
