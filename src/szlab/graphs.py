@@ -209,12 +209,11 @@ class BlockDecomposition(NamedTuple):
     """Blocks (maximal 2-connected subgraphs or bridges) and cut vertices.
 
     Blocks are ordered by their sorted vertex tuples so reports are
-    deterministic.  Every edge belongs to exactly one block, and for a
+    deterministic.  Every edge has both ends in exactly one block, and for a
     connected graph the block sizes satisfy sum(n_i) = n + k - 1.
     """
 
     blocks: tuple[frozenset[int], ...]
-    block_edges: tuple[frozenset[tuple[int, int]], ...]
     cut_vertices: frozenset[int]
 
     @property
@@ -244,7 +243,7 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
     if -1 in depth:
         raise DisconnectedGraphError("block decomposition requires a connected graph")
     if not g.m:  # connected with no edge: at most one vertex, so no block
-        return BlockDecomposition((), (), frozenset())
+        return BlockDecomposition((), frozenset())
     # up[0] = 0; every other vertex v names its tree edge (v, up[v]) in the union-find.
     up = [next(w for w in g._neigh[v] if depth[w] < depth[v]) if depth[v] else v for v in g.vertices()]
     leader = list(g.vertices())
@@ -257,19 +256,18 @@ def block_decomposition(g: Graph) -> BlockDecomposition:
                     u, v = v, u
                 leader[_find(leader, u)] = r
                 u = up[u]
-    groups: dict[int, list[tuple[int, int]]] = {}
+    groups: dict[int, set[int]] = {}
     for u, v in g.edges:
-        groups.setdefault(_find(leader, v if up[v] == u else u), []).append((u, v))
+        groups.setdefault(_find(leader, v if up[v] == u else u), set()).update((u, v))
     # Blocks share at most one vertex, so no two sorted vertex lists are equal.
-    indexed = sorted((sorted({x for e in es for x in e}), es) for es in groups.values())
-    blocks = tuple(frozenset(verts) for verts, _ in indexed)
+    blocks = tuple(map(frozenset, sorted(groups.values(), key=sorted)))
     cuts = frozenset(v for v, c in Counter(v for b in blocks for v in b).items() if c > 1)
-    decomp = BlockDecomposition(blocks, tuple(frozenset(es) for _, es in indexed), cuts)
+    decomp = BlockDecomposition(blocks, cuts)
     ensure(sum(decomp.block_sizes) == g.n + decomp.k - 1, "block sizes break sum(n_i) = n + k - 1")
     return decomp
 
 
-def shortest_cycle(g: Graph, rows) -> tuple[int, ...] | None:
+def shortest_cycle(g: Graph, rows, verts) -> tuple[int, ...] | None:
     """A shortest cycle as a cyclically ordered vertex tuple, or None for forests.
 
     One scan of each source's distance row: a vertex at distance k with two
@@ -280,12 +278,18 @@ def shortest_cycle(g: Graph, rows) -> tuple[int, ...] | None:
     least vertex and its least two lower neighbors.  At the least length the
     descents meet only at the source, or a shorter cycle would exist, so the
     result is simple.  `rows` are g's distance rows; a vertex a source cannot
-    reach may read -1 there, which the scan never takes for a shell.
+    reach may read -1 there, which the scan never takes for a shell.  Sources
+    and closing vertices come from the ascending `verts`: range(g.n), or a
+    block's vertices for the block's own cycle (a neighbor of a block vertex v
+    off the block lies beyond the cut vertex v, one shell further from every
+    source in the block, so no closing or descent steps to it).
     """
     neigh = g._neigh
     best, closing = 2 * g.n, None  # longer than any closing
-    for s, dist in enumerate(rows):
-        for v, k in enumerate(dist):
+    for s in verts:
+        dist = rows[s]
+        for v in verts:
+            k = dist[v]
             if 0 < k and 2 * k < best:
                 near = [dist[w] for w in neigh[v]]
                 if near.count(k - 1) > 1:

@@ -27,7 +27,6 @@ from collections import Counter
 from itertools import combinations, count, repeat
 from typing import Iterator, NamedTuple
 
-from .canon import MAX_CANON_VERTICES, canonical_code
 from .errors import HypothesisError, ensure
 from .graphs import (
     BlockDecomposition,
@@ -201,11 +200,9 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     block's cut vertex on its path) from the block it was entered from, or
     takes w itself when that block is the designated one.
 
-    The designated block is the largest block; ties are broken by canonical
-    code, then by sorted vertex list (alone above the canonical labeling
-    limit).  Tied isomorphic blocks share a code, so there too the sorted
-    vertex list decides: which block is designated, and with it the
-    categories, depends on the input's labeling; the gap and floors do not.
+    The designated block is the largest block, ties going to the least sorted
+    vertex list: which tied block is designated, and with it the categories,
+    depends on the input's labeling; the gap and floors do not.
 
     After the floors, both lemmas of the module docstring are checked on
     every block with >= 4 vertices, off the same surplus map and its side masks.
@@ -223,18 +220,8 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     big = [i for i in range(decomp.k) if sizes[i] >= 4]
     # m >= n forces a cycle, and bipartite blocks with a cycle have >= 4 vertices.
     ensure(bool(big), "no block of size >= 4 under m >= n and bipartite hypotheses")
-    largest = max(sizes[i] for i in big)
-    tied = [i for i in big if sizes[i] == largest]
-    if len(tied) > 1 and largest <= MAX_CANON_VERTICES:
-        root = min(
-            tied,
-            key=lambda i: (
-                canonical_code(_induced_block(decomp, i)[0]),
-                sorted(decomp.blocks[i]),
-            ),
-        )
-    else:
-        root = min(tied, key=lambda i: sorted(decomp.blocks[i]))
+    # Blocks run in sorted vertex list order, and max keeps the first of a tie.
+    root = max(big, key=sizes.__getitem__)
 
     # Bit i of block_mask[v] is set when block i contains v.
     block_mask = [0] * g.n
@@ -308,7 +295,7 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     for i in big:
         s, pair = least[i]
         ensure(s >= 1, f"block {i}: pair {pair} has surplus {s}, below 1")
-        _check_antipodal_pairs(decomp, i, smap)
+        _check_antipodal_pairs(g, i, decomp.blocks[i], smap)
 
     return GapDecomposition(
         g,
@@ -325,17 +312,15 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     )
 
 
-def _check_antipodal_pairs(decomp: BlockDecomposition, i: int, smap: SurplusMap) -> None:
+def _check_antipodal_pairs(g: Graph, i: int, block: frozenset[int], smap: SurplusMap) -> None:
     """Every edge of block i's shortest cycle (shortest_cycle's tie-break) separates each antipodal pair.
 
-    Beyond that only its consequences (>= p separating edges, surplus >= p/2)
-    are checked, since edges off the cycle may separate the pair as well.
+    The p cycle edges are distinct, so the pair then has >= p separating edges;
+    beyond that only its surplus >= p/2 is checked, since edges off the cycle
+    may separate the pair as well.
     """
-    block, order = _induced_block(decomp, i)
     # A block is isometric: a shortest path between two of its vertices stays inside it.
-    rows = smap.dist.rows
-    cycle = shortest_cycle(block, [tuple(map(rows[a].__getitem__, order)) for a in order])
-    verts = [order[v] for v in cycle]
+    verts = shortest_cycle(g, smap.dist.rows, sorted(block))
     p, half = len(verts), len(verts) // 2
     ensure(p % 2 == 0, f"block {i}: odd shortest cycle in a bipartite graph")
     edges = smap.edges  # sorted, so an edge's index is its bisection point
@@ -344,15 +329,6 @@ def _check_antipodal_pairs(decomp: BlockDecomposition, i: int, smap: SurplusMap)
         cycle_mask |= 1 << bisect_left(edges, (a, b) if a < b else (b, a))
     for x, y in zip(verts, verts[half:]):
         pair = (x, y) if x < y else (y, x)
-        sep = smap.separating(x, y)
-        missed = [edges[j] for j in _bits(cycle_mask & ~sep)]
+        missed = [edges[j] for j in _bits(cycle_mask & ~smap.separating(x, y))]
         ensure(not missed, f"block {i}: cycle edges {missed} do not separate antipodal pair {pair}")
-        ensure(sep.bit_count() >= p, f"block {i}: antipodal pair {pair} has fewer than p separating edges")
         ensure(smap.surplus(x, y) >= half, f"block {i}: antipodal pair {pair} surplus below p/2")
-
-
-def _induced_block(decomp: BlockDecomposition, i: int) -> tuple[Graph, list[int]]:
-    """Block i relabelled 0..n_i - 1 in sorted vertex order, and that order."""
-    order = sorted(decomp.blocks[i])
-    index = {v: j for j, v in enumerate(order)}
-    return Graph(len(order), [(index[u], index[v]) for u, v in decomp.block_edges[i]]), order

@@ -178,7 +178,7 @@ def test_antipodal_check_rejects_missed_cycle_edge(monkeypatch, c4):
 
 
 def test_antipodal_check_rejects_odd_cycle(monkeypatch, c4):
-    monkeypatch.setattr(proofs, "shortest_cycle", lambda g, rows: (0, 1, 2))
+    monkeypatch.setattr(proofs, "shortest_cycle", lambda g, rows, verts: (0, 1, 2))
     with pytest.raises(InvariantViolation, match="^block 0: odd shortest cycle"):
         gap_decomposition(c4)
 
@@ -188,6 +188,15 @@ def test_antipodal_check_rejects_surplus_below_half_cycle(monkeypatch):
     _with_surpluses(monkeypatch, {(0, 3): -1})
     with pytest.raises(InvariantViolation, match=r"^block 0: antipodal pair \(0, 3\) surplus below p/2$"):
         gap_decomposition(cycle_graph(6))
+
+
+def test_antipodal_check_reaches_the_last_pair(monkeypatch):
+    # C8's cycle is 0..7, so (3, 7) is the last antipodal pair checked; its surplus 4 = p/2 passes.
+    assert surplus_map(cycle_graph(8)).surplus(3, 7) == 4
+    gap_decomposition(cycle_graph(8))
+    _with_surpluses(monkeypatch, {(3, 7): -1})
+    with pytest.raises(InvariantViolation, match=r"^block 0: antipodal pair \(3, 7\) surplus below p/2$"):
+        gap_decomposition(cycle_graph(8))
 
 
 def test_extremal_gaps_reject_corrupted_gap(monkeypatch):
@@ -207,13 +216,13 @@ def test_block_decomposition_rejects_missed_vertices(monkeypatch):
 
 
 def test_shortest_cycle_rejects_descents_that_meet_early():
-    # A 4-cycle 1-2-4-3 with vertex 0 hanging off 1.  Given only vertex 0's
-    # distance row, the best closing is vertex 4 with lower neighbors 2 and 3,
-    # whose descents to 0 meet at 1: a closed walk of length 6, not a cycle.
+    # A 4-cycle 1-2-4-3 with vertex 0 hanging off 1.  Scanning only vertices 0
+    # and 4 (not a block), the best closing is vertex 4 with lower neighbors 2
+    # and 3, whose descents to 0 meet at 1: a closed walk of length 6, not a cycle.
     g = Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
-    rows = all_pairs_distances(g).rows[:1]
+    rows = all_pairs_distances(g).rows
     with pytest.raises(InvariantViolation, match="^the descents of a closing of length 6 meet before its source$"):
-        graphs.shortest_cycle(g, rows)
+        graphs.shortest_cycle(g, rows, [0, 4])
 
 
 def test_package_has_no_bare_asserts():

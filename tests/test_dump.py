@@ -54,7 +54,7 @@ def _stdout(*argv: str) -> str:
     return out.getvalue()
 
 
-# Two tied 4-cycles with paths off both: all three categories, tie broken by canon.
+# Two tied 4-cycles with paths off both: all three categories, the least vertex list designated.
 TIED = Graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (3, 6), (1, 7), (5, 8)])
 # An 18-cycle block, above the canonical labeling limit, with a 4-cycle and a bridge hung on it.
 LONG = Graph(22, [(i, (i + 1) % 18) for i in range(18)] + [(0, 18), (18, 19), (19, 20), (0, 20), (9, 21)])

@@ -253,6 +253,14 @@ def test_extremal_match_false_on_an_equality_graph_of_another_shape():
     assert enumeration.fold_records(records)[0][0].extremal_match is False
 
 
+def test_examine_asks_whether_an_equality_graph_is_of_extremal_form(monkeypatch):
+    # C4 is of extremal form; were it not, it would be a stray equality graph.
+    assert enumeration._examine(cycle_graph(4), False)["extremal"] is True
+    monkeypatch.setattr(enumeration, "is_extremal_form", lambda g: False)
+    assert enumeration._examine(cycle_graph(4), False)["extremal"] is False
+    assert verify_conjecture([cycle_graph(4)])[0].extremal_match is False
+
+
 def test_verify_conjecture_worker_counts_agree(enumerated):
     graphs = [g for g in enumerated[6] if g.m >= 6]
     solo = [r.to_json_dict() for r in verify_conjecture(graphs, workers=1)]

@@ -212,9 +212,10 @@ def _assert_blocks_match_networkx(g):
     ref.add_nodes_from(g.vertices())
     d = block_decomposition(g)
     assert sorted(map(sorted, d.blocks)) == sorted(map(sorted, nx.biconnected_components(ref)))
-    assert sorted(map(sorted, d.block_edges)) == sorted(
-        sorted(tuple(sorted(e)) for e in edges) for edges in nx.biconnected_component_edges(ref)
-    )
+    # Each edge's two ends share exactly one block, networkx's block of that edge.
+    for edges in nx.biconnected_component_edges(ref):
+        for u, v in edges:
+            assert [sorted(b) for b in d.blocks if u in b and v in b] == [sorted({x for e in edges for x in e})]
     assert d.cut_vertices == set(nx.articulation_points(ref))
 
 
@@ -244,9 +245,8 @@ def test_block_identity_and_cut_membership(enumerated):
         for g in graphs:
             d = block_decomposition(g)
             assert sum(d.block_sizes) == max(g.n + d.k - 1, 0)
-            # each edge in exactly one block
-            assigned = [e for edges in d.block_edges for e in edges]
-            assert sorted(assigned) == list(g.edges)
+            # each edge's two ends share exactly one block
+            assert all(sum(u in b and v in b for b in d.blocks) == 1 for u, v in g.edges)
             for v in g.vertices():
                 in_blocks = sum(1 for b in d.blocks if v in b)
                 assert (in_blocks >= 2) == (v in d.cut_vertices)
@@ -254,7 +254,7 @@ def test_block_identity_and_cut_membership(enumerated):
 
 def _cycle(g):
     """shortest_cycle on Floyd-Warshall rows, -1 where unreachable, so disconnected g is in scope too."""
-    return shortest_cycle(g, [[-1 if d == INF else d for d in row] for row in floyd_warshall(g)])
+    return shortest_cycle(g, [[-1 if d == INF else d for d in row] for row in floyd_warshall(g)], range(g.n))
 
 
 def _assert_shortest_cycle(g):

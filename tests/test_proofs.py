@@ -80,7 +80,8 @@ def _lemma_blocks(g, d):
             order = sorted(verts)
             index = {v: i for i, v in enumerate(order)}
             block = Graph(len(order), [(index[u], index[v]) for u, v in g.edges if u in verts and v in verts])
-            yield order, tuple(order[v] for v in shortest_cycle(block, all_pairs_distances(block).rows))
+            cycle = shortest_cycle(block, all_pairs_distances(block).rows, range(block.n))
+            yield order, tuple(order[v] for v in cycle)
 
 
 def _least_block_surplus(d, order):
@@ -152,7 +153,7 @@ def test_antipodal_cycle_c6(c6):
 def test_antipodal_cycle_c4_pendant(c4_pendant):
     d = gap_decomposition(c4_pendant)
     ((order, cycle),) = _lemma_blocks(c4_pendant, d)
-    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant, d.surplus.dist.rows)
+    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant, d.surplus.dist.rows, range(5))
     for x, y in [(0, 2), (1, 3)]:
         assert all(mu_brute(c4_pendant, x, y, e) == 1 for e in [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert d.surplus.surplus(x, y) >= 2
@@ -183,19 +184,32 @@ def test_antipodal_cycle_gates(c5, p3):
         gap_decomposition(p3)
 
 
+def _assert_block_cycles_in_place(g):
+    """Assert each block's cycle found in g equals its induced block's; the decomposition and the cycles."""
+    d = gap_decomposition(g)
+    orders, cycles = zip(*_lemma_blocks(g, d))
+    assert [shortest_cycle(g, d.surplus.dist.rows, order) for order in orders] == list(cycles)
+    return d, cycles
+
+
 def test_antipodal_cycle_exhaustive(enumerated):
-    # gap_decomposition checks the lemma on every block's shortest cycle; the
-    # graph's own shortest cycle is one of them (the scan's least source,
-    # vertex and lower neighbors stay least when a block is relabelled in
-    # sorted order), and each of its edges separates each antipodal pair
-    # (brute-force mu).
+    # gap_decomposition checks the lemma on every block's shortest cycle,
+    # found in place: the same cycle as in the block induced and relabelled
+    # in sorted order.  The graph's own shortest cycle is one of them (the
+    # scan's least source, vertex and lower neighbors stay least when a block
+    # is relabelled in sorted order), and each of its edges separates each
+    # antipodal pair (brute-force mu).
+    for seed in range(20):
+        g = block_tree(random.Random(seed), 10 + 3 * seed)
+        d, cycles = _assert_block_cycles_in_place(g)
+        assert shortest_cycle(g, d.surplus.dist.rows, range(g.n)) in cycles
     for n in range(4, 9):
         for g in enumerated[n]:
             if g.m < n:
                 continue
-            d = gap_decomposition(g)
-            cycle = shortest_cycle(g, d.surplus.dist.rows)
-            assert cycle in [c for _, c in _lemma_blocks(g, d)]
+            d, cycles = _assert_block_cycles_in_place(g)
+            cycle = shortest_cycle(g, d.surplus.dist.rows, range(n))
+            assert cycle in cycles
             p, dist = len(cycle), floyd_warshall(g)
             for i in range(p // 2):
                 x, y = cycle[i], cycle[i + p // 2]
@@ -350,8 +364,7 @@ def _relabeled(n, edges, seed):
 
 
 def test_gap_decomposition_block_above_canon_limit():
-    # A 20-cycle block with hanging trees: the largest block is unique, so
-    # no canonical labeling of it is needed.
+    # A 20-cycle block, above the canonical labeling limit, with hanging trees.
     edges = [(i, (i + 1) % 20) for i in range(20)]
     edges += [(0, 20), (20, 21), (21, 22), (5, 23), (5, 24), (24, 25), (13, 26)]
     g = _relabeled(27, edges, 20)
@@ -362,8 +375,8 @@ def test_gap_decomposition_block_above_canon_limit():
 
 
 def test_gap_decomposition_tied_blocks_above_canon_limit():
-    # Two 18-cycle blocks sharing a vertex tie for largest; the tie falls
-    # back to the sorted vertex list.
+    # Two 18-cycle blocks sharing a vertex tie for largest, above the
+    # canonical labeling limit; the least sorted vertex list is designated.
     edges = [(i, (i + 1) % 18) for i in range(18)]
     ring = [0, *range(18, 35)]
     edges += [(ring[i], ring[(i + 1) % 18]) for i in range(18)]
@@ -377,24 +390,51 @@ def test_gap_decomposition_tied_blocks_above_canon_limit():
     assert sum(d.surplus.surpluses) == d.total == gap(g) >= 4 * g.n - 8
 
 
+def _permuted(g, perm):
+    perm = list(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+# C6 on 0..5 and a theta graph (C6 5..10 plus the antipodal chord 5-8) share vertex 5.
+C6_THETA = Graph(11, [(i, i + 1) for i in range(10)] + [(0, 5), (5, 10), (5, 8)])
+
+
+def _designation(g):
+    """Assert the least sorted vertex list of the tied largest blocks is designated; the decomposition's
+    gap, floors and cross-other surplus, and the designated block's edge count."""
+    d = gap_decomposition(g)
+    tied = [sorted(b) for b in d.blocks.blocks if len(b) == max(d.blocks.block_sizes)]
+    root = sorted(d.blocks.blocks[d.root_block])
+    assert len(tied) == 2 and root == min(tied)
+    blocks = d.to_json_dict()["blocks"]
+    within = sorted(b["within_floor"] for b in blocks)
+    cross = sorted(b["cross_floor"] for b in blocks if "cross_floor" in b)
+    return d.total, (within, cross), d.cross_other, sum(g.has_edge(u, v) for u, v in combinations(root, 2))
+
+
 def test_tied_designated_block_follows_the_labeling():
-    # Two 4-cycles sharing vertex 3 tie for largest with equal canonical codes,
-    # so the least sorted vertex list is designated, below the canon limit
-    # too.  Relabelled, the 2-path on vertex 1 hangs off the other cycle:
-    # the categories move, the gap and every floor do not.
-    edges = [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (3, 6), (1, 7), (7, 8)]
-    perm = [4, 5, 6, 3, 0, 1, 2, 7, 8]
-    found = []
-    for pairs in (edges, [(perm[u], perm[v]) for u, v in edges]):
-        d = gap_decomposition(Graph(9, pairs))
-        tied = [sorted(b) for b in d.blocks.blocks if len(b) == 4]
-        assert len(tied) == 2 and sorted(d.blocks.blocks[d.root_block]) == min(tied)
-        blocks = d.to_json_dict()["blocks"]
-        within = sorted(b["within_floor"] for b in blocks)
-        cross = sorted(b["cross_floor"] for b in blocks if "cross_floor" in b)
-        found.append((d.total, (within, cross), d.cross_other))
-    assert found[0][:2] == found[1][:2] == (68, ([0, 0, 8, 8], [4, 4, 12]))
-    assert (found[0][2], found[1][2]) == (20, 4)
+    # Tied largest blocks: the least sorted vertex list is designated.  Two
+    # 4-cycles sharing vertex 3, with a 2-path on vertex 1; relabelled, the
+    # 2-path hangs off the other cycle: the categories move, the gap and
+    # every floor do not.  In C6_THETA the tied blocks are not isomorphic,
+    # and relabelled, the theta graph is designated instead of the C6.
+    c4s = Graph(9, [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (4, 5), (5, 6), (3, 6), (1, 7), (7, 8)])
+    found = [_designation(g) for g in (c4s, _permuted(c4s, [4, 5, 6, 3, 0, 1, 2, 7, 8]))]
+    assert [f[:2] for f in found] == [(68, ([0, 0, 8, 8], [4, 4, 12]))] * 2
+    assert [f[2] for f in found] == [20, 4]
+    found = [_designation(g) for g in (C6_THETA, _permuted(C6_THETA, range(10, -1, -1)))]
+    assert [f[:3] for f in found] == [(gap(C6_THETA), ([16, 16], [30]), 0)] * 2
+    assert [f[3] for f in found] == [6, 7]
+
+
+def test_tied_designation_needs_no_canonical_labeling(monkeypatch):
+    from szlab import canon
+
+    def refuse(g):
+        raise AssertionError("canonical labeling in gap_decomposition")
+
+    monkeypatch.setattr(canon, "_canonical_labeling", refuse)
+    assert _designation(C6_THETA) == (gap(C6_THETA), ([16, 16], [30]), 0, 6)
 
 
 def test_pair_rows_ascend_on_relabelled_block_tree():

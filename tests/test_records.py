@@ -11,7 +11,7 @@ from szlab.invariants import compute_invariants
 from szlab.proofs import gap_decomposition, surplus_map
 
 FIELDS = {
-    "BlockDecomposition": ("blocks", "block_edges", "cut_vertices"),
+    "BlockDecomposition": ("blocks", "cut_vertices"),
     "InvariantReport": ("n", "m", "wiener", "szeged", "revised_szeged_times4", "gap", "per_edge"),
     "SurplusMap": ("n", "surpluses", "total", "dist", "edges", "sides"),
     "GapDecomposition": (
