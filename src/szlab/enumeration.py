@@ -230,7 +230,7 @@ def examine_lines(lines: Iterable[str], workers: int, rows: bool) -> Iterator[di
 
 
 def examine(graphs: Iterable[Graph], workers: int, rows: bool = False) -> Iterator[dict]:
-    """Records of the graphs in order; a pool receives the graphs themselves, generators and all."""
+    """Records of the graphs in order, the same for any worker count; a pool receives the graphs themselves."""
     return _in_order(partial(_examine, rows=rows), graphs, workers)
 
 
@@ -293,10 +293,10 @@ def fold_records(records: Iterable[dict]) -> tuple[list[VerificationReport], lis
     return reports, rows
 
 
-def verify_conjecture(graphs: Iterable[Graph], workers: int = 1) -> list[VerificationReport]:
+def verify_conjecture(graphs: Iterable[Graph]) -> list[VerificationReport]:
     """Check the gap bound; one report per vertex count present in the input.
 
     Inputs failing the hypotheses (connected, bipartite, m >= n) are tallied
-    as rejected.  Reports are identical for any worker count.
+    as rejected.
     """
-    return fold_records(examine(graphs, workers))[0]
+    return fold_records(examine(graphs, 1))[0]

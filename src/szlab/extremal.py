@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .canon import canonical_code
-from .errors import DisconnectedGraphError, GraphConstructionError, InvariantViolation, ensure
-from .graphs import Graph, block_decomposition
+from .errors import GraphConstructionError, InvariantViolation, ensure
+from .graphs import Graph, bfs_forest, block_decomposition
 from .invariants import gap
 
 
@@ -99,10 +99,10 @@ def is_extremal_form(g: Graph) -> bool:
     """
     if g.m != g.n:
         return False
-    try:
-        decomp = block_decomposition(g)
-    except DisconnectedGraphError:
+    root, depth = bfs_forest(g)
+    if any(root):
         return False
+    decomp = block_decomposition(g, depth)
     cycles = [b for b in decomp.blocks if len(b) > 2]
     return len(cycles) == 1 and len(cycles[0]) == 4 and len(cycles[0] & decomp.cut_vertices) <= 1
 

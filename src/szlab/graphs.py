@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from struct import Struct
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DisconnectedGraphError, GraphConstructionError, SizeLimitError, ensure
 
@@ -165,32 +165,23 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     return dist
 
 
-def _distances_from(g: Graph, s: int) -> list[int]:
-    """Hop counts from s by frontier-at-a-time BFS over adjacency bitmasks; -1 when unreachable."""
-    dist = [-1] * g.n
-    dist[s] = 0
-    seen = frontier = 1 << s
-    step = 0
-    while frontier:
-        step += 1
-        nxt = 0
-        for v in _bits(frontier):
-            nxt |= g._mask[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        for v in _bits(frontier):
-            dist[v] = step
-    return dist
-
-
 def bfs_forest(g: Graph) -> tuple[list[int], list[int]]:
-    """For each vertex, the smallest vertex of its component and the hop count from that vertex."""
+    """Each vertex's component root (its least vertex) and hop count from that root, by BFS over bitmasks."""
     root, depth = [-1] * g.n, [-1] * g.n
     for s in g.vertices():
         if root[s] == -1:
-            for v, d in enumerate(_distances_from(g, s)):
-                if d >= 0:
-                    root[v], depth[v] = s, d
+            root[s], depth[s] = s, 0
+            seen = frontier = 1 << s
+            step = 0
+            while frontier:
+                step += 1
+                nxt = 0
+                for v in _bits(frontier):
+                    nxt |= g._mask[v]
+                frontier = nxt & ~seen
+                seen |= frontier
+                for v in _bits(frontier):
+                    root[v], depth[v] = s, step
     return root, depth
 
 
@@ -225,26 +216,25 @@ class BlockDecomposition(NamedTuple):
         return tuple(len(b) for b in self.blocks)
 
 
-def block_decomposition(g: Graph) -> BlockDecomposition:
-    """Blocks as the classes of edges sharing a fundamental cycle of the BFS tree from vertex 0.
+def block_decomposition(g: Graph, depth: Sequence[int]) -> BlockDecomposition:
+    """Blocks as the classes of edges sharing a fundamental cycle of a BFS tree of g.
 
-    Each non-tree edge is unioned with the tree edges (v to up[v], v's smallest
-    neighbor one level up) on the two tree paths from its ends to where they
-    meet.  A fundamental cycle is simple, so each class lies in one block.  A
-    simple cycle is the sum mod 2 of the fundamental cycles of its non-tree
-    edges, so its part inside any one class has even degree at every vertex
-    and is either empty or the whole cycle: edges sharing a simple cycle share
-    a class.  The classes are thus the blocks, and the cut vertices are the
-    vertices in two or more blocks.  The walks cost O(m * depth), not a DFS's
-    O(n + m); the callers go on to build an O(n^2) surplus map.  Raises on
-    disconnected input.
+    `depth` holds the hop counts from any one vertex of the connected g; the
+    blocks and cut vertices do not depend on which.  Each non-tree edge is
+    unioned with the tree edges (v to up[v], v's smallest neighbor one level
+    up) on the two tree paths from its ends to where they meet.  A fundamental
+    cycle is simple, so each class lies in one block.  A simple cycle is the
+    sum mod 2 of the fundamental cycles of its non-tree edges, so its part
+    inside any one class has even degree at every vertex and is either empty
+    or the whole cycle: edges sharing a simple cycle share a class.  The
+    classes are thus the blocks, and the cut vertices are the vertices in two
+    or more blocks.  The walks cost O(m * depth), not a DFS's O(n + m), beside
+    the O(n^2) surplus map that gap_decomposition builds.  Depths that are not
+    one BFS of a connected g (say each component's own) break sum(n_i) = n + k - 1.
     """
-    depth = _distances_from(g, 0) if g.n else []
-    if -1 in depth:
-        raise DisconnectedGraphError("block decomposition requires a connected graph")
-    if not g.m:  # connected with no edge: at most one vertex, so no block
+    if g.n < 2:  # at most one vertex, so no edge and no block
         return BlockDecomposition((), frozenset())
-    # up[0] = 0; every other vertex v names its tree edge (v, up[v]) in the union-find.
+    # The root names itself; every other vertex v names its tree edge (v, up[v]) in the union-find.
     up = [next(w for w in g._neigh[v] if depth[w] < depth[v]) if depth[v] else v for v in g.vertices()]
     leader = list(g.vertices())
     for u, v in g.edges:

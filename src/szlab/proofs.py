@@ -215,7 +215,8 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     if g.m < g.n:
         raise HypothesisError("m >= n violated")
 
-    decomp = block_decomposition(g)
+    smap = surplus_map(g)
+    decomp = block_decomposition(g, smap.dist.rows[0])
     sizes = decomp.block_sizes
     big = [i for i in range(decomp.k) if sizes[i] >= 4]
     # m >= n forces a cycle, and bipartite blocks with a cycle have >= 4 vertices.
@@ -241,7 +242,6 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
                 root_gate[i] = root_gate.get(b, v)
                 order.append(i)
 
-    smap = surplus_map(g)
     within = [0] * decomp.k
     cross_root: dict[int, int] = {i: 0 for i in range(decomp.k) if i != root}
     cross_other = 0

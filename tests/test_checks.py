@@ -86,8 +86,8 @@ def test_gap_decomposition_rejects_pair_in_two_blocks(monkeypatch, c4_pendant):
     # Vertex 1 forced into the bridge block 0-4 as well: (0, 1) shares both blocks.
     real = proofs.block_decomposition
 
-    def corrupted(g):
-        decomp = real(g)
+    def corrupted(g, depth):
+        decomp = real(g, depth)
         return decomp._replace(blocks=(decomp.blocks[0], decomp.blocks[1] | {1}))
 
     monkeypatch.setattr(proofs, "block_decomposition", corrupted)
@@ -205,14 +205,12 @@ def test_extremal_gaps_reject_corrupted_gap(monkeypatch):
         family_row(5)
 
 
-def test_block_decomposition_rejects_missed_vertices(monkeypatch):
+def test_block_decomposition_rejects_missed_vertices():
     # Given each component's own BFS depths, the disconnected graph looks
     # connected; the classes then miss the link between the two trees.
     g = Graph(5, [(0, 1), (1, 2), (3, 4)])
-    depth = graphs.bfs_forest(g)[1]
-    monkeypatch.setattr(graphs, "_distances_from", lambda g, s: depth)
     with pytest.raises(InvariantViolation, match="n \\+ k - 1"):
-        block_decomposition(g)
+        block_decomposition(g, graphs.bfs_forest(g)[1])
 
 
 def test_shortest_cycle_rejects_descents_that_meet_early():

@@ -200,10 +200,10 @@ def test_verify_rejects_non_bipartite_graphs_without_invariants(monkeypatch):
     computed = []
     compute = enumeration.compute_invariants
     monkeypatch.setattr(enumeration, "compute_invariants", lambda g: computed.append(g) or compute(g))
-    solo = verify_conjecture(graphs, workers=1)
+    solo = verify_conjecture(graphs)
     assert computed == []
     assert sum(r.rejected for r in solo) == 50 and all(r.graphs_checked == 0 for r in solo)
-    multi = verify_conjecture(graphs, workers=2)
+    multi = enumeration.fold_records(examine(graphs, 2))[0]
     assert [r.to_json_dict() for r in multi] == [r.to_json_dict() for r in solo]
 
 
@@ -240,7 +240,7 @@ def test_extremal_match_at_n16_without_building_the_family():
     report = verify_conjecture(members[-1:])[0]
     assert time.perf_counter() - start < 0.1
     assert report.extremal_match is False and len(report.equality_graphs) == 1
-    report = verify_conjecture(members[1:], workers=2)[0]
+    report = enumeration.fold_records(examine(members[1:], 2))[0][0]
     assert len(report.equality_graphs) == 12485 and report.violations == ()
     assert report.extremal_match is False
 
@@ -263,8 +263,8 @@ def test_examine_asks_whether_an_equality_graph_is_of_extremal_form(monkeypatch)
 
 def test_verify_conjecture_worker_counts_agree(enumerated):
     graphs = [g for g in enumerated[6] if g.m >= 6]
-    solo = [r.to_json_dict() for r in verify_conjecture(graphs, workers=1)]
-    multi = [r.to_json_dict() for r in verify_conjecture(graphs, workers=3)]
+    solo = [r.to_json_dict() for r in enumeration.fold_records(examine(graphs, 1))[0]]
+    multi = [r.to_json_dict() for r in enumeration.fold_records(examine(graphs, 3))[0]]
     assert solo == multi
 
 
@@ -278,7 +278,7 @@ def test_verify_conjecture_examines_graphs_directly(enumerated, monkeypatch):
     parse, encode = enumeration.parse_graph6, enumeration.to_graph6
     monkeypatch.setattr(enumeration, "parse_graph6", lambda t: parsed.append(t) or parse(t))
     monkeypatch.setattr(enumeration, "to_graph6", lambda g: encoded.append(g) or encode(g))
-    r = verify_conjecture(graphs, workers=1)[0]
+    r = verify_conjecture(graphs)[0]
     assert parsed == []
     assert len(encoded) == len(r.equality_graphs) == 2
 

@@ -1,6 +1,7 @@
 import pytest
 
 from szlab.canon import canonical_code
+from szlab.enumeration import EnumerationSpec, generate
 from szlab.errors import GraphConstructionError, InvariantViolation
 from szlab.extremal import (
     extremal_family,
@@ -87,13 +88,21 @@ def test_is_extremal_form_examples(c4_pendant, c6, c4_two_pendants):
     assert gap(c4_two_pendants) > 4 * 6 - 8
 
 
-def test_is_extremal_form_matches_family_codes(enumerated):
-    # m = n: exactly the classes extremal_family(n) lists have the form.
-    for n in range(4, 9):
-        family_codes = {m.canonical for m in extremal_family(n)}
-        for g in enumerated[n]:
-            if g.m == n:
-                assert is_extremal_form(g) == (canonical_code(g).decode("ascii") in family_codes)
+def test_is_extremal_form_matches_family_codes():
+    # Every bipartite class, connected or not: exactly the classes extremal_family(n) lists have the form.
+    for n in range(1, 9):
+        family_codes = {m.canonical for m in extremal_family(n)} if n >= 4 else set()
+        for g in generate(EnumerationSpec(n, min_edges=0, connected=False)):
+            assert is_extremal_form(g) == (canonical_code(g).decode("ascii") in family_codes)
+
+
+def test_is_extremal_form_requires_connected(c4_pendant):
+    # One 4-vertex block and no cut vertex, with m = n only thanks to the
+    # isolated vertex: the connectivity check alone says no.
+    k4_minus_edge_plus_isolated = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert k4_minus_edge_plus_isolated.m == k4_minus_edge_plus_isolated.n
+    assert not is_extremal_form(k4_minus_edge_plus_isolated)
+    assert is_extremal_form(c4_pendant)
 
 
 def test_is_extremal_form_rejects_other_unicyclic_shapes():

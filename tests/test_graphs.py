@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import networkx as nx
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from szlab import enumeration, graphs, invariants, proofs
 from szlab.enumeration import _bipartite_safe_additions
-from szlab.errors import DisconnectedGraphError, GraphConstructionError
+from szlab.errors import DisconnectedGraphError, GraphConstructionError, InvariantViolation
 from szlab.graphs import (
     Graph,
     all_pairs_distances,
@@ -142,40 +143,43 @@ def test_connected_and_bipartite_match_oracles(g):
     assert connected_and_bipartite(g) == (connected, bool(two_colorings(g)))
 
 
-def _count_calls(monkeypatch, calls, name, *modules):
-    real = getattr(graphs, name)
-    for module in modules:
-        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
-
-
-def test_hypotheses_come_from_one_bfs_forest(monkeypatch, c4, c4_pendant):
+def _bfs_calls(check, g):
+    """The BFS routines check(g) enters, in order, under whatever name a module imported them."""
+    names = {graphs.bfs_forest.__code__: "bfs_forest", graphs.all_pairs_distances.__code__: "all_pairs_distances"}
     calls = []
-    _count_calls(monkeypatch, calls, "bfs_forest", graphs)
-    _count_calls(monkeypatch, calls, "_distances_from", graphs)
-    _count_calls(monkeypatch, calls, "all_pairs_distances", graphs, invariants, proofs)
-    examine = lambda g: enumeration._examine(g, False)
-    for check, g in [
-        (proofs.gap_decomposition, c4_pendant),
-        (proofs.gap_decomposition, c4),
-        (examine, c4_pendant),
-        (examine, cycle_graph(5)),
-    ]:
-        calls.clear()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls.append(names[frame.f_code])
+
+    sys.setprofile(profile)
+    try:
         check(g)
-        assert calls.count("bfs_forest") == 1, check
-    calls.clear()
-    proofs.gap_decomposition(c4_pendant)
-    # A count, not a bound: the forest's one BFS and the BFS tree
-    # block_decomposition is built on.  The 4-cycle block's shortest cycle is
-    # read off the surplus map's distance rows, with no BFS of its own.
-    assert calls.count("_distances_from") == 2
-    calls.clear()
-    invariants.compute_invariants(c4_pendant)
-    assert calls == ["all_pairs_distances"]
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_hypotheses_come_from_one_bfs_forest(c4, c4_pendant):
+    examine = lambda g: enumeration._examine(g, False)
+    # The hypothesis gate's forest and the surplus map's distances, nothing
+    # else: gap_decomposition builds the blocks on row 0 of those distances
+    # and reads each block's shortest cycle off the same rows.
+    one_each = ["bfs_forest", "all_pairs_distances"]
+    assert _bfs_calls(proofs.gap_decomposition, c4_pendant) == one_each
+    assert _bfs_calls(proofs.gap_decomposition, c4) == one_each
+    assert _bfs_calls(examine, cycle_graph(5)) == ["bfs_forest"]
+    # An equality graph is also asked is_extremal_form, which runs its own forest.
+    assert _bfs_calls(examine, c4_pendant) == [*one_each, "bfs_forest"]
+    assert _bfs_calls(invariants.compute_invariants, c4_pendant) == ["all_pairs_distances"]
+
+
+def _blocks(g):
+    return block_decomposition(g, bfs_forest(g)[1])
 
 
 def test_block_decomposition_c4_pendant(c4_pendant):
-    d = block_decomposition(c4_pendant)
+    d = _blocks(c4_pendant)
     assert d.k == 2
     assert set(d.blocks) == {frozenset({0, 1, 2, 3}), frozenset({0, 4})}
     assert d.cut_vertices == frozenset({0})
@@ -184,33 +188,36 @@ def test_block_decomposition_c4_pendant(c4_pendant):
 
 def test_block_decomposition_tree():
     g = star_graph(4)
-    d = block_decomposition(g)
+    d = _blocks(g)
     assert d.k == g.n - 1
     assert all(size == 2 for size in d.block_sizes)
 
 
 def test_block_decomposition_two_connected(c4):
-    d = block_decomposition(c4)
+    d = _blocks(c4)
     assert d.k == 1 and not d.cut_vertices
 
 
 def test_block_decomposition_requires_connected():
-    with pytest.raises(DisconnectedGraphError):
-        block_decomposition(Graph(4, [(0, 1), (2, 3)]))
+    # Each component's own BFS depths are no BFS of the graph: two blocks
+    # cover the four vertices, where a connected graph's two blocks cover five.
+    with pytest.raises(InvariantViolation, match="n \\+ k - 1"):
+        _blocks(Graph(4, [(0, 1), (2, 3)]))
 
 
 def test_block_decomposition_degenerate_cases():
-    single_edge = block_decomposition(Graph(2, [(0, 1)]))
+    single_edge = _blocks(Graph(2, [(0, 1)]))
     assert single_edge.k == 1 and single_edge.blocks == (frozenset({0, 1}),)
     assert not single_edge.cut_vertices
-    lone_vertex = block_decomposition(Graph(1, []))
+    lone_vertex = _blocks(Graph(1, []))
     assert lone_vertex.k == 0
 
 
 def _assert_blocks_match_networkx(g):
     ref = nx.Graph(g.edges)
     ref.add_nodes_from(g.vertices())
-    d = block_decomposition(g)
+    # The same blocks from the BFS depths of every root.
+    (d,) = {block_decomposition(g, row) for row in floyd_warshall(g)}
     assert sorted(map(sorted, d.blocks)) == sorted(map(sorted, nx.biconnected_components(ref)))
     # Each edge's two ends share exactly one block, networkx's block of that edge.
     for edges in nx.biconnected_component_edges(ref):
@@ -243,7 +250,7 @@ def test_blocks_match_networkx_on_fixed_graphs(ref):
 def test_block_identity_and_cut_membership(enumerated):
     for graphs in enumerated.values():
         for g in graphs:
-            d = block_decomposition(g)
+            d = _blocks(g)
             assert sum(d.block_sizes) == max(g.n + d.k - 1, 0)
             # each edge's two ends share exactly one block
             assert all(sum(u in b and v in b for b in d.blocks) == 1 for u, v in g.edges)

@@ -10,6 +10,7 @@ from szlab.formats import to_graph6
 from szlab.graphs import (
     Graph,
     all_pairs_distances,
+    bfs_forest,
     block_decomposition,
     cycle_graph,
     shortest_cycle,
@@ -127,7 +128,7 @@ def test_two_connected_bound_equality_only_c4(enumerated):
     c4_code = canonical_code(cycle_graph(4))
     for n in range(4, 9):
         for g in enumerated[n]:
-            if block_decomposition(g).k != 1:
+            if block_decomposition(g, bfs_forest(g)[1]).k != 1:
                 continue
             value = gap(g)
             assert value >= 4 * n - 8

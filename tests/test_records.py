@@ -6,7 +6,7 @@ import pytest
 
 from szlab.enumeration import EnumerationSpec, verify_conjecture
 from szlab.extremal import extremal_family, rooted_trees
-from szlab.graphs import block_decomposition
+from szlab.graphs import bfs_forest, block_decomposition
 from szlab.invariants import compute_invariants
 from szlab.proofs import gap_decomposition, surplus_map
 
@@ -47,7 +47,7 @@ FIELDS = {
 def records(c4, c4_pendant):
     (report,) = verify_conjecture([c4])
     found = [
-        block_decomposition(c4_pendant),
+        block_decomposition(c4_pendant, bfs_forest(c4_pendant)[1]),
         compute_invariants(c4),
         surplus_map(c4),
         gap_decomposition(c4_pendant),
