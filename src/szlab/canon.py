@@ -7,6 +7,14 @@ graph6 is the least code the search reaches.  Refinement is label-invariant:
 graphs get equal codes exactly when they are isomorphic, and a form is its
 own form.  Intended scale is n <= 16; enumeration workloads stay at n <= 12.
 
+Colors are always dense ranks 0..k-1.  A refinement round ranks (color,
+sorted neighbor colors) signatures, which lead with the color, so a round
+only splits cells: k distinct signatures mean that no cell split and that the
+re-rank changes nothing, so refinement stops there, or at once when k = n.
+Individualizing v in cell c ranks (color, v or not) pairs, which over dense
+colors keeps v at c and moves every other vertex of color c or more up one,
+so the search shifts colors instead of sorting pairs.
+
 The search skips subtrees that are automorphic images of subtrees already
 explored (McKay 1981; McKay & Piperno, arXiv:1301.1493), which leaves the
 minimum over the leaves unchanged.  Two leaves with equal codes a and b give
@@ -47,21 +55,23 @@ from __future__ import annotations
 
 from .errors import SizeLimitError
 from .formats import _pair_bit, to_graph6
-from .graphs import Graph, _find
+from .graphs import Graph
 
 MAX_CANON_VERTICES = 16
 
 
 def _refine(neigh: tuple[tuple[int, ...], ...], colors: list[int]) -> list[int]:
-    # Re-rank (color, sorted neighbor colors) signatures until stable.  Ranks
-    # depend only on the multiset of signatures, never on vertex labels.
-    while True:
-        sigs = [(colors[v], tuple(sorted(colors[u] for u in neigh[v]))) for v in range(len(colors))]
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+    # Re-rank signatures until stable, as the module docstring describes.
+    k = max(colors) + 1
+    while k < len(colors):
+        sigs = [(c, tuple(sorted(map(colors.__getitem__, nb)))) for c, nb in zip(colors, neigh)]
+        distinct = set(sigs)
+        if len(distinct) == k:
+            break
+        k = len(distinct)
+        rank = {s: i for i, s in enumerate(sorted(distinct))}
+        colors = [rank[s] for s in sigs]
+    return colors
 
 
 class CanonicalForm(Graph):
@@ -105,14 +115,9 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
             if bits == ref_bits:
                 # Both labelings give the same graph, so ref^-1 . colors maps
                 # the graph onto itself, and ref's path onto this one.
-                inverse = [0] * n
-                for v, c in enumerate(ref):
-                    inverse[c] = v
+                inverse = sorted(range(n), key=ref.__getitem__)
                 generators.append([inverse[c] for c in colors])
-                common = 0
-                while path[common] == ref_path[common]:
-                    common += 1
-                return common
+                return next(d for d, (a, b) in enumerate(zip(path, ref_path)) if a != b)
         if bits < best[0]:
             best = (bits, colors, path)
         return len(path)
@@ -121,40 +126,35 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
         """Search below the node that individualized `fixed`; return the
         depth at which the search resumes (< len(fixed) abandons this node)."""
         colors = _refine(neigh, colors)
-        cells: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cells.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cells):
-            if len(cells[c]) > 1:
-                target = cells[c]
-                break
-        if target is None:
+        if len(set(colors)) == n:
             return leaf(colors, fixed)
-        # Orbits of the stored generators that fix `fixed` pointwise, as a
-        # union-find forest extended only by generators found since the
-        # previous child.
-        orbit = list(range(n))
-        used = 0
-        explored: list[int] = []
+        # The target is the first cell, by rank, of two or more vertices.
+        cell = 0
+        while colors.count(cell) == 1:
+            cell += 1
+        target = [v for v, c in enumerate(colors) if c == cell]
+        shifted = [c if c < cell else c + 1 for c in colors]
+        # The explored children's orbits under `stab`, the stored generators
+        # that fix `fixed` pointwise; the first `closed` entries of `reached`
+        # are closed under `stab`, and a new generator reopens them all.
+        stab: list[list[int]] = []
+        reached: list[int] = []
+        used = closed = 0
         for v in target:
-            if explored:
-                for gen in generators[used:]:
-                    if all(gen[p] == p for p in fixed):
-                        for x in range(n):
-                            a, b = _find(orbit, x), _find(orbit, gen[x])
-                            if a != b:
-                                orbit[a] = b
+            if reached:
+                fresh = [gen for gen in generators[used:] if all(gen[p] == p for p in fixed)]
                 used = len(generators)
-                root = _find(orbit, v)
-                if any(_find(orbit, w) == root for w in explored):
+                if fresh:
+                    stab, closed = stab + fresh, 0
+                while closed < len(reached):
+                    reached += {gen[reached[closed]] for gen in stab}.difference(reached)
+                    closed += 1
+                if v in reached:
                     continue
-            explored.append(v)
-            # Individualize v inside its cell, then re-rank so color values
-            # stay label-invariant.
-            sigs = [(colors[u], 0 if u == v else 1) for u in range(n)]
-            rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-            resume = search([rank[s] for s in sigs], fixed + (v,))
+            reached.append(v)
+            # Individualize v: it keeps its cell's rank and every later rank,
+            # the rest of its cell included, moves up one.
+            resume = search(shifted[:v] + [cell] + shifted[v + 1 :], fixed + (v,))
             if resume < len(fixed):
                 return resume
         return len(fixed)
@@ -164,19 +164,13 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
     # vertices individualized above the current node.
     order, fixing = 1, generators
     for w in first[2]:
-        orbit, todo = {w}, [w]
-        while todo:
-            x = todo.pop()
-            for gen in fixing:
-                if gen[x] not in orbit:
-                    orbit.add(gen[x])
-                    todo.append(gen[x])
+        orbit = [w]
+        for x in orbit:  # also visits the images appended below
+            orbit += {gen[x] for gen in fixing}.difference(orbit)
         order *= len(orbit)
         fixing = [gen for gen in fixing if gen[w] == w]
     lab = best[1]
-    inverse = [0] * n
-    for v, c in enumerate(lab):
-        inverse[c] = v
+    inverse = sorted(range(n), key=lab.__getitem__)
     return lab, [[lab[gen[v]] for v in inverse] for gen in generators], order
 
 

@@ -28,7 +28,7 @@ from .canon import MAX_CANON_VERTICES, CanonicalForm, canonical_code, canonical_
 from .errors import Graph6Error, SizeLimitError
 from .extremal import is_extremal_form, rooted_tree_count
 from .formats import parse_graph6, to_graph6
-from .graphs import Graph, _find, bfs_forest, connected_and_bipartite
+from .graphs import Graph, bfs_forest, connected_and_bipartite
 from .invariants import compute_invariants
 
 BUILTIN_ENUMERATION_LIMIT = 12
@@ -70,16 +70,21 @@ def _bipartite_safe_additions(g: Graph, root: list[int], depth: list[int]) -> li
 
 
 def _orbit_roots(pairs: list[tuple[int, int]], generators: list[list[int]]) -> list[int]:
-    # Union-find over pairs closed under the generators, joining each pair to
-    # its image under every generator; each pair gets its orbit's first index.
+    # Pairs closed under the generators; each orbit is walked from its first
+    # index, which every pair in it gets as its root.
     index = {p: i for i, p in enumerate(pairs)}
-    parent = list(range(len(pairs)))
-    for gen in generators:
-        for i, (u, v) in enumerate(pairs):
-            a, b = gen[u], gen[v]
-            a, b = _find(parent, i), _find(parent, index[(a, b) if a < b else (b, a)])
-            parent[max(a, b)] = min(a, b)
-    return [_find(parent, i) for i in range(len(pairs))]
+    roots = [-1] * len(pairs)
+    for i in range(len(pairs)):
+        if roots[i] < 0:
+            roots[i], orbit = i, [pairs[i]]
+            for u, v in orbit:
+                for gen in generators:
+                    a, b = gen[u], gen[v]
+                    j = index[(a, b) if a < b else (b, a)]
+                    if roots[j] < 0:
+                        roots[j] = i
+                        orbit.append(pairs[j])
+    return roots
 
 
 def _edge_key(du: int, dv: int) -> tuple[int, int]:
@@ -102,7 +107,7 @@ def _children(g: CanonicalForm, additions: list[tuple[int, int]]) -> Iterator[Ca
             continue
         form, lab = labeled_form(Graph(g.n, g.edges + ((u, v),)))
         # The edges of greatest key, closed under Aut; m(g + e) is the last.
-        tied = sorted(p for p in form.edges if _edge_key(form.degree(p[0]), form.degree(p[1])) == key)
+        tied = [p for p in form.edges if _edge_key(form.degree(p[0]), form.degree(p[1])) == key]
         roots = _orbit_roots(tied, form.generators)
         if roots[tied.index(tuple(sorted((lab[u], lab[v]))))] == roots[-1]:
             yield form

@@ -194,6 +194,25 @@ def test_golden_codes():
     assert digest.hexdigest() == "21665eaa28f599fdca3c6c1166ad3914d3d08693067d3c6c72c313e585aa8af8"
 
 
+def test_golden_codes_and_group_orders_up_to_n9():
+    """Pins the canonical code and |Aut| of every bipartite class with n <= 9.
+
+    Classes are hashed in (n, canonical code) order, one line of code and
+    |Aut| each, so the digest does not depend on generation order.  Recorded
+    with refinement that re-ranked until no color changed and with
+    individualization by sorting, so it checks the early stops and the shift.
+    """
+    digest = hashlib.sha256()
+    classes = sorted(
+        (g for n in range(1, 10) for g in generate(EnumerationSpec(n, min_edges=0, connected=False))),
+        key=lambda g: (g.n, canonical_code(g)),
+    )
+    assert len(classes) == 1571
+    for g in classes:
+        digest.update(b"%s %d\n" % (canonical_code(g), g.group_order))
+    assert digest.hexdigest() == "8eced133099d8a64d95aa8e9287d59230bcb6acbd0263ae441bcd369ff494e3f"
+
+
 def _c4_with_pendants(spread: bool) -> Graph:
     edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
     edges += [(i % 4 if spread else 0, 4 + i) for i in range(12)]

@@ -326,17 +326,22 @@ def test_verify_parses_each_line_once(tmp_path, capsys, monkeypatch):
 def test_enumerate_runs_one_canon_search_per_class(capsys, monkeypatch):
     # generate canonizes only the children whose new edge has the greatest
     # degree key, one per orbit; the report stage reuses the forms it yields,
-    # and nothing else is canonized.
+    # and nothing else is canonized.  Each search node refines once, so the
+    # refinement count pins the size of the search trees, orbit pruning
+    # included.
     import szlab.canon as canon
 
-    searches = []
-    search = canon._canonical_labeling
+    searches, nodes = [], []
+    search, refine = canon._canonical_labeling, canon._refine
     monkeypatch.setattr(canon, "_canonical_labeling", lambda g: searches.append(g) or search(g))
+    monkeypatch.setattr(canon, "_refine", lambda *args: nodes.append(1) or refine(*args))
     for fmt in ("json", "csv"):
         searches.clear()
+        nodes.clear()
         code, _, _ = run_cli(capsys, "enumerate", "--n", "4..8", "--format", fmt)
         assert code == 0
         assert len(searches) == 536
+        assert len(nodes) == 4197
 
 
 def test_enumerate_full_range(capsys):

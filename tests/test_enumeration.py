@@ -18,9 +18,17 @@ from szlab.enumeration import (
 )
 from szlab.errors import SizeLimitError
 from szlab.extremal import rooted_trees
-from szlab.graphs import Graph, complete_bipartite, connected_and_bipartite, cycle_graph
+from szlab.graphs import Graph, bfs_forest, complete_bipartite, connected_and_bipartite, cycle_graph
 
-from .oracles import brute_force_classes, brute_isomorphic, labeled_bipartite_counts, random_tree
+from .oracles import (
+    brute_force_classes,
+    brute_isomorphic,
+    graph_to_mask,
+    labeled_bipartite_counts,
+    pair_positions,
+    permutation_tables,
+    random_tree,
+)
 
 # Isomorphism classes of bipartite graphs on n = 1..11 vertices: all, connected.
 A033995 = [1, 2, 3, 7, 13, 35, 88, 303, 1119, 5479, 32303]
@@ -115,6 +123,25 @@ def test_edge_key_is_only_a_shortcut(monkeypatch, connected):
         constant = [canonical_code(g) for g in generate(spec)]
         assert len(set(constant)) == len(constant)
         assert sorted(constant) == codes
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_orbit_roots_are_the_first_indices_of_the_automorphism_orbits(n):
+    """The roots generation keeps are one per orbit of the bipartite-safe
+    additions under all of Aut(g), found by brute force, and each root is the
+    first index of its orbit."""
+    positions = pair_positions(n)
+    slot = {p: k for k, p in enumerate(positions)}
+    tables = permutation_tables(n)
+    for g in generate(EnumerationSpec(n, min_edges=0, connected=False)):
+        mask = graph_to_mask(g, positions)
+        edges = [k for k in range(len(positions)) if mask >> k & 1]
+        auts = [t for t in tables if all(mask >> t[k] & 1 for k in edges)]
+        pairs = enumeration._bipartite_safe_additions(g, *bfs_forest(g))
+        index = {p: i for i, p in enumerate(pairs)}
+        orbits = [{index[positions[t[slot[p]]]] for t in auts} for p in pairs]
+        roots = enumeration._orbit_roots(pairs, g.generators)
+        assert roots == [min(orbit) for orbit in orbits]
 
 
 def test_examine_lines_stream():
