@@ -3,14 +3,15 @@
 Everything is integer arithmetic; the revised Szeged index is carried as an
 integer scaled by 4 (its denominator always divides 4) and exposed as a
 Fraction.  The Szeged index sums per-edge partition products n_u * n_v,
-popcounts of the difference of the packed distance rows of the edge's ends;
+popcounts of the difference of the packed distance rows of the edge's ends,
+which is also the one place a vertex's side of an edge is decided (`side_masks`).
 W is the rows' digit sum, halved.  `tests/oracles.py` is the outside check,
 built on Floyd-Warshall distances and brute loops.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import ensure
 from .graphs import DistanceMatrix, Graph, all_pairs_distances
@@ -37,15 +38,43 @@ class EdgePartition(NamedTuple):
     n_0: int
 
 
+def _differences(dist: DistanceMatrix, edges) -> Iterator[int]:
+    """Each edge uv's packed difference X = packed[v] + ones - packed[u], in the order given.
+
+    Field w of X is d(w, v) - d(w, u) + 1, in 0..2 on an edge: 2 when w is strictly
+    closer to u, 1 when equidistant, 0 when strictly closer to v.
+    """
+    packed, ones = dist.packed, dist.ones
+    return (packed[v] + ones - packed[u] for u, v in edges)
+
+
 def edge_partitions(g: Graph, dist: DistanceMatrix) -> tuple[EdgePartition, ...]:
-    packed, ones, parts = dist.packed, dist.ones, []
-    for u, v in g.edges:
-        # Field w of x is d(w, v) - d(w, u) + 1, which lies in 0..2 on an edge:
-        # 2 when w is closer to u, 1 when equidistant.
-        x = packed[v] + ones - packed[u]
+    """Each edge's partition: n_u and n_0 are popcounts of the 2s and 1s of its packed difference."""
+    new, ones, n, parts = tuple.__new__, dist.ones, g.n, []  # no named tuple constructor frame
+    for (u, v), x in zip(g.edges, _differences(dist, g.edges)):
         n_u, n_0 = (x >> 1 & ones).bit_count(), (x & ones).bit_count()
-        parts.append(EdgePartition(u, v, n_u, g.n - n_u - n_0, n_0))
+        parts.append(new(EdgePartition, (u, v, n_u, n - n_u - n_0, n_0)))
     return tuple(parts)
+
+
+# A difference field's low byte as a binary digit: 1 where it is 2 (closer to u), or 0 (closer to v).
+_CLOSER_TO_U = bytes.maketrans(b"\x00\x01\x02", b"001")
+_CLOSER_TO_V = bytes.maketrans(b"\x00\x01\x02", b"100")
+
+
+def side_masks(g: Graph, dist: DistanceMatrix) -> list[tuple[int, int]]:
+    """(A_w, B_w) per vertex w: bit i of A_w (B_w) is set when w is strictly closer to edge i's first (second) end.
+
+    Row j of one byte matrix is the packed difference of edge m - 1 - j, so column w,
+    the low bytes of field w, read as a binary numeral has edges[i] at bit i.
+    """
+    if not g.m:
+        return [(0, 0)] * g.n
+    width, stride, matrix = dist.width, g.n * dist.width, bytearray()
+    for x in _differences(dist, reversed(g.edges)):  # one row at a time, never a list of rows
+        matrix += x.to_bytes(stride, "little")
+    columns = (matrix[w * width :: stride] for w in range(g.n))
+    return [(int(c.translate(_CLOSER_TO_U), 2), int(c.translate(_CLOSER_TO_V), 2)) for c in columns]
 
 
 def gap(g: Graph) -> int:
@@ -79,10 +108,7 @@ class InvariantReport(NamedTuple):
             "szeged": self.szeged,
             "revised_szeged_times4": self.revised_szeged_times4,
             "gap": self.gap,
-            "per_edge": [
-                {"u": p.u, "v": p.v, "n_u": p.n_u, "n_v": p.n_v, "n_0": p.n_0}
-                for p in self.per_edge
-            ],
+            "per_edge": [p._asdict() for p in self.per_edge],
         }
 
 

@@ -38,26 +38,7 @@ from .graphs import (
     connected_and_bipartite,
     shortest_cycle,
 )
-from .invariants import edge_partitions, wiener
-
-
-def _edge_sides(row: tuple[int, ...], edges) -> tuple[int, int]:
-    """The masks (A_x, B_x) of the vertex x whose distance row is `row`.
-
-    Bit i of A_x is set when x is strictly closer to the first endpoint of
-    edges[i], bit i of B_x when it is strictly closer to the second.  An edge
-    separates x from y exactly when it lies in (A_x & B_y) | (B_x & A_y).
-    """
-    a = b = 0
-    bit = 1
-    for u, v in edges:
-        du, dv = row[u], row[v]
-        if du < dv:
-            a |= bit
-        elif dv < du:
-            b |= bit
-        bit <<= 1
-    return a, b
+from .invariants import edge_partitions, side_masks, wiener
 
 
 class SurplusMap(NamedTuple):
@@ -65,7 +46,8 @@ class SurplusMap(NamedTuple):
 
     `surpluses` runs in pair order (0, 1), (0, 2), ..., (n - 2, n - 1), that of
     `itertools.combinations(range(n), 2)`; `surplus(x, y)` finds a pair by its
-    index.  `sides[x]` is x's masks (A_x, B_x) over `edges`, the graph's sorted edges.
+    index.  `sides[x]` is x's masks (A_x, B_x) over `edges`, the graph's sorted
+    edges, which `invariants.side_masks` reads off their packed differences.
     """
 
     n: int
@@ -98,15 +80,15 @@ def surplus_map(g: Graph) -> SurplusMap:
     all_pairs_distances raises DisconnectedGraphError on a disconnected graph.
     """
     dist = all_pairs_distances(g)
-    rows = dist.rows
-    sides = [_edge_sides(row, g.edges) for row in rows]
+    sides = side_masks(g, dist)
     surpluses = [
         ((ax & by) | (bx & ay)).bit_count() - d
-        for x, (ax, bx) in enumerate(sides)
-        for (ay, by), d in zip(sides[x + 1 :], rows[x][x + 1 :])
+        for x, ((ax, bx), row) in enumerate(zip(sides, dist.rows))
+        for (ay, by), d in zip(sides[x + 1 :], row[x + 1 :])
     ]
     total = sum(surpluses)
-    # Independent route: per-edge partition products minus the distance sum.
+    # Per-edge route, which checks the masks' transpose and the pair loop: partition
+    # products, popcounts of the same packed differences, minus the distance sum.
     szeged = sum(p.n_u * p.n_v for p in edge_partitions(g, dist))
     ensure(total == szeged - wiener(dist), "pair surpluses do not sum to Sz - W")
     return SurplusMap(g.n, surpluses, total, dist, g.edges, sides)
@@ -298,17 +280,8 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
         _check_antipodal_pairs(g, i, decomp.blocks[i], smap)
 
     return GapDecomposition(
-        g,
-        decomp,
-        root,
-        tuple(within),
-        cross_root,
-        cross_other,
-        total,
-        smap,
-        category,
-        floor_ok,
-        len(witnessed) == g.n - len(root_set),
+        g, decomp, root, tuple(within), cross_root, cross_other, total, smap, category,
+        floor_ok, len(witnessed) == g.n - len(root_set),
     )
 
 

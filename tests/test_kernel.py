@@ -1,8 +1,10 @@
 """The separation kernel and the ball-mask distances against the brute-force oracles.
 
-`surplus_map`'s surpluses and its `separating` masks both derive from the
-per-vertex edge-side masks; W is the digit sum of the packed distance rows
-and the edge partitions are popcounts of their differences.
+W is the digit sum of the packed distance rows.  Each edge's packed
+difference decides every vertex's side of it: the edge partitions are
+popcounts of the differences, and the per-vertex side masks, from which
+`surplus_map`'s surpluses and `separating` masks derive, are a transpose of
+them, checked on both sides of the one- to two-byte field switch.
 `tests/oracles.py` recomputes the same numbers from Floyd-Warshall
 distances and plain loops.
 """
@@ -99,13 +101,16 @@ def _relabelled(n, edges, seed):
 
 
 def test_side_masks_on_two_byte_fields():
-    # Closed-form distances above n = 256, where a field is two bytes: the odd
-    # cycle C257, whose every edge has an equidistant vertex, and K_{3,255}
-    # (765 edges), bipartite and with a triangle on its small side.
-    cycle, perm = _relabelled(257, [(i, (i + 1) % 257) for i in range(257)], 1)
-    at = {v: i for i, v in enumerate(perm)}
-    d = [[min(abs(at[x] - at[y]), 257 - abs(at[x] - at[y])) for y in range(257)] for x in range(257)]
-    assert surplus_map(cycle).sides == side_masks_brute(cycle, d)
+    # Closed-form distances on either side of the width switch: C256, the largest
+    # graph with one-byte fields, and above n = 256, where a field is two bytes,
+    # the odd cycle C257, whose every edge has an equidistant vertex, and
+    # K_{3,255} (765 edges), bipartite and with a triangle on its small side.
+    for n, width in ((256, 1), (257, 2)):
+        cycle, perm = _relabelled(n, [(i, (i + 1) % n) for i in range(n)], 1)
+        at = {v: i for i, v in enumerate(perm)}
+        d = [[min(abs(at[x] - at[y]), n - abs(at[x] - at[y])) for y in range(n)] for x in range(n)]
+        assert all_pairs_distances(cycle).width == width
+        assert surplus_map(cycle).sides == side_masks_brute(cycle, d), n
     for triangle in ([], [(0, 1), (1, 2), (0, 2)]):
         edges = [(i, 3 + j) for i in range(3) for j in range(255)] + triangle
         dense, perm = _relabelled(258, edges, 2)
