@@ -9,6 +9,7 @@ gap strictly above the bound.
 
 from szlab import (
     Graph,
+    bfs_forest,
     extremal_family,
     gap,
     is_extremal_form,
@@ -27,10 +28,10 @@ for n in range(4, 9):
 print()
 print("near misses that fail the shape test:")
 two_pendants = Graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 4), (1, 5)])
-print(f"  pendants on two cycle vertices: extremal form? {is_extremal_form(two_pendants)}, "
+print(f"  pendants on two cycle vertices: extremal form? {is_extremal_form(two_pendants, bfs_forest(two_pendants))}, "
       f"gap = {gap(two_pendants)} > {4 * 6 - 8}")
 from szlab import cycle_graph
 
 c6 = cycle_graph(6)
-print(f"  six-cycle (girth 6): extremal form? {is_extremal_form(c6)}, "
+print(f"  six-cycle (girth 6): extremal form? {is_extremal_form(c6, bfs_forest(c6))}, "
       f"gap = {gap(c6)} > {4 * 6 - 8}")

@@ -37,6 +37,7 @@ from .graphs import (
     DistanceMatrix,
     Graph,
     all_pairs_distances,
+    bfs_forest,
     block_decomposition,
     complete_bipartite,
     connected_and_bipartite,

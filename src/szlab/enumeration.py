@@ -21,6 +21,7 @@ Aut, which `test_group_order_matches_brute_force` checks.
 
 from __future__ import annotations
 
+import os
 from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
@@ -179,7 +180,8 @@ def _examine(g: Graph, rows: bool) -> dict:
     per-graph CSV row, ending in its scope: "checked", or why the report
     rejects it ("not_bipartite", "m_below_n").
     """
-    connected, bipartite = connected_and_bipartite(g)
+    forest = bfs_forest(g)
+    connected, bipartite = connected_and_bipartite(g, forest)
     ok = connected and bipartite and g.m >= g.n
     rec: dict = {"n": g.n, "ok": ok}
     if not connected or not (ok or rows):
@@ -194,7 +196,7 @@ def _examine(g: Graph, rows: bool) -> dict:
         scope = "checked" if ok else "m_below_n" if bipartite else "not_bipartite"
         rec["row"] = [code or "", g.n, g.m, report.wiener, report.szeged, report.gap, scope]
     if ok:
-        rec.update(gap=report.gap, canonical=code, extremal=report.gap == bound and is_extremal_form(g))
+        rec.update(gap=report.gap, canonical=code, extremal=report.gap == bound and is_extremal_form(g, forest))
     if ok and report.gap <= bound:
         rec["graph6"] = to_graph6(g)
     return rec
@@ -210,14 +212,24 @@ def _examine_line(item: tuple[int, str], rows: bool) -> dict:
 
 
 def Pool(processes: int):
-    """A `multiprocessing.Pool`, imported on first use: only runs with workers > 1 load multiprocessing."""
-    import multiprocessing
-    return multiprocessing.Pool(processes=processes)
+    """A pool of `processes` forked workers, `szlab._pool.ForkPool`, imported on first use.
+
+    Every pool is built through this name, so only runs with workers > 1
+    load the pool module, and none loads multiprocessing.
+    """
+    from ._pool import ForkPool
+    return ForkPool(processes)
 
 
 def _in_order(fn, items: Iterable, workers: int) -> Iterator[dict]:
-    """fn over items, in order; with workers > 1 the items stream through a process pool in chunks."""
-    if workers <= 1:
+    """fn over items, in order, the same records for any worker count.
+
+    With workers > 1, chunks of 16 items go round-robin to forked workers,
+    at most `_pool.IN_FLIGHT` chunks ahead per worker, so a streamed input
+    is read only that far ahead of the records.  Without os.fork the items
+    are mapped in this process, as with one worker.
+    """
+    if workers <= 1 or not hasattr(os, "fork"):
         yield from map(fn, items)
         return
     with Pool(processes=workers) as pool:

@@ -81,7 +81,7 @@ def extremal_family(n: int) -> list[ExtremalGraph]:
         edges = [(0, 1), (1, 2), (2, 3), (0, 3)]
         edges.extend((p + 3 if p else 0, i + 3) for i, p in enumerate(parent) if p is not None)
         g = Graph(n, edges)
-        if not is_extremal_form(g):
+        if not is_extremal_form(g, bfs_forest(g)):
             raise InvariantViolation(f"member {g.edges} is not a 4-cycle plus a hanging tree")
         code = canonical_code(g).decode("ascii")
         if code in seen:
@@ -91,15 +91,16 @@ def extremal_family(n: int) -> list[ExtremalGraph]:
     return members
 
 
-def is_extremal_form(g: Graph) -> bool:
+def is_extremal_form(g: Graph, forest: tuple[list[int], list[int]]) -> bool:
     """Recognize the family shape: connected, m = n, and a 4-vertex cycle block with <= 1 cut vertex.
 
-    On a connected graph with m = n the cycle is the one block with more than
+    `forest` is `bfs_forest(g)`, which the caller already holds.  On a
+    connected graph with m = n the cycle is the one block with more than
     2 vertices, and a 4-cycle already makes the graph bipartite.
     """
     if g.m != g.n:
         return False
-    root, depth = bfs_forest(g)
+    root, depth = forest
     if any(root):
         return False
     decomp = block_decomposition(g, depth)

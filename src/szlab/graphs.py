@@ -185,14 +185,14 @@ def bfs_forest(g: Graph) -> tuple[list[int], list[int]]:
     return root, depth
 
 
-def connected_and_bipartite(g: Graph) -> tuple[bool, bool]:
-    """Whether g is connected, and whether it is bipartite, from one BFS forest.
+def connected_and_bipartite(g: Graph, forest: tuple[list[int], list[int]]) -> tuple[bool, bool]:
+    """Whether g is connected, and whether it is bipartite, read off its BFS forest `bfs_forest(g)`.
 
     Connected when there is a vertex and every component root is vertex 0
     (the null graph is not connected, as in networkx); bipartite when every
     edge joins BFS depths of opposite parity.
     """
-    root, depth = bfs_forest(g)
+    root, depth = forest
     return g.n > 0 and not any(root), all((depth[u] ^ depth[v]) & 1 for u, v in g.edges)
 
 

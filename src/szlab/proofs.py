@@ -34,6 +34,7 @@ from .graphs import (
     Graph,
     _bits,
     all_pairs_distances,
+    bfs_forest,
     block_decomposition,
     connected_and_bipartite,
     shortest_cycle,
@@ -189,7 +190,7 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     After the floors, both lemmas of the module docstring are checked on
     every block with >= 4 vertices, off the same surplus map and its side masks.
     """
-    connected, bipartite = connected_and_bipartite(g)
+    connected, bipartite = connected_and_bipartite(g, bfs_forest(g))
     if not connected:
         raise HypothesisError("connected violated")
     if not bipartite:

@@ -80,6 +80,10 @@ def tier1_commands() -> list[list[str]]:
         ["extremal", "--n", "4..7"],
         ["verify", "--file", "tests/data/verify_corpus.g6"],
         ["verify", "--file", "tests/data/verify_corpus.g6", "--format", "csv"],
+        # A worker pool must not move a byte: each of these equals its entry without --workers.
+        ["enumerate", "--n", "4..9", "--workers", "2"],
+        ["verify", "--file", "tests/data/verify_corpus.g6", "--workers", "2"],
+        ["verify", "--file", "tests/data/verify_corpus.g6", "--format", "csv", "--workers", "2"],
         ["canon", "--edges", "6 6\\n0 1\\n1 2\\n2 3\\n3 4\\n4 5\\n0 5"],
         ["compute", "--file", "tests/data/c258.g6"],
         # Each error exit code: a graph above canon's size limit and a malformed

@@ -61,7 +61,7 @@ def test_generate_outputs_are_valid_and_distinct(enumerated):
         codes = set()
         for g in graphs:
             assert g.n == n
-            assert connected_and_bipartite(g) == (True, True)
+            assert connected_and_bipartite(g, bfs_forest(g)) == (True, True)
             codes.add(canonical_code(g))
         assert len(codes) == len(graphs)
 
@@ -105,7 +105,7 @@ def test_classes_weighted_by_automorphisms_count_labeled_graphs(n):
     canonical construction path, so this guards its orbit checks."""
     every, connected = labeled_bipartite_counts(n)
     classes = list(generate(EnumerationSpec(n, min_edges=0, connected=False)))
-    joined = [g for g in classes if connected_and_bipartite(g)[0]]
+    joined = [g for g in classes if connected_and_bipartite(g, bfs_forest(g))[0]]
     assert (len(classes), len(joined)) == (A033995[n - 1], A005142[n - 1])
     assert sum(Fraction(factorial(n), g.group_order) for g in classes) == every[n]
     assert sum(Fraction(factorial(n), g.group_order) for g in joined) == connected[n]
@@ -203,7 +203,7 @@ def test_examine_two_colors_each_checked_graph_once(monkeypatch, rows):
     ]
     gates, computed = [], []
     gate, compute = enumeration.connected_and_bipartite, enumeration.compute_invariants
-    monkeypatch.setattr(enumeration, "connected_and_bipartite", lambda g: gates.append(g) or gate(g))
+    monkeypatch.setattr(enumeration, "connected_and_bipartite", lambda g, forest: gates.append(g) or gate(g, forest))
     monkeypatch.setattr(enumeration, "compute_invariants", lambda g: computed.append(g) or compute(g))
     records = list(examine(stream, 1, rows))
     assert [r["ok"] for r in records] == [False, False, False, True, True]
@@ -222,7 +222,7 @@ def test_verify_rejects_non_bipartite_graphs_without_invariants(monkeypatch):
             u, v = sorted(rng.sample(range(n), 2))
             edges.add((u, v))
         g = Graph(n, edges)
-        if not connected_and_bipartite(g)[1]:
+        if not connected_and_bipartite(g, bfs_forest(g))[1]:
             graphs.append(g)
     computed = []
     compute = enumeration.compute_invariants
@@ -283,7 +283,7 @@ def test_extremal_match_false_on_an_equality_graph_of_another_shape():
 def test_examine_asks_whether_an_equality_graph_is_of_extremal_form(monkeypatch):
     # C4 is of extremal form; were it not, it would be a stray equality graph.
     assert enumeration._examine(cycle_graph(4), False)["extremal"] is True
-    monkeypatch.setattr(enumeration, "is_extremal_form", lambda g: False)
+    monkeypatch.setattr(enumeration, "is_extremal_form", lambda g, forest: False)
     assert enumeration._examine(cycle_graph(4), False)["extremal"] is False
     assert verify_conjecture([cycle_graph(4)])[0].extremal_match is False
 

@@ -10,7 +10,7 @@ from szlab.extremal import (
     rooted_tree_count,
     rooted_trees,
 )
-from szlab.graphs import Graph, connected_and_bipartite, cycle_graph
+from szlab.graphs import Graph, bfs_forest, connected_and_bipartite, cycle_graph
 from szlab.invariants import gap
 
 from .oracles import rooted_tree_classes_brute
@@ -43,7 +43,7 @@ def test_rooted_trees_are_valid_and_distinct():
             assert len(t) == k and t[0] is None
             assert all(p < i for i, p in enumerate(t) if p is not None)
             g = Graph(k, [(p, i) for i, p in enumerate(t) if p is not None])
-            assert g.m == k - 1 and connected_and_bipartite(g)[0]
+            assert g.m == k - 1 and connected_and_bipartite(g, bfs_forest(g))[0]
             seen.add(t)
         assert len(seen) == len(rooted_trees(k))
 
@@ -73,18 +73,18 @@ def test_family_members_are_well_formed():
         for member in members:
             g = member.graph
             assert g.n == n and g.m == n
-            assert connected_and_bipartite(g) == (True, True)
-            assert is_extremal_form(g)
+            assert connected_and_bipartite(g, bfs_forest(g)) == (True, True)
+            assert is_extremal_form(g, bfs_forest(g))
             codes.add(canonical_code(g))
         assert len(codes) == len(members)
 
 
 def test_is_extremal_form_examples(c4_pendant, c6, c4_two_pendants):
-    assert is_extremal_form(c4_pendant)
-    assert not is_extremal_form(c6)  # girth 6
+    assert is_extremal_form(c4_pendant, bfs_forest(c4_pendant))
+    assert not is_extremal_form(c6, bfs_forest(c6))  # girth 6
     assert gap(c6) == 27 > 4 * 6 - 8
     # pendants at two different cycle vertices: two cycle cut vertices
-    assert not is_extremal_form(c4_two_pendants)
+    assert not is_extremal_form(c4_two_pendants, bfs_forest(c4_two_pendants))
     assert gap(c4_two_pendants) > 4 * 6 - 8
 
 
@@ -93,7 +93,7 @@ def test_is_extremal_form_matches_family_codes():
     for n in range(1, 9):
         family_codes = {m.canonical for m in extremal_family(n)} if n >= 4 else set()
         for g in generate(EnumerationSpec(n, min_edges=0, connected=False)):
-            assert is_extremal_form(g) == (canonical_code(g).decode("ascii") in family_codes)
+            assert is_extremal_form(g, bfs_forest(g)) == (canonical_code(g).decode("ascii") in family_codes)
 
 
 def test_is_extremal_form_requires_connected(c4_pendant):
@@ -101,8 +101,8 @@ def test_is_extremal_form_requires_connected(c4_pendant):
     # isolated vertex: the connectivity check alone says no.
     k4_minus_edge_plus_isolated = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     assert k4_minus_edge_plus_isolated.m == k4_minus_edge_plus_isolated.n
-    assert not is_extremal_form(k4_minus_edge_plus_isolated)
-    assert is_extremal_form(c4_pendant)
+    assert not is_extremal_form(k4_minus_edge_plus_isolated, bfs_forest(k4_minus_edge_plus_isolated))
+    assert is_extremal_form(c4_pendant, bfs_forest(c4_pendant))
 
 
 def test_is_extremal_form_rejects_other_unicyclic_shapes():
@@ -110,7 +110,7 @@ def test_is_extremal_form_rejects_other_unicyclic_shapes():
     c5_pendant = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
     two_c4 = Graph(8, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5), (5, 6), (6, 7), (4, 7)])
     for g in (c3_tail, c5_pendant, two_c4):
-        assert g.m == g.n and not is_extremal_form(g)
+        assert g.m == g.n and not is_extremal_form(g, bfs_forest(g))
 
 
 def test_is_extremal_form_agrees_with_gap_on_enumeration(enumerated):
@@ -119,7 +119,7 @@ def test_is_extremal_form_agrees_with_gap_on_enumeration(enumerated):
         for g in enumerated[n]:
             if g.m < n:
                 continue
-            assert is_extremal_form(g) == (gap(g) == 4 * n - 8)
+            assert is_extremal_form(g, bfs_forest(g)) == (gap(g) == 4 * n - 8)
 
 
 def test_family_matches_enumerated_equality_set(enumerated):
@@ -128,7 +128,7 @@ def test_family_matches_enumerated_equality_set(enumerated):
         enumerated_codes = {
             canonical_code(g)
             for g in enumerated[n]
-            if g.m >= n and is_extremal_form(g)
+            if g.m >= n and is_extremal_form(g, bfs_forest(g))
         }
         assert family_codes == enumerated_codes
 

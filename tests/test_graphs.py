@@ -104,11 +104,12 @@ def test_distances_reject_disconnected():
 
 
 def test_is_connected(c4):
-    assert connected_and_bipartite(c4)[0]
-    assert not connected_and_bipartite(Graph(4, [(0, 1), (2, 3)]))[0]
-    assert not connected_and_bipartite(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]))[0]
+    assert connected_and_bipartite(c4, bfs_forest(c4))[0]
+    for g in (Graph(4, [(0, 1), (2, 3)]), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])):
+        assert not connected_and_bipartite(g, bfs_forest(g))[0]
     # The null graph is not connected, as in networkx.
-    assert connected_and_bipartite(Graph(0, [])) == (False, True)
+    null = Graph(0, [])
+    assert connected_and_bipartite(null, bfs_forest(null)) == (False, True)
 
 
 @st.composite
@@ -140,7 +141,7 @@ def test_safe_additions_match_brute_colorings(g):
 @given(any_graphs())
 def test_connected_and_bipartite_match_oracles(g):
     connected = all(x is not INF for row in floyd_warshall(g) for x in row)
-    assert connected_and_bipartite(g) == (connected, bool(two_colorings(g)))
+    assert connected_and_bipartite(g, bfs_forest(g)) == (connected, bool(two_colorings(g)))
 
 
 def _bfs_calls(check, g):
@@ -169,8 +170,8 @@ def test_hypotheses_come_from_one_bfs_forest(c4, c4_pendant):
     assert _bfs_calls(proofs.gap_decomposition, c4_pendant) == one_each
     assert _bfs_calls(proofs.gap_decomposition, c4) == one_each
     assert _bfs_calls(examine, cycle_graph(5)) == ["bfs_forest"]
-    # An equality graph is also asked is_extremal_form, which runs its own forest.
-    assert _bfs_calls(examine, c4_pendant) == [*one_each, "bfs_forest"]
+    # An equality graph is also asked is_extremal_form, on the gate's forest.
+    assert _bfs_calls(examine, c4_pendant) == one_each
     assert _bfs_calls(invariants.compute_invariants, c4_pendant) == ["all_pairs_distances"]
 
 
@@ -312,7 +313,7 @@ def test_girth_matches_per_edge_oracle_off_bipartite():
         p = rng.choice([0.1, 0.2, 0.35, 0.6])
         g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
         odd += len(_assert_shortest_cycle(g) or ()) % 2
-        disconnected += not connected_and_bipartite(g)[0]
+        disconnected += not connected_and_bipartite(g, bfs_forest(g))[0]
     assert odd >= 300 and disconnected >= 300
 
 
@@ -321,13 +322,13 @@ def test_shortest_cycle_is_valid_cycle(enumerated):
         for g in graphs:
             cyc = _assert_shortest_cycle(g)
             # bipartite graphs only have even cycles
-            if connected_and_bipartite(g)[1]:
+            if connected_and_bipartite(g, bfs_forest(g))[1]:
                 assert len(cyc or ()) % 2 == 0
 
 
 def test_complete_bipartite_shape():
     g = complete_bipartite(2, 3)
     assert g.n == 5 and g.m == 6
-    assert connected_and_bipartite(g)[1]
+    assert connected_and_bipartite(g, bfs_forest(g))[1]
     c5 = cycle_graph(5)
     assert sorted(map(c5.degree, c5.vertices())) == [2] * 5

@@ -11,7 +11,7 @@ from szlab.canon import canonical_code
 from szlab.cli import main
 from szlab.errors import DisconnectedGraphError
 from szlab.formats import to_graph6
-from szlab.graphs import Graph, all_pairs_distances, connected_and_bipartite, star_graph
+from szlab.graphs import Graph, all_pairs_distances, bfs_forest, connected_and_bipartite, star_graph
 from szlab.proofs import surplus_map
 from szlab.invariants import compute_invariants, edge_partitions, gap, wiener
 
@@ -163,7 +163,7 @@ def test_tree_identities_up_to_nine_vertices():
 def test_bipartite_identity(enumerated):
     for graphs in enumerated.values():
         for g in graphs:
-            assert connected_and_bipartite(g)[1]
+            assert connected_and_bipartite(g, bfs_forest(g))[1]
             for p in edge_partitions(g, all_pairs_distances(g)):
                 assert p.n_0 == 0
             report = compute_invariants(g)

@@ -20,6 +20,7 @@ from szlab.errors import DisconnectedGraphError, SizeLimitError
 from szlab.graphs import (
     Graph,
     all_pairs_distances,
+    bfs_forest,
     connected_and_bipartite,
     complete_bipartite,
     cycle_graph,
@@ -129,7 +130,7 @@ def test_triangle_surpluses_are_zero():
     # Each pair is separated only by its own edge; the third vertex of the
     # opposite edge is equidistant from its endpoints.
     triangle = Graph(3, [(0, 1), (1, 2), (0, 2)])
-    assert not connected_and_bipartite(triangle)[1]
+    assert not connected_and_bipartite(triangle, bfs_forest(triangle))[1]
     # Pairs (0, 1), (0, 2), (1, 2), in pair order.
     assert surplus_map(triangle).surpluses == [0, 0, 0]
 

@@ -32,6 +32,14 @@ def test_tier1_stdout_matches_the_manifest():
     assert moved is None, moved
 
 
+def test_worker_entries_match_their_single_worker_entries():
+    tier1 = _ENTRIES["tier1"]
+    pooled = [command for command in tier1 if "--workers" in command]
+    assert len(pooled) == 3
+    for command in pooled:
+        assert tier1[command] == tier1[command.replace(" --workers 2", "")], command
+
+
 @_SLOW
 def test_slow_stdout_matches_the_manifest():
     moved = _first_moved(_ENTRIES["slow"].items())

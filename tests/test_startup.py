@@ -11,10 +11,10 @@ from szlab.graphs import cycle_graph
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# dataclasses (with inspect) is not used at all; multiprocessing only with
-# --workers > 1, fractions (with decimal) only for the revised Szeged index,
-# csv only for --format csv.
-DEFERRED = {"dataclasses", "inspect", "multiprocessing", "fractions", "decimal", "csv"}
+# dataclasses (with inspect) and multiprocessing are not used at all; the
+# worker pool (szlab._pool) only with --workers > 1, fractions (with decimal)
+# only for the revised Szeged index, csv only for --format csv.
+DEFERRED = {"dataclasses", "inspect", "multiprocessing", "szlab._pool", "fractions", "decimal", "csv"}
 
 
 def _python(*args: str) -> str:
@@ -47,5 +47,15 @@ def test_fresh_process_writes_csv():
 
 
 def test_fresh_process_runs_a_pool():
-    out = _python("-m", "szlab.cli", "enumerate", "--n", "4..6", "--workers", "2")
-    assert [r["n"] for r in json.loads(out)["reports"]] == [4, 5, 6]
+    # Forked workers: no multiprocessing, and no thread started.
+    run = (
+        "import sys, threading\n"
+        "started = []\n"
+        "threading.Thread.start = lambda self, start=threading.Thread.start: started.append(self) or start(self)\n"
+        "from szlab.cli import main\n"
+        "main(['enumerate', '--n', '4..6', '--workers', '2'])\n"
+        "print(len(started), *sorted({'multiprocessing', 'szlab._pool'} & set(sys.modules)))"
+    )
+    *report, last = _python("-c", run).splitlines()
+    assert [r["n"] for r in json.loads("\n".join(report))["reports"]] == [4, 5, 6]
+    assert last == "0 szlab._pool"
