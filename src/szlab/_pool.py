@@ -3,11 +3,11 @@
 `enumeration.Pool` imports this module on first use, so only runs with more
 than one worker load it.  Workers are forked when `imap` starts and inherit
 the function they serve, so no function is pickled.  The parent deals chunks
-out round-robin and reads them back in the order dealt.  It starts no
-thread, and it blocks only on a pipe read or write: a task pipe is written
-without blocking until the worker owes the parent nothing earlier, so a
-worker blocked on writing large records can never wait on a parent blocked on
-writing it a large chunk.
+out round-robin and reads them back in the order dealt.  It starts no thread,
+and it blocks only on a pipe read or write.  Each worker holds at most one
+chunk: it gets the next only after the parent has read all its records, so
+it can then only be reading its task pipe, and a blocking write of any size
+to that pipe finishes.  Pickle's own format marks where each message ends.
 """
 
 from __future__ import annotations
@@ -16,30 +16,12 @@ import os
 import pickle
 import signal
 from collections import deque
-from itertools import count, islice
-from struct import Struct
-
-_HEADER = Struct("!Q")  # the byte length of the pickle that follows
-# Chunks dealt to each worker and not yet read back: enough to keep a worker
-# busy while the parent folds records, and the bound on what a streamed
-# input is read ahead.
-IN_FLIGHT = 2
+from itertools import islice
 
 
-def _message(obj) -> bytes:
-    body = pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
-    return _HEADER.pack(len(body)) + body
-
-
-def _receive(stream):
-    """The next object on a buffered pipe, or None at its end."""
-    head = stream.read(_HEADER.size)
-    if len(head) == _HEADER.size:
-        (size,) = _HEADER.unpack(head)
-        body = stream.read(size)
-        if len(body) == size:
-            return pickle.loads(body)
-    return None
+def _dumps(obj) -> bytes:
+    # Pickled whole before any byte is written, so a message that fails to pickle writes nothing.
+    return pickle.dumps(obj, pickle.HIGHEST_PROTOCOL)
 
 
 class WorkerTraceback(Exception):
@@ -51,16 +33,20 @@ def _failure(exc: Exception) -> bytes:
 
     text = "".join(traceback.format_exception(exc))
     try:
-        return _message((False, (exc, text)))
+        return _dumps((False, (exc, text)))
     except Exception:  # an exception that does not pickle goes back by type name and message
-        return _message((False, (RuntimeError(f"{type(exc).__name__}: {exc}"), text)))
+        return _dumps((False, (RuntimeError(f"{type(exc).__name__}: {exc}"), text)))
 
 
 def _serve(fn, tasks, results) -> None:
     """A worker's loop: (True, records) or (False, (exception, traceback)) per chunk, until the task pipe ends."""
-    while (chunk := _receive(tasks)) is not None:
+    while True:
         try:
-            reply = _message((True, [fn(item) for item in chunk]))
+            chunk = pickle.load(tasks)
+        except EOFError:
+            return
+        try:
+            reply = _dumps((True, [fn(item) for item in chunk]))
         except Exception as exc:
             reply = _failure(exc)
         results.write(reply)
@@ -69,45 +55,26 @@ def _serve(fn, tasks, results) -> None:
 
 class _Worker:
     def __init__(self, pid: int, tasks: int, results):
+        # The task pipe stays a raw fd: a buffered file would try again, on
+        # close, to write what a broken pipe refused.
         self.pid, self.tasks, self.results = pid, tasks, results
-        self.backlog: deque[tuple[int, memoryview]] = deque()  # (chunk number, bytes not yet written)
         self.reaped = False
 
-    def deal(self, number: int, chunk: list) -> None:
-        self.backlog.append((number, memoryview(_message(chunk))))
-        self.flush()
-
-    def flush(self, due: int = -1) -> None:
-        """Write what the task pipe takes without blocking, and chunks up to `due` in full.
-
-        A chunk whose records are due may block: the worker has sent every
-        earlier record and been read, so it is reading.
-        """
-        while self.backlog:
-            number, view = self.backlog[0]
-            blocking = number <= due
-            if blocking:
-                os.set_blocking(self.tasks, True)
-            try:
-                while view:
-                    view = view[os.write(self.tasks, view):]
-            except BlockingIOError:
-                self.backlog[0] = number, view
-                return
-            except BrokenPipeError:
-                self.died()
-            finally:
-                if blocking:
-                    os.set_blocking(self.tasks, False)
-            self.backlog.popleft()
-
-    def collect(self, number: int) -> list:
-        """The records of chunk `number`, the oldest this worker owes."""
-        self.flush(due=number)
-        reply = _receive(self.results)
-        if reply is None:
+    def deal(self, chunk: list) -> None:
+        """Write a chunk in full; the worker owes no records, so it is reading its task pipe."""
+        view = memoryview(_dumps(chunk))
+        try:
+            while view:
+                view = view[os.write(self.tasks, view):]
+        except BrokenPipeError:
             self.died()
-        ok, value = reply
+
+    def collect(self) -> list:
+        """The records of the chunk this worker holds."""
+        try:
+            ok, value = pickle.load(self.results)
+        except (EOFError, pickle.UnpicklingError):
+            self.died()
         if not ok:
             exc, text = value
             raise exc from WorkerTraceback(text)
@@ -175,24 +142,26 @@ class ForkPool:
                 os._exit(code)
         os.close(task_r)
         os.close(result_w)
-        os.set_blocking(task_w, False)
         self._workers.append(_Worker(pid, task_w, os.fdopen(result_r, "rb")))
 
     def imap(self, fn, items, chunksize: int = 1):
-        """fn over items, in order: chunks of `chunksize` dealt round-robin, IN_FLIGHT per worker."""
+        """fn over items, in order: chunks of `chunksize` dealt round-robin, one per worker at a time.
+
+        A worker's next chunk is dealt before its records are yielded, so the
+        items are read at most one chunk per worker, plus one, ahead.
+        """
         for _ in range(self.processes):
             self._fork(fn)
-        workers, k = self._workers, self.processes
         it = iter(items)
         chunks = iter(lambda: list(islice(it, chunksize)), [])
-        dealt = 0
-        for number in count():
-            for chunk in islice(chunks, number + IN_FLIGHT * k - dealt):
-                workers[dealt % k].deal(dealt, chunk)
-                dealt += 1
-            if number == dealt:
-                return
-            # Before blocking on one worker, give each the part of its chunks its pipe now takes.
-            for worker in workers:
-                worker.flush()
-            yield from workers[number % k].collect(number)
+        busy: deque[_Worker] = deque()  # the workers holding a chunk, in the order dealt
+        for worker, chunk in zip(self._workers, chunks):
+            worker.deal(chunk)
+            busy.append(worker)
+        while busy:
+            worker = busy.popleft()
+            records = worker.collect()
+            if (chunk := next(chunks, None)) is not None:
+                worker.deal(chunk)
+                busy.append(worker)
+            yield from records

@@ -214,8 +214,9 @@ def _examine_line(item: tuple[int, str], rows: bool) -> dict:
 def Pool(processes: int):
     """A pool of `processes` forked workers, `szlab._pool.ForkPool`, imported on first use.
 
-    Every pool is built through this name, so only runs with workers > 1
-    load the pool module, and none loads multiprocessing.
+    Each worker holds one chunk at a time.  Every pool is built through this
+    name, so only runs with workers > 1 load the pool module, and none loads
+    multiprocessing.
     """
     from ._pool import ForkPool
     return ForkPool(processes)
@@ -225,8 +226,8 @@ def _in_order(fn, items: Iterable, workers: int) -> Iterator[dict]:
     """fn over items, in order, the same records for any worker count.
 
     With workers > 1, chunks of 16 items go round-robin to forked workers,
-    at most `_pool.IN_FLIGHT` chunks ahead per worker, so a streamed input
-    is read only that far ahead of the records.  Without os.fork the items
+    one chunk to each at a time, so a streamed input is read at most
+    (workers + 1) chunks ahead of the records.  Without os.fork the items
     are mapped in this process, as with one worker.
     """
     if workers <= 1 or not hasattr(os, "fork"):

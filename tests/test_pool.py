@@ -1,7 +1,9 @@
 """The forked worker pool behind `--workers`: errors, dead workers, clean-up, read-ahead, large messages."""
 
 import os
+import pickle
 import signal
+import time
 from contextlib import contextmanager
 
 import pytest
@@ -85,7 +87,65 @@ def test_read_ahead_is_bounded():
     with _deadline(60):
         next(records)
         records.close()
-    assert 0 < pulled <= _pool.IN_FLIGHT * 2 * 16
+    # One chunk held by each of the 2 workers, and worker 0's next dealt before its records are yielded.
+    assert 0 < pulled <= (2 + 1) * 16
+
+
+def _serve_one_chunk(reply_bytes):
+    """A stand-in for `_pool._serve` that answers one chunk with `reply_bytes(reply)` and returns."""
+
+    def serve(fn, tasks, results):
+        chunk = pickle.load(tasks)
+        results.write(reply_bytes(pickle.dumps((True, [fn(item) for item in chunk]))))
+        results.flush()
+
+    return serve
+
+
+def test_worker_gone_before_its_next_chunk(monkeypatch):
+    monkeypatch.setattr(_pool, "_serve", _serve_one_chunk(lambda reply: reply))
+    fork, pids = os.fork, []
+
+    def recording_fork():
+        pid = fork()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+
+    def items():
+        for i, g in enumerate(_graphs(100)):
+            if i == 32:  # the third chunk: each worker has answered one and exited by now
+                time.sleep(0.5)
+            yield g
+
+    with _deadline(60), pytest.raises(RuntimeError, match=r"^pool worker \d+ .*\(exit status 0\)$") as raised:
+        list(examine(items(), 2))
+    assert str(raised.value).startswith(f"pool worker {pids[0]} ")  # worker 0 is dealt the third chunk
+    _assert_no_child_left()
+
+
+def test_truncated_reply_is_a_dead_worker(monkeypatch):
+    monkeypatch.setattr(_pool, "_serve", _serve_one_chunk(lambda reply: reply[:50]))
+    with _deadline(60), pytest.raises(RuntimeError, match=r"^pool worker \d+ .*\(exit status 0\)$"):
+        list(examine(_graphs(100), 2))
+    _assert_no_child_left()
+
+
+def test_exception_that_does_not_pickle_goes_back_by_name():
+    class Local(Exception):
+        def __reduce__(self):
+            raise TypeError("not picklable")
+
+    def fail(item):
+        raise Local(f"bad {item}")
+
+    with _deadline(60), _pool.ForkPool(2) as pool:
+        with pytest.raises(RuntimeError, match="^Local: bad 0$") as raised:
+            list(pool.imap(fail, range(40), chunksize=16))
+    assert isinstance(raised.value.__cause__, _pool.WorkerTraceback)
+    assert "Local: bad 0" in str(raised.value.__cause__)
+    _assert_no_child_left()
 
 
 def test_messages_beyond_a_pipe_buffer_both_ways():
