@@ -32,9 +32,9 @@ def _failure(exc: Exception) -> bytes:
     import traceback
 
     text = "".join(traceback.format_exception(exc))
-    try:
-        return _dumps((False, (exc, text)))
-    except Exception:  # an exception that does not pickle goes back by type name and message
+    try:  # sent as the parent would rebuild it, so one that pickles but cannot be rebuilt fails here
+        return _dumps((False, (pickle.loads(_dumps(exc)), text)))
+    except Exception:  # an exception that does not make the round trip goes back by type name and message
         return _dumps((False, (RuntimeError(f"{type(exc).__name__}: {exc}"), text)))
 
 
@@ -144,7 +144,7 @@ class ForkPool:
         os.close(result_w)
         self._workers.append(_Worker(pid, task_w, os.fdopen(result_r, "rb")))
 
-    def imap(self, fn, items, chunksize: int = 1):
+    def imap(self, fn, items, chunksize: int):
         """fn over items, in order: chunks of `chunksize` dealt round-robin, one per worker at a time.
 
         A worker's next chunk is dealt before its records are yielded, so the

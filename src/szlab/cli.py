@@ -141,9 +141,8 @@ def cmd_decompose(args) -> int:
         write = sys.stdout.write
         write(json.dumps(decomp.to_json_dict(), sort_keys=False)[:-1] + ', "pairs": [')
         for x, distances, surpluses, categories in decomp.by_row():
-            if distances:  # the last row holds no pair
-                pairs = zip(repeat(x), count(x + 1), distances, surpluses, map(itemgetter(0), categories))
-                write((", " if x else "") + ", ".join(map(_PAIR_JSON.__mod__, pairs)))
+            pairs = zip(repeat(x), count(x + 1), distances, surpluses, map(itemgetter(0), categories))
+            write((", " if x else "") + ", ".join(map(_PAIR_JSON.__mod__, pairs)))
         write("]}\n")
     else:
         print(json.dumps(decomp.to_json_dict(), sort_keys=False))

@@ -8,8 +8,8 @@ path works for every graph size this package targets.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
-from struct import Struct
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DisconnectedGraphError, GraphConstructionError, SizeLimitError, ensure
@@ -99,35 +99,29 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _field_width(n: int) -> int:
-    """Bytes per distance field: d(v, w) <= n - 1 fits one byte up to n = 256."""
-    return 1 if n <= 256 else 2
-
-
 class DistanceMatrix:
     """A connected graph's hop counts, one packed integer per vertex: field w of packed[v] is d(v, w).
 
     A field is `width` bytes, little-endian: one byte for n <= 256, two above
-    (so n is at most 65,536).  `ones` has every field 1.  `rows` is every row,
-    decoded on first use.  Only all_pairs_distances builds one, and it holds n to that limit.
+    (so n is at most 65,536).  `ones` has every field 1.  `row(v)` reads row v;
+    only the separation kernel in invariants reads `packed`.  Only
+    all_pairs_distances builds one, and it holds n to that limit.
     """
 
-    __slots__ = ("n", "width", "ones", "packed", "_codec", "_rows")
+    __slots__ = ("n", "width", "ones", "packed")
 
     def __init__(self, n: int, packed: list[int]):
-        self.n, self.packed, self._rows = n, packed, None
-        self.width = _field_width(n)
+        self.n, self.packed = n, packed
+        self.width = 1 if n <= 256 else 2  # d(v, w) <= n - 1 fits one byte up to n = 256
         self.ones = int.from_bytes((b"\x01" + bytes(self.width - 1)) * n, "little")
-        self._codec = Struct(f"<{n}{'BH'[self.width - 1]}")
 
-    def row(self, v: int) -> tuple[int, ...]:
-        return self._codec.unpack(self.packed[v].to_bytes(self._codec.size, "little"))
-
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        if self._rows is None:
-            self._rows = tuple(map(self.row, range(self.n)))
-        return self._rows
+    def row(self, v: int) -> Sequence[int]:
+        """Row v's fields, built from packed[v] on each call: its bytes, or above n = 256 a memoryview of 'H's."""
+        if self.width == 1:
+            return self.packed[v].to_bytes(self.n, "little")
+        # In the host's byte order each field reads as the host's 'H'; big-endian puts the last field first.
+        view = memoryview(self.packed[v].to_bytes(2 * self.n, sys.byteorder)).cast("H")
+        return view if sys.byteorder == "little" else view[::-1]
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
@@ -142,8 +136,9 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     if g.n > 65_536:
         raise SizeLimitError(f"packed distances support n <= 65,536, got {g.n}")
     neigh = g._neigh
-    ball = [1 << 8 * _field_width(g.n) * v for v in g.vertices()]
-    packed = [0] * g.n
+    dist = DistanceMatrix(g.n, [0] * g.n)
+    packed = dist.packed
+    ball = [1 << 8 * dist.width * v for v in g.vertices()]
     active = [v for v in g.vertices() if neigh[v]]
     step = 0
     while active:
@@ -159,7 +154,6 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
             packed[v] += step * (b - ball[v])
             ball[v] = b
         active = [v for v, _ in grown]
-    dist = DistanceMatrix(g.n, packed)
     if any(b != dist.ones for b in ball):
         raise DisconnectedGraphError("invariant requires a connected graph")
     return dist
@@ -267,8 +261,8 @@ def shortest_cycle(g: Graph, rows, verts) -> tuple[int, ...] | None:
     the least neighbor one shell down.  Ties go to the least source, then the
     least vertex and its least two lower neighbors.  At the least length the
     descents meet only at the source, or a shorter cycle would exist, so the
-    result is simple.  `rows` are g's distance rows; a vertex a source cannot
-    reach may read -1 there, which the scan never takes for a shell.  Sources
+    result is simple.  `rows[s]` is source s's distance row, indexed by vertex;
+    a vertex s cannot reach may read -1 there, which the scan never takes for a shell.  Sources
     and closing vertices come from the ascending `verts`: range(g.n), or a
     block's vertices for the block's own cycle (a neighbor of a block vertex v
     off the block lies beyond the cut vertex v, one shell further from every

@@ -5,7 +5,7 @@ integer scaled by 4 (its denominator always divides 4) and exposed as a
 Fraction.  The Szeged index sums per-edge partition products n_u * n_v,
 popcounts of the difference of the packed distance rows of the edge's ends,
 which is also the one place a vertex's side of an edge is decided (`side_masks`).
-W is the rows' digit sum, halved.  `tests/oracles.py` is the outside check,
+W is the rows' total, halved.  `tests/oracles.py` is the outside check,
 built on Floyd-Warshall distances and brute loops.
 """
 
@@ -21,11 +21,8 @@ if TYPE_CHECKING:
 
 
 def wiener(dist: DistanceMatrix) -> int:
-    """Sum of distances over unordered vertex pairs: the packed rows' digit sum, halved."""
-    width = dist.width
-    data = b"".join(p.to_bytes(dist.n * width, "little") for p in dist.packed)
-    # Byte i of a little-endian field carries 256**i of its value.
-    return sum(sum(data[i::width]) << 8 * i for i in range(width)) // 2
+    """Sum of distances over unordered vertex pairs: the row sums' total, halved."""
+    return sum(map(sum, map(dist.row, range(dist.n)))) // 2
 
 
 class EdgePartition(NamedTuple):

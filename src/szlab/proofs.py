@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from itertools import combinations, count, repeat
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import HypothesisError, ensure
 from .graphs import (
@@ -84,8 +84,8 @@ def surplus_map(g: Graph) -> SurplusMap:
     sides = side_masks(g, dist)
     surpluses = [
         ((ax & by) | (bx & ay)).bit_count() - d
-        for x, ((ax, bx), row) in enumerate(zip(sides, dist.rows))
-        for (ay, by), d in zip(sides[x + 1 :], row[x + 1 :])
+        for x, (ax, bx) in enumerate(sides)
+        for (ay, by), d in zip(sides[x + 1 :], dist.row(x)[x + 1 :])
     ]
     total = sum(surpluses)
     # Per-edge route, which checks the masks' transpose and the pair loop: partition
@@ -154,13 +154,13 @@ class GapDecomposition(NamedTuple):
             "cross_witness_ok": self.cross_witness_ok,
         }
 
-    def by_row(self) -> Iterator[tuple[int, tuple[int, ...], list[int], list[tuple]]]:
-        """For each x in order, (x, distances, surpluses, categories) of the pairs (x, y), y > x."""
-        n, surpluses, rows = self.graph.n, self.surplus.surpluses, self.surplus.dist.rows
+    def by_row(self) -> Iterator[tuple[int, Sequence[int], list[int], list[tuple]]]:
+        """Per x < n - 1: x, dist.row(x)[x + 1 :], and the surpluses and categories of the pairs (x, y), y > x."""
+        n, surpluses, row = self.graph.n, self.surplus.surpluses, self.surplus.dist.row
         end = 0
-        for x in range(n):
+        for x in range(n - 1):
             start, end = end, end + n - 1 - x
-            yield x, rows[x][x + 1 :], surpluses[start:end], self.pair_category[start:end]
+            yield x, row(x)[x + 1 :], surpluses[start:end], self.pair_category[start:end]
 
     def pair_rows(self) -> Iterator[tuple[int, int, int, int, tuple]]:
         """(x, y, distance, surplus, category) for every pair x < y, in order."""
@@ -190,7 +190,8 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     After the floors, both lemmas of the module docstring are checked on
     every block with >= 4 vertices, off the same surplus map and its side masks.
     """
-    connected, bipartite = connected_and_bipartite(g, bfs_forest(g))
+    forest = bfs_forest(g)
+    connected, bipartite = connected_and_bipartite(g, forest)
     if not connected:
         raise HypothesisError("connected violated")
     if not bipartite:
@@ -199,7 +200,7 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
         raise HypothesisError("m >= n violated")
 
     smap = surplus_map(g)
-    decomp = block_decomposition(g, smap.dist.rows[0])
+    decomp = block_decomposition(g, forest[1])
     sizes = decomp.block_sizes
     big = [i for i in range(decomp.k) if sizes[i] >= 4]
     # m >= n forces a cycle, and bipartite blocks with a cycle have >= 4 vertices.
@@ -294,7 +295,7 @@ def _check_antipodal_pairs(g: Graph, i: int, block: frozenset[int], smap: Surplu
     may separate the pair as well.
     """
     # A block is isometric: a shortest path between two of its vertices stays inside it.
-    verts = shortest_cycle(g, smap.dist.rows, sorted(block))
+    verts = shortest_cycle(g, {s: smap.dist.row(s) for s in block}, sorted(block))
     p, half = len(verts), len(verts) // 2
     ensure(p % 2 == 0, f"block {i}: odd shortest cycle in a bipartite graph")
     edges = smap.edges  # sorted, so an edge's index is its bisection point

@@ -218,7 +218,7 @@ def test_shortest_cycle_rejects_descents_that_meet_early():
     # and 4 (not a block), the best closing is vertex 4 with lower neighbors 2
     # and 3, whose descents to 0 meet at 1: a closed walk of length 6, not a cycle.
     g = Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
-    rows = all_pairs_distances(g).rows
+    rows = list(map(all_pairs_distances(g).row, g.vertices()))
     with pytest.raises(InvariantViolation, match="^the descents of a closing of length 6 meet before its source$"):
         graphs.shortest_cycle(g, rows, [0, 4])
 

@@ -67,8 +67,8 @@ def test_from_edge_list_rejects_bad_input():
 
 def test_distances_c4(c4):
     d = all_pairs_distances(c4)
-    assert d.rows[0][2] == 2 and d.rows[1][3] == 2
-    assert d.rows[0][1] == 1
+    assert d.row(0)[2] == 2 and d.row(1)[3] == 2
+    assert d.row(0)[1] == 1
 
 
 def test_distances_match_floyd_warshall(enumerated):
@@ -78,20 +78,20 @@ def test_distances_match_floyd_warshall(enumerated):
             fw = floyd_warshall(g)
             for x in g.vertices():
                 for y in g.vertices():
-                    assert d.rows[x][y] == int(fw[x][y])
+                    assert d.row(x)[y] == int(fw[x][y])
 
 
 def test_distance_matrix_properties(enumerated, k23, p3):
     d = all_pairs_distances(k23)
-    assert d.rows[0][1] == 2  # the two degree-3 vertices
-    assert all_pairs_distances(p3).rows[0][2] == 2
+    assert d.row(0)[1] == 2  # the two degree-3 vertices
+    assert all_pairs_distances(p3).row(0)[2] == 2
     for g in enumerated[6]:
         d = all_pairs_distances(g)
         for x in g.vertices():
-            assert d.rows[x][x] == 0
+            assert d.row(x)[x] == 0
             for y in g.vertices():
-                assert d.rows[x][y] == d.rows[y][x]
-                assert (d.rows[x][y] == 1) == g.has_edge(x, y)
+                assert d.row(x)[y] == d.row(y)[x]
+                assert (d.row(x)[y] == 1) == g.has_edge(x, y)
 
 
 def test_distances_reject_disconnected():
@@ -99,8 +99,9 @@ def test_distances_reject_disconnected():
     for g in [Graph(4, [(0, 1), (2, 3)]), Graph(2, []), Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)])]:
         with pytest.raises(DisconnectedGraphError, match="^invariant requires a connected graph$"):
             all_pairs_distances(g)
-    assert all_pairs_distances(Graph(0, [])).rows == ()
-    assert all_pairs_distances(Graph(1, [])).rows == ((0,),)
+    null, k1 = all_pairs_distances(Graph(0, [])), all_pairs_distances(Graph(1, []))
+    assert (null.n, null.packed) == (0, [])
+    assert k1.n == 1 and tuple(k1.row(0)) == (0,)
 
 
 def test_is_connected(c4):
@@ -164,8 +165,8 @@ def _bfs_calls(check, g):
 def test_hypotheses_come_from_one_bfs_forest(c4, c4_pendant):
     examine = lambda g: enumeration._examine(g, False)
     # The hypothesis gate's forest and the surplus map's distances, nothing
-    # else: gap_decomposition builds the blocks on row 0 of those distances
-    # and reads each block's shortest cycle off the same rows.
+    # else: gap_decomposition builds the blocks on that forest's depths and
+    # reads each block's shortest cycle off the distances' rows.
     one_each = ["bfs_forest", "all_pairs_distances"]
     assert _bfs_calls(proofs.gap_decomposition, c4_pendant) == one_each
     assert _bfs_calls(proofs.gap_decomposition, c4) == one_each

@@ -1,6 +1,6 @@
 """The separation kernel and the ball-mask distances against the brute-force oracles.
 
-W is the digit sum of the packed distance rows.  Each edge's packed
+W is the total of the distance rows, halved.  Each edge's packed
 difference decides every vertex's side of it: the edge partitions are
 popcounts of the differences, and the per-vertex side masks, from which
 `surplus_map`'s surpluses and `separating` masks derive, are a transpose of
@@ -63,8 +63,8 @@ def connected_graphs(draw, max_n=12):
 
 def separation_counts(smap) -> list[int]:
     """Each pair's separating-edge count, surplus + d(x, y), in pair order."""
-    rows = smap.dist.rows
-    return [s + rows[x][y] for (x, y), s in zip(combinations(range(smap.n), 2), smap.surpluses)]
+    row = smap.dist.row
+    return [s + row(x)[y] for (x, y), s in zip(combinations(range(smap.n), 2), smap.surpluses)]
 
 
 @settings(max_examples=150, deadline=None, database=None, derandomize=True)
@@ -172,7 +172,7 @@ def test_ball_distances_match_oracles(g):
             all_pairs_distances(g)
         return
     dist = all_pairs_distances(g)
-    assert dist.rows == tuple(map(tuple, rows))
+    assert [tuple(dist.row(v)) for v in g.vertices()] == list(map(tuple, rows))
     for e, p in zip(g.edges, edge_partitions(g, dist)):
         assert (p.n_u, p.n_v, p.n_0) == edge_partition_brute(g, e)
     assert wiener(dist) == wiener_brute(g)
@@ -191,12 +191,13 @@ def test_two_byte_fields_match_closed_forms(n):
     # Above n = 256 a distance field is two bytes wide.
     path = all_pairs_distances(path_graph(n))
     assert path.width == (1 if n <= 256 else 2)
-    assert path.rows == tuple(tuple(abs(x - y) for y in range(n)) for x in range(n))
+    assert [tuple(path.row(x)) for x in range(n)] == [tuple(abs(x - y) for y in range(n)) for x in range(n)]
     report = compute_invariants(path_graph(n))
     assert report.wiener == report.szeged == (n**3 - n) // 6
     if n % 2 == 0:
         cycle = all_pairs_distances(cycle_graph(n))
-        assert cycle.rows == tuple(zip(*cycle.rows))
-        assert cycle.rows[0] == tuple(min(y, n - y) for y in range(n))
+        rows = [tuple(cycle.row(x)) for x in range(n)]
+        assert rows == list(zip(*rows))
+        assert rows[0] == tuple(min(y, n - y) for y in range(n))
         report = compute_invariants(cycle_graph(n))
         assert (report.wiener, report.szeged) == (n**3 // 8, n**3 // 4)

@@ -184,6 +184,41 @@ def test_distance_matrix_has_one_constructor_site():
     assert sites == ["graphs.py: all_pairs_distances"]
 
 
+_LAYOUT = {"packed", "width", "ones"}
+# Outside graphs, the packed distance fields are read only where edges separate vertices.
+_SEPARATION_KERNEL = {"_differences", "edge_partitions", "side_masks"}
+
+
+def _layout_uses(tree: ast.Module) -> list[tuple[str, str]]:
+    """(top-level function or class, or `<module>`; attribute) for each use of a DistanceMatrix layout attribute."""
+    uses = []
+    for top in tree.body:
+        scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        uses += [(scope, node.attr) for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr in _LAYOUT]
+    return uses
+
+
+def test_layout_use_detector():
+    tree = ast.parse(
+        "x = d.ones\ndef f(d):\n    return d.row(0), d.packed[0]\n"
+        "class C:\n    def g(self):\n        return self.width, width\n"
+    )
+    assert _layout_uses(tree) == [("<module>", "ones"), ("f", "packed"), ("C", "width")]
+
+
+def test_distance_layout_stays_in_graphs_and_the_separation_kernel():
+    # Every other reader goes through DistanceMatrix.row.
+    offenders = [
+        f"{path.name}: {scope} uses .{attr}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "graphs.py"
+        for scope, attr in _layout_uses(ast.parse(path.read_text(), str(path)))
+        if not (path.name == "invariants.py" and scope in _SEPARATION_KERNEL)
+    ]
+    if offenders:
+        pytest.fail(f"the packed distance layout outside graphs and the separation kernel: {'; '.join(offenders)}")
+
+
 def _imported_modules(tree: ast.Module) -> set[str]:
     nodes = list(ast.walk(tree))
     names = {alias.name for node in nodes if isinstance(node, ast.Import) for alias in node.names}

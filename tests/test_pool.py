@@ -148,6 +148,25 @@ def test_exception_that_does_not_pickle_goes_back_by_name():
     _assert_no_child_left()
 
 
+class Needs(Exception):
+    """Pickles by its args, the one message, but its __init__ wants two arguments to rebuild it."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_exception_that_cannot_be_rebuilt_goes_back_by_name():
+    def fail(item):
+        raise Needs(item, "more")
+
+    with _deadline(60), _pool.ForkPool(2) as pool:
+        with pytest.raises(RuntimeError, match="^Needs: 0 and more$") as raised:
+            list(pool.imap(fail, range(40), chunksize=16))
+    assert isinstance(raised.value.__cause__, _pool.WorkerTraceback)
+    assert "Needs: 0 and more" in str(raised.value.__cause__)
+    _assert_no_child_left()
+
+
 def test_messages_beyond_a_pipe_buffer_both_ways():
     # Chunks and records of 256 KiB each: a parent blocked on writing a chunk
     # while its worker is blocked on writing records would never return.

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -74,6 +75,11 @@ def test_surpluses_nonnegative_on_connected_graphs(enumerated, c5):
     assert all(v >= 0 for v in surplus_map(c5).surpluses)
 
 
+def _rows(dist):
+    """Every distance row, indexed by vertex, as shortest_cycle reads them."""
+    return [dist.row(v) for v in range(dist.n)]
+
+
 def _lemma_blocks(g, d):
     """Each block of d with >= 4 vertices, with the shortest cycle of the subgraph it induces in g."""
     for verts in d.blocks.blocks:
@@ -81,7 +87,7 @@ def _lemma_blocks(g, d):
             order = sorted(verts)
             index = {v: i for i, v in enumerate(order)}
             block = Graph(len(order), [(index[u], index[v]) for u, v in g.edges if u in verts and v in verts])
-            cycle = shortest_cycle(block, all_pairs_distances(block).rows, range(block.n))
+            cycle = shortest_cycle(block, _rows(all_pairs_distances(block)), range(block.n))
             yield order, tuple(order[v] for v in cycle)
 
 
@@ -154,7 +160,7 @@ def test_antipodal_cycle_c6(c6):
 def test_antipodal_cycle_c4_pendant(c4_pendant):
     d = gap_decomposition(c4_pendant)
     ((order, cycle),) = _lemma_blocks(c4_pendant, d)
-    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant, d.surplus.dist.rows, range(5))
+    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant, _rows(d.surplus.dist), range(5))
     for x, y in [(0, 2), (1, 3)]:
         assert all(mu_brute(c4_pendant, x, y, e) == 1 for e in [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert d.surplus.surplus(x, y) >= 2
@@ -177,6 +183,23 @@ def test_antipodal_cycle_builds_distances_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_gap_decomposition_holds_no_decoded_distance_rows():
+    # C400 has two-byte distance fields.  What the result holds is the pair-order
+    # surpluses and categories (79,800 pointers each, some 1.2 MiB), the side masks
+    # and the packed distances: some 1.8 MiB.  Rows kept decoded as tuples of ints
+    # would add a pointer per vertex pair, another 1.2 MiB.
+    g = cycle_graph(400)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        d = gap_decomposition(g)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert d.total == 400**3 // 8
+    assert held < 2.5 * 2**20, f"{held / 2**10:.0f} KiB held after return"
+
+
 def test_antipodal_cycle_gates(c5, p3):
     # m >= n, which forces a cycle, is the gate that keeps acyclic input out.
     with pytest.raises(HypothesisError, match="bipartite"):
@@ -189,7 +212,7 @@ def _assert_block_cycles_in_place(g):
     """Assert each block's cycle found in g equals its induced block's; the decomposition and the cycles."""
     d = gap_decomposition(g)
     orders, cycles = zip(*_lemma_blocks(g, d))
-    assert [shortest_cycle(g, d.surplus.dist.rows, order) for order in orders] == list(cycles)
+    assert [shortest_cycle(g, _rows(d.surplus.dist), order) for order in orders] == list(cycles)
     return d, cycles
 
 
@@ -203,13 +226,13 @@ def test_antipodal_cycle_exhaustive(enumerated):
     for seed in range(20):
         g = block_tree(random.Random(seed), 10 + 3 * seed)
         d, cycles = _assert_block_cycles_in_place(g)
-        assert shortest_cycle(g, d.surplus.dist.rows, range(g.n)) in cycles
+        assert shortest_cycle(g, _rows(d.surplus.dist), range(g.n)) in cycles
     for n in range(4, 9):
         for g in enumerated[n]:
             if g.m < n:
                 continue
             d, cycles = _assert_block_cycles_in_place(g)
-            cycle = shortest_cycle(g, d.surplus.dist.rows, range(n))
+            cycle = shortest_cycle(g, _rows(d.surplus.dist), range(n))
             assert cycle in cycles
             p, dist = len(cycle), floyd_warshall(g)
             for i in range(p // 2):

@@ -86,6 +86,6 @@ def test_surplus_map_carries_its_side_masks(c4_pendant):
     smap = surplus_map(c4_pendant)
     assert smap.edges is c4_pendant.edges
     assert len(smap.sides) == c4_pendant.n
-    rows = smap.dist.rows
+    row = smap.dist.row
     pairs = combinations(range(c4_pendant.n), 2)
-    assert [smap.separating(x, y).bit_count() - rows[x][y] for x, y in pairs] == smap.surpluses
+    assert [smap.separating(x, y).bit_count() - row(x)[y] for x, y in pairs] == smap.surpluses
