@@ -17,6 +17,7 @@ from .enumeration import (
 from .errors import (
     DisconnectedGraphError,
     EdgeListFormatError,
+    EnumerationLimitError,
     Graph6Error,
     GraphConstructionError,
     HypothesisError,

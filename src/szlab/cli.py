@@ -29,15 +29,15 @@ from operator import itemgetter
 from typing import Iterator
 
 from .canon import canonical_code
-from .enumeration import (
-    BUILTIN_ENUMERATION_LIMIT,
-    EnumerationSpec,
-    examine,
-    examine_lines,
-    fold_records,
-    generate,
+from .enumeration import EnumerationSpec, examine, examine_lines, fold_records, generate
+from .errors import (
+    DisconnectedGraphError,
+    EnumerationLimitError,
+    Graph6Error,
+    HypothesisError,
+    InvariantViolation,
+    SzlabError,
 )
-from .errors import DisconnectedGraphError, Graph6Error, HypothesisError, InvariantViolation, SzlabError
 from .extremal import family_row
 from .formats import parse_edge_list, parse_graph6
 from .graphs import Graph
@@ -185,16 +185,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    for n in args.n:
-        if n > BUILTIN_ENUMERATION_LIMIT:
-            _err(
-                f"n={n} exceeds the built-in enumeration limit "
-                f"({BUILTIN_ENUMERATION_LIMIT}); pipe a graph6 stream to `verify` instead"
-            )
-            return EXIT_LIMIT
     t0 = time.monotonic()
-    # Every n goes through one `examine` call, so one pool serves the whole run.
-    specs = (EnumerationSpec(n=n, min_edges=args.min_edges) for n in args.n)
+    # Every spec is built, so every n checked against the limit, before anything
+    # is generated.  Every n goes through one `examine` call, so one pool serves the whole run.
+    specs = [EnumerationSpec(n=n, min_edges=args.min_edges) for n in args.n]
     graphs = chain.from_iterable(map(generate, specs))
     _emit_reports(examine(graphs, args.workers, rows=args.format == "csv"), args, t0)
     return EXIT_OK
@@ -272,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = (
     (HypothesisError, EXIT_HYPOTHESIS),
     (DisconnectedGraphError, EXIT_DISCONNECTED),
+    (EnumerationLimitError, EXIT_LIMIT),
     ((SzlabError, OSError), EXIT_PARSE),
 )
 

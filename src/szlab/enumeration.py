@@ -26,7 +26,7 @@ from functools import partial
 from typing import Iterable, Iterator, NamedTuple
 
 from .canon import MAX_CANON_VERTICES, CanonicalForm, canonical_code, canonical_form, labeled_form
-from .errors import Graph6Error, SizeLimitError
+from .errors import EnumerationLimitError, Graph6Error
 from .extremal import is_extremal_form, rooted_tree_count
 from .formats import parse_graph6, to_graph6
 from .graphs import Graph, bfs_forest, connected_and_bipartite
@@ -52,6 +52,11 @@ class EnumerationSpec(_SpecFields):
             raise ValueError(f"n must be >= 1, got {n}")
         if min_edges is not None and min_edges < 0:
             raise ValueError(f"min_edges must be >= 0, got {min_edges}")
+        if n > BUILTIN_ENUMERATION_LIMIT:
+            raise EnumerationLimitError(
+                f"n={n} exceeds the built-in enumeration limit ({BUILTIN_ENUMERATION_LIMIT}); "
+                "pipe a graph6 stream to `verify` instead"
+            )
         return super().__new__(cls, n, min_edges, connected)
 
     @property
@@ -119,14 +124,9 @@ def generate(spec: EnumerationSpec) -> Iterator[CanonicalForm]:
 
     Each representative is a `CanonicalForm`, so it carries its automorphism
     generators and |Aut|.  Nothing is kept but the stack of forms still to
-    expand.  Built-in limit is n <= 12; larger runs must be fed externally
-    as graph6 streams.
+    expand.  The spec holds n to the built-in limit of 12; larger runs must
+    be fed externally as graph6 streams.
     """
-    if spec.n > BUILTIN_ENUMERATION_LIMIT:
-        raise SizeLimitError(
-            f"built-in enumeration supports n <= {BUILTIN_ENUMERATION_LIMIT}; "
-            f"supply graphs for n={spec.n} via a graph6 stream"
-        )
     stack = [canonical_form(Graph(spec.n, []))]
     while stack:
         g = stack.pop()
@@ -157,19 +157,8 @@ class VerificationReport(NamedTuple):
     extremal_match: bool | None
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "graphs_checked": self.graphs_checked,
-            "rejected": self.rejected,
-            "min_gap": self.min_gap,
-            "bound": self.bound,
-            "violations": list(self.violations),
-            "equality_graphs": [
-                {"canonical_code": e.canonical, "graph6": e.graph6} for e in self.equality_graphs
-            ],
-            "extremal_match": self.extremal_match,
-        }
+        equality = [{"canonical_code": e.canonical, "graph6": e.graph6} for e in self.equality_graphs]
+        return {"schema": 1, **self._asdict(), "equality_graphs": equality}
 
 
 def _examine(g: Graph, rows: bool) -> dict:

@@ -32,6 +32,10 @@ class SizeLimitError(SzlabError, ValueError):
     """Input exceeds a documented size limit (canonical labeling, built-in enumeration, distances)."""
 
 
+class EnumerationLimitError(SizeLimitError):
+    """An enumeration spec asks for more vertices than built-in generation supports."""
+
+
 class InvariantViolation(SzlabError):
     """A mathematical check inside a computation failed; its result is not to be trusted."""
 

@@ -1,16 +1,14 @@
 """Immutable simple undirected graphs and the structural queries built on them.
 
-Vertices are integers 0..n-1.  Adjacency is kept both as sorted neighbor
-tuples (for iteration) and as per-vertex integer bitmasks (for O(1) adjacency
-tests and fast BFS); Python integers are arbitrary precision, so the bitmask
-path works for every graph size this package targets.
+Vertices are integers 0..n-1.  Adjacency is kept once, as each vertex's
+sorted neighbor tuple; iteration, adjacency tests and BFS all read it.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DisconnectedGraphError, GraphConstructionError, SizeLimitError, ensure
 
@@ -23,7 +21,7 @@ class Graph:
     isomorphism class (see canon.canonical_code for the latter).
     """
 
-    __slots__ = ("n", "m", "edges", "_neigh", "_mask")
+    __slots__ = ("n", "m", "edges", "_neigh")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -38,14 +36,10 @@ class Graph:
         self.n = n
         self.edges = tuple(sorted(edge_set))
         self.m = len(self.edges)
-        mask = [0] * n
         neigh = [[] for _ in range(n)]
         for u, v in self.edges:
-            mask[u] |= 1 << v
-            mask[v] |= 1 << u
             neigh[u].append(v)
             neigh[v].append(u)
-        self._mask = tuple(mask)
         # Sorted edges append each vertex's lower neighbors, then its higher ones, both ascending.
         self._neigh = tuple(map(tuple, neigh))
 
@@ -56,7 +50,7 @@ class Graph:
         return len(self._neigh[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._mask[u] >> v & 1)
+        return v in self._neigh[u]
 
     def vertices(self) -> range:
         return range(self.n)
@@ -90,13 +84,6 @@ def _find(parent: list[int], i: int) -> int:
         parent[i] = parent[parent[i]]
         i = parent[i]
     return i
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class DistanceMatrix:
@@ -160,22 +147,17 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
 
 def bfs_forest(g: Graph) -> tuple[list[int], list[int]]:
-    """Each vertex's component root (its least vertex) and hop count from that root, by BFS over bitmasks."""
-    root, depth = [-1] * g.n, [-1] * g.n
+    """Each vertex's component root (its least vertex) and hop count from that root, by BFS over the neighbor tuples."""
+    neigh, root, depth = g._neigh, [-1] * g.n, [-1] * g.n
     for s in g.vertices():
         if root[s] == -1:
             root[s], depth[s] = s, 0
-            seen = frontier = 1 << s
-            step = 0
-            while frontier:
-                step += 1
-                nxt = 0
-                for v in _bits(frontier):
-                    nxt |= g._mask[v]
-                frontier = nxt & ~seen
-                seen |= frontier
-                for v in _bits(frontier):
-                    root[v], depth[v] = s, step
+            queue = [s]
+            for v in queue:  # the queue grows while it is walked
+                for w in neigh[v]:
+                    if root[w] == -1:
+                        root[w], depth[w] = s, depth[v] + 1
+                        queue.append(w)
     return root, depth
 
 

@@ -97,16 +97,7 @@ class InvariantReport(NamedTuple):
         return Fraction(self.revised_szeged_times4, 4)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "n": self.n,
-            "m": self.m,
-            "wiener": self.wiener,
-            "szeged": self.szeged,
-            "revised_szeged_times4": self.revised_szeged_times4,
-            "gap": self.gap,
-            "per_edge": [p._asdict() for p in self.per_edge],
-        }
+        return {"schema": 1, **self._asdict(), "per_edge": [p._asdict() for p in self.per_edge]}
 
 
 def compute_invariants(g: Graph) -> InvariantReport:

@@ -32,7 +32,6 @@ from .graphs import (
     BlockDecomposition,
     DistanceMatrix,
     Graph,
-    _bits,
     all_pairs_distances,
     bfs_forest,
     block_decomposition,
@@ -166,6 +165,13 @@ class GapDecomposition(NamedTuple):
         """(x, y, distance, surplus, category) for every pair x < y, in order."""
         for x, *row in self.by_row():
             yield from zip(repeat(x), count(x + 1), *row)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def gap_decomposition(g: Graph) -> GapDecomposition:

@@ -8,7 +8,8 @@ import pytest
 import szlab.cli as cli
 import szlab.enumeration as enumeration
 from szlab.cli import main
-from szlab.errors import InvariantViolation
+from szlab.enumeration import EnumerationSpec
+from szlab.errors import EnumerationLimitError, InvariantViolation
 from szlab.formats import to_graph6
 from szlab.graphs import Graph, complete_bipartite, cycle_graph
 
@@ -140,6 +141,19 @@ def test_enumerate_over_limit_exit_5(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--n", "13")
     assert code == 5
     assert "limit" in err
+
+
+def test_enumeration_limit_is_checked_before_anything_is_generated(capsys, monkeypatch):
+    assert EnumerationSpec(n=12).n == 12
+    with pytest.raises(EnumerationLimitError):
+        EnumerationSpec(n=13)
+
+    def never(spec):
+        raise AssertionError(f"generate called for n={spec.n}")
+
+    monkeypatch.setattr(cli, "generate", never)
+    code, out, err = run_cli(capsys, "enumerate", "--n", "4..13")
+    assert (code, out) == (5, "") and "n=13" in err
 
 
 def test_enumerate_csv(capsys):

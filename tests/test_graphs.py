@@ -113,6 +113,31 @@ def test_is_connected(c4):
     assert connected_and_bipartite(null, bfs_forest(null)) == (False, True)
 
 
+def test_bfs_forest_and_has_edge_match_oracles():
+    # Seeded random graphs over a range of densities, many of them disconnected,
+    # plus the null graph, K1, an edgeless graph, two complete bipartite graphs and P60.
+    rng = random.Random(12)
+    cases = [Graph(0, []), Graph(1, []), Graph(7, [])]
+    cases += [complete_bipartite(1, 1), complete_bipartite(3, 5), path_graph(60)]
+    for _ in range(120):
+        n = rng.randint(1, 30)
+        p = rng.choice([0.03, 0.08, 0.15, 0.3, 0.6, 0.9])
+        cases.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    disconnected = 0
+    for g in cases:
+        d = floyd_warshall(g)
+        root, depth = bfs_forest(g)
+        for v in g.vertices():
+            assert root[v] == min(w for w in g.vertices() if d[v][w] is not INF)
+            assert depth[v] == d[root[v]][v]
+        edges = set(g.edges)
+        for u in g.vertices():
+            for v in g.vertices():
+                assert g.has_edge(u, v) == (((u, v) if u < v else (v, u)) in edges)
+        disconnected += any(root)
+    assert disconnected >= 40
+
+
 @st.composite
 def any_graphs(draw):
     """Connected or not; `bipartite` keeps only edges across a random 2-coloring."""

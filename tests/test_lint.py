@@ -189,12 +189,12 @@ _LAYOUT = {"packed", "width", "ones"}
 _SEPARATION_KERNEL = {"_differences", "edge_partitions", "side_masks"}
 
 
-def _layout_uses(tree: ast.Module) -> list[tuple[str, str]]:
-    """(top-level function or class, or `<module>`; attribute) for each use of a DistanceMatrix layout attribute."""
+def _layout_uses(tree: ast.Module, attrs: set[str]) -> list[tuple[str, str]]:
+    """(top-level function or class, or `<module>`; attribute) for each use of an attribute in `attrs`."""
     uses = []
     for top in tree.body:
         scope = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-        uses += [(scope, node.attr) for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr in _LAYOUT]
+        uses += [(scope, node.attr) for node in ast.walk(top) if isinstance(node, ast.Attribute) and node.attr in attrs]
     return uses
 
 
@@ -203,7 +203,7 @@ def test_layout_use_detector():
         "x = d.ones\ndef f(d):\n    return d.row(0), d.packed[0]\n"
         "class C:\n    def g(self):\n        return self.width, width\n"
     )
-    assert _layout_uses(tree) == [("<module>", "ones"), ("f", "packed"), ("C", "width")]
+    assert _layout_uses(tree, _LAYOUT) == [("<module>", "ones"), ("f", "packed"), ("C", "width")]
 
 
 def test_distance_layout_stays_in_graphs_and_the_separation_kernel():
@@ -212,11 +212,46 @@ def test_distance_layout_stays_in_graphs_and_the_separation_kernel():
         f"{path.name}: {scope} uses .{attr}"
         for path in sorted(SRC.glob("*.py"))
         if path.name != "graphs.py"
-        for scope, attr in _layout_uses(ast.parse(path.read_text(), str(path)))
+        for scope, attr in _layout_uses(ast.parse(path.read_text(), str(path)), _LAYOUT)
         if not (path.name == "invariants.py" and scope in _SEPARATION_KERNEL)
     ]
     if offenders:
         pytest.fail(f"the packed distance layout outside graphs and the separation kernel: {'; '.join(offenders)}")
+
+
+# A Graph keeps one adjacency, its neighbor tuples (`_neigh`); a bitmask copy (`_mask`) is kept nowhere.
+_ADJACENCY = {"_neigh", "_mask"}
+
+
+def _adjacency_offenders(trees: dict[str, ast.Module]) -> list[str]:
+    """Reads of `_mask` anywhere, and of `_neigh` outside graphs and canon's search."""
+    return [
+        f"{name}: {scope} uses .{attr}"
+        for name, tree in trees.items()
+        for scope, attr in _layout_uses(tree, _ADJACENCY)
+        if attr == "_mask" or name != "graphs.py" and (name, scope) != ("canon.py", "_canonical_labeling")
+    ]
+
+
+def test_adjacency_reader_detector():
+    trees = {
+        "graphs.py": ast.parse("def bfs(g):\n    return g._neigh, g._mask\n"),
+        "canon.py": ast.parse("def _canonical_labeling(g):\n    return g._neigh\ndef _refine(g):\n    g._neigh\n"),
+        "enumeration.py": ast.parse("x = g.neighbors(0)\nclass C:\n    def f(self, g):\n        return g._neigh\n"),
+    }
+    assert _adjacency_offenders(trees) == [
+        "graphs.py: bfs uses ._mask",
+        "canon.py: _refine uses ._neigh",
+        "enumeration.py: C uses ._neigh",
+    ]
+
+
+def test_adjacency_is_read_only_in_graphs_and_canons_search():
+    # Every other reader goes through Graph's methods, so how adjacency is stored is graphs' own decision.
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+    offenders = _adjacency_offenders(trees)
+    if offenders:
+        pytest.fail(f"._mask, or ._neigh outside graphs and canon's search: {'; '.join(offenders)}")
 
 
 def _imported_modules(tree: ast.Module) -> set[str]:
