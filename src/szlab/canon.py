@@ -174,10 +174,15 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
     return lab, [[lab[gen[v]] for v in inverse] for gen in generators], order
 
 
+def _check_canon_size(n: int) -> None:
+    """Raise SizeLimitError for n above the canon limit, so a caller can refuse before building anything."""
+    if n > MAX_CANON_VERTICES:
+        raise SizeLimitError(f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got {n}")
+
+
 def labeled_form(g: Graph) -> tuple[CanonicalForm, list[int]]:
     """g's canonical form and the labeling (old vertex -> new label) that carries g onto it."""
-    if g.n > MAX_CANON_VERTICES:
-        raise SizeLimitError(f"canonical labeling supports n <= {MAX_CANON_VERTICES}, got {g.n}")
+    _check_canon_size(g.n)
     lab, generators, order = _canonical_labeling(g)
     return CanonicalForm(g.n, [(lab[u], lab[v]) for u, v in g.edges], generators, order), lab
 

@@ -4,7 +4,8 @@ Subcommands: compute, decompose, verify, enumerate, extremal, canon.
 This module is the one writer of stdout: results come from the package as
 objects and `to_json_dict`s, and every payload format is written here (JSON
 by default, stable key order, no timestamps).  Runtime statistics and
-diagnostics go to stderr.
+diagnostics go to stderr.  Each command imports the layers it runs when it
+starts, so a process compiles and executes only those.
 
 Exit codes: 0 success; 2 parse/usage failure (and extremal below n = 4);
 3 disconnected input to compute; 4 hypothesis violation in decompose;
@@ -28,8 +29,6 @@ from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import Iterator
 
-from .canon import canonical_code
-from .enumeration import EnumerationSpec, examine, examine_lines, fold_records, generate
 from .errors import (
     DisconnectedGraphError,
     EnumerationLimitError,
@@ -38,11 +37,8 @@ from .errors import (
     InvariantViolation,
     SzlabError,
 )
-from .extremal import family_row
 from .formats import parse_edge_list, parse_graph6
 from .graphs import Graph
-from .invariants import compute_invariants
-from .proofs import gap_decomposition
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -103,6 +99,7 @@ def _write_csv(header: list[str], rows) -> None:
 
 
 def cmd_compute(args) -> int:
+    from .invariants import compute_invariants
     report = compute_invariants(_read_one_graph(args))
     if args.format == "csv":
         _write_csv(["u", "v", "n_u", "n_v", "n_0"], report.per_edge)
@@ -118,6 +115,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .proofs import gap_decomposition
     decomp = gap_decomposition(_read_one_graph(args))
     if args.format == "csv":
         header = ["x", "y", "distance", "separations", "surplus", "category", "block"]
@@ -150,6 +148,7 @@ def cmd_decompose(args) -> int:
 
 
 def _emit_reports(records, args, t0: float) -> None:
+    from .enumeration import fold_records
     reports, rows = fold_records(records)
     if args.format == "csv":
         header = ["canonical_code", "n", "m", "wiener", "szeged", "gap", "scope"]
@@ -171,6 +170,7 @@ def _reporting_errors(records, errors: list) -> Iterator[dict]:
 
 
 def cmd_verify(args) -> int:
+    from .enumeration import examine_lines
     # Undecodable bytes become U+FFFD and fail graph6 parsing per line instead
     # of aborting the whole stream.  Only a file opened here is closed here.
     fh = open(args.file, encoding="ascii", errors="replace") if args.file else nullcontext(sys.stdin)
@@ -185,6 +185,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .enumeration import EnumerationSpec, examine, generate
     t0 = time.monotonic()
     # Every spec is built, so every n checked against the limit, before anything
     # is generated.  Every n goes through one `examine` call, so one pool serves the whole run.
@@ -195,6 +196,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from .extremal import family_row
     families = [family_row(n) for n in args.n]
     if args.format == "json":
         print(json.dumps({"schema": 1, "families": families}, sort_keys=False))
@@ -208,6 +210,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_canon(args) -> int:
+    from .canon import canonical_code
     print(canonical_code(_read_one_graph(args)).decode("ascii"))
     return EXIT_OK
 

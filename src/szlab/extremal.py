@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .canon import canonical_code
+from .canon import _check_canon_size, canonical_code
 from .errors import GraphConstructionError, InvariantViolation, ensure
 from .graphs import Graph, bfs_forest, block_decomposition
 from .invariants import gap
@@ -73,6 +73,7 @@ def extremal_family(n: int) -> list[ExtremalGraph]:
     """One member per isomorphism class, built from rooted trees on n - 3 vertices."""
     if n < 4:
         raise GraphConstructionError(f"family members need n >= 4, got {n}")
+    _check_canon_size(n)  # every member is canonized: refuse before building the A000081(n - 3) trees
     members = []
     seen = set()
     for parent in rooted_trees(n - 3):

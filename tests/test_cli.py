@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-import szlab.cli as cli
 import szlab.enumeration as enumeration
+import szlab.invariants as invariants
 from szlab.cli import main
 from szlab.enumeration import EnumerationSpec
 from szlab.errors import EnumerationLimitError, InvariantViolation
@@ -151,7 +151,7 @@ def test_enumeration_limit_is_checked_before_anything_is_generated(capsys, monke
     def never(spec):
         raise AssertionError(f"generate called for n={spec.n}")
 
-    monkeypatch.setattr(cli, "generate", never)
+    monkeypatch.setattr(enumeration, "generate", never)
     code, out, err = run_cli(capsys, "enumerate", "--n", "4..13")
     assert (code, out) == (5, "") and "n=13" in err
 
@@ -447,7 +447,7 @@ def test_invariant_violation_is_not_mapped_to_an_exit_code(monkeypatch):
     def broken(g):
         raise InvariantViolation("corrupted check")
 
-    monkeypatch.setattr(cli, "compute_invariants", broken)
+    monkeypatch.setattr(invariants, "compute_invariants", broken)
     with pytest.raises(InvariantViolation, match="corrupted check"):
         main(["compute", "--graph6", "Cr"])
 

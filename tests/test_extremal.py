@@ -2,7 +2,7 @@ import pytest
 
 from szlab.canon import canonical_code
 from szlab.enumeration import EnumerationSpec, generate
-from szlab.errors import GraphConstructionError, InvariantViolation
+from szlab.errors import GraphConstructionError, InvariantViolation, SizeLimitError
 from szlab.extremal import (
     extremal_family,
     family_row,
@@ -161,3 +161,16 @@ def test_family_rejects_isomorphic_members(monkeypatch):
     monkeypatch.setattr(extremal, "rooted_trees", lambda k: trees + trees[:1])
     with pytest.raises(InvariantViolation, match="isomorphic members"):
         extremal_family(6)
+
+
+def test_family_is_refused_above_the_canon_limit_before_any_tree_is_built(monkeypatch):
+    # Canon refuses every member above n = 16, so the A000081(n - 3) rooted trees (1.7 million at n = 21)
+    # must not be built first.
+    import szlab.extremal as extremal
+
+    calls = []
+    monkeypatch.setattr(extremal, "rooted_trees", lambda k: calls.append(k) or [])
+    with pytest.raises(SizeLimitError, match="n <= 16, got 17"):
+        extremal_family(17)
+    assert calls == []
+    assert extremal_family(16) == [] and calls == [13]

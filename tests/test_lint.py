@@ -29,12 +29,17 @@ def test_unused_import_detector():
 
 
 def _orphaned_private_helpers(trees: dict[str, ast.Module]) -> list[str]:
-    """Module-level private functions and classes that no module of the package references."""
+    """Module-level private functions and classes that no module of the package references.
+
+    `__dunder__` names are hooks the interpreter calls, such as a module's `__getattr__`.
+    """
     defined = [
         (name, node.name)
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
     used = set()
     for tree in trees.values():
@@ -50,7 +55,9 @@ def _orphaned_private_helpers(trees: dict[str, ast.Module]) -> list[str]:
 
 def test_orphaned_helper_detector():
     trees = {
-        "a.py": ast.parse("def _kept(): pass\ndef _gone(): pass\nclass _Lost: pass\ndef _called(): pass\n"),
+        "a.py": ast.parse(
+            "def _kept(): pass\ndef _gone(): pass\nclass _Lost: pass\ndef _called(): pass\ndef __getattr__(name): ...\n"
+        ),
         "b.py": ast.parse("from .a import _kept\nimport a\n\ndef public():\n    return a._called()\n"),
     }
     assert _orphaned_private_helpers(trees) == ["a.py: _Lost", "a.py: _gone"]
