@@ -160,6 +160,7 @@ def _canonical_labeling(g: Graph) -> tuple[list[int], list[list[int]], int]:
         return len(fixed)
 
     search([0] * n, ())
+    del search  # the closure holds itself: without this, each search's state waits for the cyclic GC
     # |Aut| from the first path; `fixing` holds the generators that fix the
     # vertices individualized above the current node.
     order, fixing = 1, generators

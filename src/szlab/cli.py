@@ -4,8 +4,10 @@ Subcommands: compute, decompose, verify, enumerate, extremal, canon.
 This module is the one writer of stdout: results come from the package as
 objects and `to_json_dict`s, and every payload format is written here (JSON
 by default, stable key order, no timestamps).  Runtime statistics and
-diagnostics go to stderr.  Each command imports the layers it runs when it
-starts, so a process compiles and executes only those.
+diagnostics go to stderr.  `verify` and `enumerate` write each CSV row as
+its record arrives, in record order; only their JSON report folds the
+records.  Each command imports the layers it runs when it starts, so a
+process compiles and executes only those.
 
 Exit codes: 0 success; 2 parse/usage failure (and extremal below n = 4);
 3 disconnected input to compute; 4 hypothesis violation in decompose;
@@ -23,7 +25,6 @@ import argparse
 import json
 import sys
 import time
-from contextlib import nullcontext
 from functools import partial
 from itertools import chain, count, repeat
 from operator import itemgetter
@@ -148,39 +149,38 @@ def cmd_decompose(args) -> int:
 
 
 def _emit_reports(records, args, t0: float) -> None:
-    from .enumeration import fold_records
-    reports, rows = fold_records(records)
+    """Write each CSV row as its record arrives, or the JSON report folded from every record."""
+    checked = skipped = 0
+
+    def parsed() -> Iterator[dict]:
+        # Parse failures go to stderr as they arrive, so in line order, and are only counted.
+        nonlocal checked, skipped
+        for rec in records:
+            if "error" in rec:
+                _err(f"line {rec['lineno']}: {rec['error']}")
+                skipped += 1
+            else:
+                checked += rec["ok"]
+                yield rec
+
     if args.format == "csv":
         header = ["canonical_code", "n", "m", "wiener", "szeged", "gap", "scope"]
-        _write_csv(header, sorted(rows, key=lambda r: (r[1], r[0])))
+        _write_csv(header, (rec["row"] for rec in parsed() if "row" in rec))
     else:
-        print(json.dumps({"schema": 1, "reports": [r.to_json_dict() for r in reports]}, sort_keys=False))
-    checked = sum(r.graphs_checked for r in reports)
+        from .enumeration import fold_records
+        print(json.dumps({"schema": 1, "reports": [r.to_json_dict() for r in fold_records(parsed())]}, sort_keys=False))
     _err(f"checked {checked} graphs in {time.monotonic() - t0:.2f}s")
-
-
-def _reporting_errors(records, errors: list) -> Iterator[dict]:
-    # Parse failures go to stderr as they arrive, so in line order.
-    for rec in records:
-        if "error" in rec:
-            _err(f"line {rec['lineno']}: {rec['error']}")
-            errors.append(rec)
-        else:
-            yield rec
+    if skipped:
+        _err(f"{skipped} unparseable line(s) skipped")
 
 
 def cmd_verify(args) -> int:
     from .enumeration import examine_lines
-    # Undecodable bytes become U+FFFD and fail graph6 parsing per line instead
-    # of aborting the whole stream.  Only a file opened here is closed here.
-    fh = open(args.file, encoding="ascii", errors="replace") if args.file else nullcontext(sys.stdin)
     t0 = time.monotonic()
-    errors: list[dict] = []
-    with fh as lines:
-        records = examine_lines(lines, args.workers, rows=args.format == "csv")
-        _emit_reports(_reporting_errors(records, errors), args, t0)
-    if errors:
-        _err(f"{len(errors)} unparseable line(s) skipped")
+    # Both sources decode alike: an undecodable byte becomes U+FFFD and fails only
+    # its own line's graph6 parse.  Only a file opened by name is closed here.
+    with open(args.file or sys.stdin.fileno(), encoding="ascii", errors="replace", closefd=bool(args.file)) as lines:
+        _emit_reports(examine_lines(lines, args.workers, rows=args.format == "csv"), args, t0)
     return EXIT_OK
 
 
@@ -196,7 +196,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_extremal(args) -> int:
+    from .canon import _check_canon_size
     from .extremal import family_row
+    _check_canon_size(args.n[-1])  # refuse the range's top before building any family
     families = [family_row(n) for n in args.n]
     if args.format == "json":
         print(json.dumps({"schema": 1, "families": families}, sort_keys=False))

@@ -162,31 +162,32 @@ class VerificationReport(NamedTuple):
 
 
 def _examine(g: Graph, rows: bool) -> dict:
-    """One graph's record: whether it meets the hypotheses, its gap, and the names reports use.
+    """One graph's record: whether it meets the hypotheses, and what a report or a CSV row needs of it.
 
-    A graph a report lists is named by its standard graph6, whatever line it
-    was read from.  With `rows`, every connected graph also gets its
-    per-graph CSV row, ending in its scope: "checked", or why the report
-    rejects it ("not_bipartite", "m_below_n").
+    Without `rows`, the record holds n and, for a checked graph, its gap and
+    the names reports use: a graph a report lists is named by its standard
+    graph6, whatever line it was read from.  With `rows`, it holds only "ok"
+    and, for a connected graph, its per-graph CSV row, ending in its scope:
+    "checked", or why the report rejects it ("not_bipartite", "m_below_n").
     """
     forest = bfs_forest(g)
     connected, bipartite = connected_and_bipartite(g, forest)
     ok = connected and bipartite and g.m >= g.n
-    rec: dict = {"n": g.n, "ok": ok}
-    if not connected or not (ok or rows):
-        return rec
-    report = compute_invariants(g)
-    bound = 4 * g.n - 8
-    # Only equality graphs are deduplicated, so only they (and CSV rows) need a canonical code.
-    code = None
-    if g.n <= MAX_CANON_VERTICES and (rows or ok and report.gap == bound):
-        code = canonical_code(g).decode("ascii")
     if rows:
+        if not connected:
+            return {"ok": False}
+        report = compute_invariants(g)
+        code = canonical_code(g).decode("ascii") if g.n <= MAX_CANON_VERTICES else ""
         scope = "checked" if ok else "m_below_n" if bipartite else "not_bipartite"
-        rec["row"] = [code or "", g.n, g.m, report.wiener, report.szeged, report.gap, scope]
-    if ok:
-        rec.update(gap=report.gap, canonical=code, extremal=report.gap == bound and is_extremal_form(g, forest))
-    if ok and report.gap <= bound:
+        return {"ok": ok, "row": [code, g.n, g.m, report.wiener, report.szeged, report.gap, scope]}
+    rec: dict = {"n": g.n, "ok": ok}
+    if not ok:
+        return rec
+    gap, bound = compute_invariants(g).gap, 4 * g.n - 8
+    # Only equality graphs are deduplicated, so only they need a canonical code.
+    code = canonical_code(g).decode("ascii") if gap == bound and g.n <= MAX_CANON_VERTICES else None
+    rec.update(gap=gap, canonical=code, extremal=gap == bound and is_extremal_form(g, forest))
+    if gap <= bound:
         rec["graph6"] = to_graph6(g)
     return rec
 
@@ -197,7 +198,7 @@ def _examine_line(item: tuple[int, str], rows: bool) -> dict:
         g = parse_graph6(text)
     except Graph6Error as exc:
         return {"lineno": lineno, "error": str(exc)}
-    return {"lineno": lineno, **_examine(g, rows)}
+    return _examine(g, rows)
 
 
 def Pool(processes: int):
@@ -229,8 +230,7 @@ def _in_order(fn, items: Iterable, workers: int) -> Iterator[dict]:
 def examine_lines(lines: Iterable[str], workers: int, rows: bool) -> Iterator[dict]:
     """Records of the non-blank graph6 lines in line order, each line parsed once, by a worker.
 
-    Every record carries its "lineno"; an unparseable line gives one with
-    only an "error" besides.
+    An unparseable line gives a record of only its "lineno" and "error".
     """
     items = ((lineno, line) for lineno, line in enumerate(lines, start=1) if line.strip())
     return _in_order(partial(_examine_line, rows=rows), items, workers)
@@ -252,16 +252,10 @@ class _Tally:
         self.strays = 0  # equality graphs not of extremal form
 
 
-def fold_records(records: Iterable[dict]) -> tuple[list[VerificationReport], list[list]]:
-    """Fold records as they arrive into one report per n present, plus the CSV rows they carry.
-
-    Besides the rows, only per-n tallies and the equality classes are kept.
-    """
+def fold_records(records: Iterable[dict]) -> list[VerificationReport]:
+    """Fold records as they arrive into one report per n present, keeping only per-n tallies and equality classes."""
     tallies: dict[int, _Tally] = {}
-    rows = []
     for rec in records:
-        if "row" in rec:
-            rows.append(rec["row"])
         t = tallies.setdefault(rec["n"], _Tally())
         if not rec["ok"]:
             t.rejected += 1
@@ -285,19 +279,13 @@ def fold_records(records: Iterable[dict]) -> tuple[list[VerificationReport], lis
             # family member, and the family has A000081(n - 3) classes.
             match = not t.strays and len(t.classes) == rooted_tree_count(n - 3)
         equality = sorted(t.classes.items()) + [(None, g6) for g6 in sorted(t.uncoded)]
-        reports.append(
-            VerificationReport(
-                n=n,
-                graphs_checked=t.checked,
-                rejected=t.rejected,
-                min_gap=t.min_gap,
-                bound=4 * n - 8,
-                violations=tuple(sorted(t.violations)),
-                equality_graphs=tuple(EqualityEntry(c, g6) for c, g6 in equality),
-                extremal_match=match,
-            )
-        )
-    return reports, rows
+        reports.append(VerificationReport(
+            n=n, graphs_checked=t.checked, rejected=t.rejected, min_gap=t.min_gap, bound=4 * n - 8,
+            violations=tuple(sorted(t.violations)),
+            equality_graphs=tuple(EqualityEntry(c, g6) for c, g6 in equality),
+            extremal_match=match,
+        ))
+    return reports
 
 
 def verify_conjecture(graphs: Iterable[Graph]) -> list[VerificationReport]:
@@ -306,4 +294,4 @@ def verify_conjecture(graphs: Iterable[Graph]) -> list[VerificationReport]:
     Inputs failing the hypotheses (connected, bipartite, m >= n) are tallied
     as rejected.
     """
-    return fold_records(examine(graphs, 1))[0]
+    return fold_records(examine(graphs, 1))

@@ -124,20 +124,19 @@ class GapDecomposition(NamedTuple):
         sizes = self.blocks.block_sizes
         blocks = []
         for i, verts in enumerate(self.blocks.blocks):
+            within, floor = self.within_block[i], _within_floor(sizes[i])
             entry: dict = {
                 "index": i,
                 "size": sizes[i],
                 "vertices": sorted(verts),
                 "designated": i == self.root_block,
-                "within_surplus": self.within_block[i],
-                "within_floor": 4 * sizes[i] - 8 if sizes[i] >= 4 else 0,
+                "within_surplus": within,
+                "within_floor": floor,
+                "within_slack": within - floor,
             }
-            entry["within_slack"] = entry["within_surplus"] - entry["within_floor"]
             if i != self.root_block:
-                floor = sizes[self.root_block] * (sizes[i] - 1)
-                entry["cross_surplus"] = self.cross_root.get(i, 0)
-                entry["cross_floor"] = floor
-                entry["cross_slack"] = entry["cross_surplus"] - floor
+                cross, floor = self.cross_root.get(i, 0), _cross_floor(sizes[self.root_block], sizes[i])
+                entry.update(cross_surplus=cross, cross_floor=floor, cross_slack=cross - floor)
             blocks.append(entry)
         return {
             "schema": 1,
@@ -165,6 +164,15 @@ class GapDecomposition(NamedTuple):
         """(x, y, distance, surplus, category) for every pair x < y, in order."""
         for x, *row in self.by_row():
             yield from zip(repeat(x), count(x + 1), *row)
+
+
+# The floors of the module docstring, as gap_decomposition checks them and to_json_dict reports them.
+def _within_floor(size: int) -> int:
+    return 4 * size - 8 if size >= 4 else 0
+
+
+def _cross_floor(root_size: int, size: int) -> int:
+    return root_size * (size - 1)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -276,11 +284,11 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
 
     for i in range(decomp.k):
         if sizes[i] >= 4:
-            ensure(within[i] >= 4 * sizes[i] - 8, f"block {i}: within surplus below 4n_i - 8")
+            ensure(within[i] >= _within_floor(sizes[i]), f"block {i}: within surplus below 4n_i - 8")
         else:
             ensure(sizes[i] == 2 and within[i] == 0, f"bridge block {i} with nonzero surplus")
     for i, sub in cross_root.items():
-        ensure(sub >= sizes[root] * (sizes[i] - 1), f"block {i}: cross surplus below n_1(n_i - 1)")
+        ensure(sub >= _cross_floor(sizes[root], sizes[i]), f"block {i}: cross surplus below n_1(n_i - 1)")
     ensure(cross_other >= 0, "negative cross-other surplus")
     for i in big:
         s, pair = least[i]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import random
@@ -61,6 +62,19 @@ def test_trees_on_four_vertices_give_two_codes():
         for perm in permutations(range(4)):
             codes.add(canonical_code(Graph(4, [(perm[u], perm[v]) for u, v in edges])))
     assert len(codes) == 2
+
+
+def test_canonical_labeling_leaves_no_cycle_for_the_collector():
+    # Reference counting frees a search's state as soon as it returns, so a
+    # stream of graphs holds nothing per graph until the cyclic collector runs.
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (star_graph(5), complete_bipartite(3, 3), path_graph(7)):
+            canonical_form(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_size_limit():

@@ -1,19 +1,28 @@
-import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache
+from pathlib import Path
 
 import pytest
 
 import szlab.enumeration as enumeration
+import szlab.extremal as extremal
 import szlab.invariants as invariants
+from szlab import cli
 from szlab.cli import main
-from szlab.enumeration import EnumerationSpec
+from szlab.enumeration import EnumerationSpec, generate
 from szlab.errors import EnumerationLimitError, InvariantViolation
 from szlab.formats import to_graph6
 from szlab.graphs import Graph, complete_bipartite, cycle_graph
 
 from .conftest import path_graph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -174,6 +183,15 @@ def test_extremal_human(capsys):
     assert summary == {"n": 5, "count": 1, "all_gaps_equal_4n_minus_8": True}
 
 
+def test_extremal_refuses_the_range_top_before_building_any_family(capsys, monkeypatch):
+    built = []
+    real = extremal.rooted_trees
+    monkeypatch.setattr(extremal, "rooted_trees", lambda k: built.append(k) or real(k))
+    code, out, err = run_cli(capsys, "extremal", "--n", "4..17")
+    assert code == 2 and out == "" and built == []
+    assert "canonical labeling supports n <= 16, got 17" in err
+
+
 def test_extremal_n6_two_members(capsys):
     code, out, _ = run_cli(capsys, "extremal", "--n", "6", "--format", "json")
     assert code == 0
@@ -279,11 +297,12 @@ def test_verify_stream_same_for_any_worker_count(tmp_path, capsys):
 
 def test_verify_csv_scope_agrees_with_json(tmp_path, capsys):
     # K4 is connected, so it gets a CSV row, but the JSON report rejects it.
+    # Rows come in input order.
     stream = tmp_path / "k4.g6"
     stream.write_text("C~\nCr\n")
     code, out, _ = run_cli(capsys, "verify", "--file", str(stream), "--format", "csv")
     assert code == 0
-    assert out.splitlines()[1:] == ["Cr,4,4,8,16,8,checked", "C~,4,6,6,6,0,not_bipartite"]
+    assert out.splitlines()[1:] == ["C~,4,6,6,6,0,not_bipartite", "Cr,4,4,8,16,8,checked"]
     code, out, _ = run_cli(capsys, "verify", "--file", str(stream))
     (report,) = json.loads(out)["reports"]
     assert (report["graphs_checked"], report["rejected"]) == (1, 1)
@@ -476,13 +495,95 @@ def test_verify_uses_one_pool_per_run(tmp_path, capsys, monkeypatch):
     ]
 
 
-def test_verify_leaves_stdin_open(capsys, monkeypatch):
-    stdin = io.StringIO("Cr\nCr\n")
-    monkeypatch.setattr(sys, "stdin", stdin)
-    code, out, _ = run_cli(capsys, "verify")
-    assert code == 0 and not stdin.closed
-    assert [r["graphs_checked"] for r in json.loads(out)["reports"]] == [2]
-    # The stream is drained: a second run reads nothing, and must not fail on a closed file.
-    code, out, _ = run_cli(capsys, "verify")
-    assert code == 0 and not stdin.closed
-    assert json.loads(out)["reports"] == []
+def test_verify_leaves_stdin_open(tmp_path, capsys, monkeypatch):
+    # verify reads stdin through its file descriptor, so stdin is a real file here.
+    (tmp_path / "in.g6").write_text("Cr\nCr\n")
+    with open(tmp_path / "in.g6") as stdin:
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0 and not stdin.closed
+        assert [r["graphs_checked"] for r in json.loads(out)["reports"]] == [2]
+        # The stream is drained: a second run reads nothing, and must not fail on a closed file.
+        code, out, _ = run_cli(capsys, "verify")
+        assert code == 0 and not stdin.closed
+        assert json.loads(out)["reports"] == []
+
+
+def _szlab(*argv: str, stdin: bytes = b"") -> subprocess.CompletedProcess:
+    """A fresh `szlab` process whose stdin Python itself would decode strictly as UTF-8."""
+    env = dict(os.environ, PYTHONIOENCODING="utf-8:strict")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "szlab.cli", *argv], input=stdin, env=env, capture_output=True, timeout=120
+    )
+
+
+def test_verify_decodes_stdin_as_it_decodes_a_file(tmp_path):
+    # A byte that is not ASCII fails only its own line, from stdin as from --file.
+    data = b"Cr\n\xffC\nCr\n"
+    (tmp_path / "bad.g6").write_bytes(data)
+    piped = _szlab("verify", stdin=data)
+    named = _szlab("verify", "--file", str(tmp_path / "bad.g6"))
+    assert piped.returncode == named.returncode == 0, piped.stderr.decode()
+    assert piped.stdout == named.stdout
+    assert [r["graphs_checked"] for r in json.loads(piped.stdout)["reports"]] == [2]
+    assert b"line 2: graph6 record contains non-ASCII characters" in piped.stderr
+
+
+def _csv_rows(capsys, *argv: str) -> list[str]:
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "canonical_code,n,m,wiener,szeged,gap,scope"
+    return rows
+
+
+def test_verify_csv_rows_follow_input_order_for_any_worker_count(tmp_path, capsys):
+    # K4 and two trees are rejected, "C" does not parse and "C?" is disconnected;
+    # 40 lines span several of the pool's chunks.
+    lines = ["C~", "Cr", "CF", "C", to_graph6(complete_bipartite(2, 3)), "Cr", "C?", to_graph6(path_graph(6))] * 5
+    own = {}
+    for line in set(lines):
+        (tmp_path / "one.g6").write_text(line + "\n")
+        own[line] = _csv_rows(capsys, "verify", "--file", str(tmp_path / "one.g6"))
+    stream = tmp_path / "stream.g6"
+    stream.write_text("\n".join(lines) + "\n")
+    rows = _csv_rows(capsys, "verify", "--file", str(stream))
+    assert rows == [row for line in lines for row in own[line]]
+    assert len(rows) == 30 and rows[:2] == ["C~,4,6,6,6,0,not_bipartite", "Cr,4,4,8,16,8,checked"]
+    assert _csv_rows(capsys, "verify", "--file", str(stream), "--workers", "2") == rows
+
+
+def test_enumerate_csv_checks_as_many_graphs_per_n_as_the_json_report(capsys):
+    rows = _csv_rows(capsys, "enumerate", "--n", "4..8")
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "4..8")
+    assert code == 0
+    ns = [int(row.split(",")[1]) for row in rows]
+    assert ns == sorted(ns)  # generation order, n by n
+    checked = Counter(n for n, row in zip(ns, rows) if row.endswith(",checked"))
+    assert checked == {r["n"]: r["graphs_checked"] for r in json.loads(out)["reports"]}
+
+
+def test_verify_csv_memory_does_not_grow_with_the_stream(tmp_path, monkeypatch):
+    # Rows are written as their records arrive, so what a run holds at its traced
+    # peak, beyond what it still holds at its end, is the same for k lines and 4k.
+    # The end is the baseline because the free lists CPython fills during a run
+    # stay allocated; one parser serves both runs, so neither leaves one behind.
+    monkeypatch.setattr(cli, "build_parser", cache(cli.build_parser))
+    graphs = [to_graph6(g) for n in (4, 5) for g in generate(EnumerationSpec(n, min_edges=0))]
+    stream = tmp_path / "stream.g6"
+
+    def held(count: int) -> int:
+        stream.write_text("\n".join((graphs * count)[:count]) + "\n")
+        with open(os.devnull, "w") as sink, redirect_stdout(sink), redirect_stderr(sink):
+            tracemalloc.start()
+            try:
+                assert main(["verify", "--file", str(stream), "--format", "csv"]) == 0
+                current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        return peak - current
+
+    k = 300
+    small = held(k)
+    assert held(4 * k) - small < 64 * 1024

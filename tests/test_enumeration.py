@@ -150,7 +150,8 @@ def test_examine_lines_stream():
     assert all("error" not in r for r in records)
 
     records = list(examine_lines(["Cr", "C", "Cr"], 1, False))
-    assert [r["lineno"] for r in records] == [1, 2, 3]
+    # Only the error record carries its line number.
+    assert ["lineno" in r for r in records] == [False, True, False] and records[1]["lineno"] == 2
     assert set(records[1]) == {"lineno", "error"} and records[1]["error"]
     assert records[0]["n"] == records[2]["n"] == 4
 
@@ -230,7 +231,7 @@ def test_verify_rejects_non_bipartite_graphs_without_invariants(monkeypatch):
     solo = verify_conjecture(graphs)
     assert computed == []
     assert sum(r.rejected for r in solo) == 50 and all(r.graphs_checked == 0 for r in solo)
-    multi = enumeration.fold_records(examine(graphs, 2))[0]
+    multi = enumeration.fold_records(examine(graphs, 2))
     assert [r.to_json_dict() for r in multi] == [r.to_json_dict() for r in solo]
 
 
@@ -267,7 +268,7 @@ def test_extremal_match_at_n16_without_building_the_family():
     report = verify_conjecture(members[-1:])[0]
     assert time.perf_counter() - start < 0.1
     assert report.extremal_match is False and len(report.equality_graphs) == 1
-    report = enumeration.fold_records(examine(members[1:], 2))[0][0]
+    report = enumeration.fold_records(examine(members[1:], 2))[0]
     assert len(report.equality_graphs) == 12485 and report.violations == ()
     assert report.extremal_match is False
 
@@ -277,7 +278,7 @@ def test_extremal_match_false_on_an_equality_graph_of_another_shape():
     records = list(examine([cycle_graph(4)], 1))
     assert verify_conjecture([cycle_graph(4)])[0].extremal_match is True
     records[0]["extremal"] = False
-    assert enumeration.fold_records(records)[0][0].extremal_match is False
+    assert enumeration.fold_records(records)[0].extremal_match is False
 
 
 def test_examine_asks_whether_an_equality_graph_is_of_extremal_form(monkeypatch):
@@ -290,8 +291,8 @@ def test_examine_asks_whether_an_equality_graph_is_of_extremal_form(monkeypatch)
 
 def test_verify_conjecture_worker_counts_agree(enumerated):
     graphs = [g for g in enumerated[6] if g.m >= 6]
-    solo = [r.to_json_dict() for r in enumeration.fold_records(examine(graphs, 1))[0]]
-    multi = [r.to_json_dict() for r in enumeration.fold_records(examine(graphs, 3))[0]]
+    solo = [r.to_json_dict() for r in enumeration.fold_records(examine(graphs, 1))]
+    multi = [r.to_json_dict() for r in enumeration.fold_records(examine(graphs, 3))]
     assert solo == multi
 
 
