@@ -25,7 +25,7 @@ import argparse
 import json
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import Iterator
@@ -223,6 +223,9 @@ def _add_graph_input(parser) -> None:
     parser.add_argument("--file", help="file containing a graph6 line or edge-list text")
 
 
+# parse_args leaves the parser as it was, so one per process serves every call,
+# and no call leaves a fresh parser's reference cycles for the collector.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="szlab",

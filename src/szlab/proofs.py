@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import combinations, count, repeat
+from itertools import count, repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import HypothesisError, ensure
@@ -97,11 +97,12 @@ def surplus_map(g: Graph) -> SurplusMap:
 class GapDecomposition(NamedTuple):
     """The gap Sz - W split over vertex-pair categories tied to blocks.
 
-    `within_block[i]` sums surpluses of pairs whose unique common block is
-    block i.  `cross_root[i]` sums surpluses of pairs with one endpoint in
-    the designated block and the other homed at block i (its nearest block
-    toward the designated one).  `cross_other` collects pairs sharing no
-    block with neither endpoint in the designated block.
+    The block-cut tree rooted at the designated block is two arrays: `gate[i]`,
+    block i's one vertex nearest the designated block (-1 for that block), and
+    `home[v]`, the one block holding v other than as its gate.  `within_block[i]`
+    sums surpluses of pairs whose unique common block is block i, `cross_root[i]`
+    those of pairs joining the designated block to a vertex homed at block i,
+    and `cross_other` those of pairs sharing no block and missing the designated one.
     """
 
     graph: Graph
@@ -112,7 +113,8 @@ class GapDecomposition(NamedTuple):
     cross_other: int
     total: int
     surplus: SurplusMap
-    pair_category: list[tuple]
+    home: list[int]
+    gate: list[int]
     cross_pair_floor_ok: bool
     cross_witness_ok: bool
 
@@ -154,11 +156,7 @@ class GapDecomposition(NamedTuple):
 
     def by_row(self) -> Iterator[tuple[int, Sequence[int], list[int], list[tuple]]]:
         """Per x < n - 1: x, dist.row(x)[x + 1 :], and the surpluses and categories of the pairs (x, y), y > x."""
-        n, surpluses, row = self.graph.n, self.surplus.surpluses, self.surplus.dist.row
-        end = 0
-        for x in range(n - 1):
-            start, end = end, end + n - 1 - x
-            yield x, row(x)[x + 1 :], surpluses[start:end], self.pair_category[start:end]
+        return _by_row(self.surplus, self.home, self.gate, self.root_block)
 
     def pair_rows(self) -> Iterator[tuple[int, int, int, int, tuple]]:
         """(x, y, distance, surplus, category) for every pair x < y, in order."""
@@ -175,11 +173,27 @@ def _cross_floor(root_size: int, size: int) -> int:
     return root_size * (size - 1)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _by_row(smap: SurplusMap, home: list[int], gate: list[int], root: int) -> Iterator[tuple]:
+    """GapDecomposition.by_row, each pair's category read off the rooted block-cut tree.
+
+    x and y share block h when both are homed at h, or one is h's gate and the other is
+    homed at h.  Otherwise a pair touching the designated block `root` is ("cross_root",
+    the other end's home), and any other pair ("cross_other", (home[x], home[y])).
+    """
+    end = 0
+    for x in range(smap.n - 1):
+        hx = home[x]
+        # Block h's category for the pairs (x, y) with y homed at h.
+        by_home = [
+            ("within", h) if h == hx or w == x else ("cross_root", h) if hx == root
+            else ("cross_root", hx) if h == root else ("cross_other", (hx, h))
+            for h, w in enumerate(gate)
+        ]
+        categories = [by_home[h] for h in home[x + 1 :]]
+        if gate[hx] > x:  # x's home holds its gate too
+            categories[gate[hx] - x - 1] = by_home[hx]
+        start, end = end, end + len(categories)
+        yield x, smap.dist.row(x)[x + 1 :], smap.surpluses[start:end], categories
 
 
 def gap_decomposition(g: Graph) -> GapDecomposition:
@@ -191,11 +205,11 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     endpoint is the connecting cut vertex carry surplus >= 0 and are kept in
     the designated category so the categories partition all pairs exactly.
 
-    One outward walk of the block-cut tree from the designated block names,
-    for each vertex, its home: the first block that reaches it.  A block
-    entered through cut vertex w inherits its root gate (the designated
-    block's cut vertex on its path) from the block it was entered from, or
-    takes w itself when that block is the designated one.
+    The categories are read off the block-cut tree rooted at the designated
+    block (Hopcroft and Tarjan, 1973), as gates and homes (see GapDecomposition);
+    one distance row, from a vertex of the designated block, gives every gate.
+    A block's root gate, the designated block's vertex on its path, is its
+    gate when that is homed there, else its parent's (its gate's home's).
 
     The designated block is the largest block, ties going to the least sorted
     vertex list: which tied block is designated, and with it the categories,
@@ -222,64 +236,45 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     # Blocks run in sorted vertex list order, and max keeps the first of a tie.
     root = max(big, key=sizes.__getitem__)
 
-    # Bit i of block_mask[v] is set when block i contains v.
-    block_mask = [0] * g.n
-    for i, verts in enumerate(decomp.blocks):
-        for v in verts:
-            block_mask[v] |= 1 << i
-    # The outward walk: `order` grows as blocks are entered.
-    home: dict[int, int] = {}
-    root_gate: dict[int, int] = {}
-    order = [root]
-    for b in order:
-        for v in decomp.blocks[b]:
-            if v in home:
-                continue
-            home[v] = b
-            for i in _bits(block_mask[v] & ~(1 << b)):
-                root_gate[i] = root_gate.get(b, v)
-                order.append(i)
+    # A tie (only a broken decomposition has one) goes to the least vertex, so two
+    # blocks sharing two vertices home one of them twice.
+    depth = smap.dist.row(min(decomp.blocks[root]))
+    gate = [-1 if i == root else min(b, key=lambda v: (depth[v], v)) for i, b in enumerate(decomp.blocks)]
+    homed = sorted((v, i) for i, b in enumerate(decomp.blocks) for v in b if v != gate[i])
+    ensure(len(dict(homed)) == len(homed), "a pair shares two blocks")
+    ensure(len(homed) == g.n, "pair categories do not cover every pair")
+    home = [i for _, i in homed]
+    root_gate = gate[:]  # parents first, by gate depth
+    for i in sorted((i for i in range(decomp.k) if i != root), key=lambda i: depth[gate[i]]):
+        if home[gate[i]] != root:
+            root_gate[i] = root_gate[home[gate[i]]]
 
     within = [0] * decomp.k
     cross_root: dict[int, int] = {i: 0 for i in range(decomp.k) if i != root}
     cross_other = 0
-    # One list in pair order; the pairs of one category share its one tuple.
-    category: list[tuple] = []
-    within_tag = [("within", b) for b in range(decomp.k)]
-    cross_tag = [("cross_root", b) for b in range(decomp.k)]
-    other_tag: dict[tuple[int, int], tuple] = {}  # keyed by the two ends' homes
-    root_set = decomp.blocks[root]
     # A cross pair whose designated-side end is not its far block's root gate has
     # surplus >= 1, and each far vertex has such a partner with surplus >= 2.
     floor_ok = True
     witnessed: set[int] = set()
     # Each block's least within-block surplus and a pair attaining it.
     least: dict[int, tuple[int, tuple[int, int]]] = {}
-    for (x, y), s in zip(combinations(range(g.n), 2), smap.surpluses):
-        common = block_mask[x] & block_mask[y]
-        if common:
-            ensure(common & (common - 1) == 0, "a pair shares two blocks")
-            b = common.bit_length() - 1
-            within[b] += s
-            category.append(within_tag[b])
-            if b not in least or s < least[b][0]:
-                least[b] = s, (x, y)
-        elif x in root_set or y in root_set:
-            near, far = (x, y) if x in root_set else (y, x)
-            b = home[far]
-            cross_root[b] += s
-            category.append(cross_tag[b])
-            if near != root_gate[b]:
-                floor_ok = floor_ok and s >= 1
-                if s >= 2:
-                    witnessed.add(far)
-        else:
-            cross_other += s
-            homes = home[x], home[y]
-            category.append(other_tag.get(homes) or other_tag.setdefault(homes, ("cross_other", homes)))
+    for x, _, surpluses, categories in _by_row(smap, home, gate, root):
+        for y, s, (kind, b) in zip(count(x + 1), surpluses, categories):
+            if kind == "within":
+                within[b] += s
+                if b not in least or s < least[b][0]:
+                    least[b] = s, (x, y)
+            elif kind == "cross_root":
+                cross_root[b] += s
+                near, far = (x, y) if home[x] == root else (y, x)
+                if near != root_gate[b]:
+                    floor_ok = floor_ok and s >= 1
+                    if s >= 2:
+                        witnessed.add(far)
+            else:
+                cross_other += s
 
     total = sum(within) + sum(cross_root.values()) + cross_other
-    ensure(len(category) == g.n * (g.n - 1) // 2, "pair categories do not cover every pair")
     ensure(total == smap.total, "category subtotals do not reconcile with Sz - W")
 
     for i in range(decomp.k):
@@ -296,8 +291,8 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
         _check_antipodal_pairs(g, i, decomp.blocks[i], smap)
 
     return GapDecomposition(
-        g, decomp, root, tuple(within), cross_root, cross_other, total, smap, category,
-        floor_ok, len(witnessed) == g.n - len(root_set),
+        g, decomp, root, tuple(within), cross_root, cross_other, total, smap, home, gate,
+        floor_ok, len(witnessed) == g.n - sizes[root],
     )
 
 
@@ -318,6 +313,7 @@ def _check_antipodal_pairs(g: Graph, i: int, block: frozenset[int], smap: Surplu
         cycle_mask |= 1 << bisect_left(edges, (a, b) if a < b else (b, a))
     for x, y in zip(verts, verts[half:]):
         pair = (x, y) if x < y else (y, x)
-        missed = [edges[j] for j in _bits(cycle_mask & ~smap.separating(x, y))]
+        unseparated = cycle_mask & ~smap.separating(x, y)
+        missed = [edges[j] for j in range(unseparated.bit_length()) if unseparated >> j & 1]
         ensure(not missed, f"block {i}: cycle edges {missed} do not separate antipodal pair {pair}")
         ensure(smap.surplus(x, y) >= half, f"block {i}: antipodal pair {pair} surplus below p/2")

@@ -31,10 +31,8 @@ import os
 import shlex
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
 from io import StringIO
 from pathlib import Path
-from unittest import mock
 
 from szlab import cli
 from szlab.enumeration import EnumerationSpec, generate
@@ -44,9 +42,6 @@ ROOT = Path(__file__).resolve().parent.parent
 MANIFEST = Path(__file__).with_name("stdout_manifest.json")
 DECOMPOSE_FORMS = ((), ("--pairs",), ("--format", "csv"), ("--format", "human"))
 SLOW_DIGITS = 8
-# Building the parser is most of a small command's time; parse_args leaves it as
-# it was, so one parser serves every command.
-_parser = cache(cli.build_parser)
 
 
 def run(argv: list[str]) -> tuple[int, str]:
@@ -54,7 +49,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     out, here = StringIO(), os.getcwd()
     os.chdir(ROOT)  # file arguments are relative to the repository root
     try:
-        with mock.patch.object(cli, "build_parser", _parser), redirect_stdout(out), redirect_stderr(StringIO()):
+        with redirect_stdout(out), redirect_stderr(StringIO()):
             code = cli.main(argv)
     except SystemExit as exc:  # argparse usage errors
         code = exc.code

@@ -3,11 +3,11 @@
 Nothing here shares an algorithm with the package: distances come from
 Floyd-Warshall instead of BFS, isomorphism from permutation backtracking
 instead of canonical codes, girth from per-edge deletion, blocks and pair
-categories from separating vertices instead of fundamental cycles and an
-outward walk of the block-cut tree, 2-colorings by
-trying every coloring instead of BFS-depth parity, rooted-tree
-counting from labeled Prufer trees deduplicated by recursive subtree
-encoding, automorphism counts by trying every permutation, labeled bipartite
+categories from separating vertices and Floyd-Warshall distances to the whole
+designated block instead of fundamental cycles and block gates read off one
+BFS row, 2-colorings by trying every coloring instead of BFS-depth parity,
+rooted-tree counting from labeled Prufer trees deduplicated by recursive
+subtree encoding, automorphism counts by trying every permutation, labeled bipartite
 counts from a generating function.  Keep it that way; the tests rely on the
 two routes being independent.
 """

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -5,7 +6,6 @@ import sys
 import tracemalloc
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
-from functools import cache
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,6 @@ import pytest
 import szlab.enumeration as enumeration
 import szlab.extremal as extremal
 import szlab.invariants as invariants
-from szlab import cli
 from szlab.cli import main
 from szlab.enumeration import EnumerationSpec, generate
 from szlab.errors import EnumerationLimitError, InvariantViolation
@@ -564,12 +563,11 @@ def test_enumerate_csv_checks_as_many_graphs_per_n_as_the_json_report(capsys):
     assert checked == {r["n"]: r["graphs_checked"] for r in json.loads(out)["reports"]}
 
 
-def test_verify_csv_memory_does_not_grow_with_the_stream(tmp_path, monkeypatch):
+def test_verify_csv_memory_does_not_grow_with_the_stream(tmp_path):
     # Rows are written as their records arrive, so what a run holds at its traced
     # peak, beyond what it still holds at its end, is the same for k lines and 4k.
     # The end is the baseline because the free lists CPython fills during a run
-    # stay allocated; one parser serves both runs, so neither leaves one behind.
-    monkeypatch.setattr(cli, "build_parser", cache(cli.build_parser))
+    # stay allocated; the process builds its parser once, so neither run leaves one behind.
     graphs = [to_graph6(g) for n in (4, 5) for g in generate(EnumerationSpec(n, min_edges=0))]
     stream = tmp_path / "stream.g6"
 
@@ -587,3 +585,22 @@ def test_verify_csv_memory_does_not_grow_with_the_stream(tmp_path, monkeypatch):
     k = 300
     small = held(k)
     assert held(4 * k) - small < 64 * 1024
+
+
+def test_a_second_in_process_main_leaves_nothing_for_the_cyclic_collector(tmp_path):
+    # The process builds its argparse parser once.  A parser per call left its
+    # formatters and subparsers, which refer to one another, for the collector.
+    stream = tmp_path / "stream.g6"
+    stream.write_text("".join(to_graph6(g) + "\n" for g in generate(EnumerationSpec(5))))
+    argv = ["verify", "--file", str(stream)]
+    enabled = gc.isenabled()
+    with open(os.devnull, "w") as sink, redirect_stdout(sink):
+        assert main(argv) == 0  # the warm-up builds the parser and loads the command's layers
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()

@@ -85,7 +85,7 @@ def test_tied_and_long_examples_cover_every_category():
     for g, tied in ((TIED, True), (LONG, False)):
         d = gap_decomposition(g)
         sizes = d.blocks.block_sizes
-        assert {cat[0] for cat in d.pair_category} == {"within", "cross_root", "cross_other"}
+        assert {cat[0] for *_, cat in d.pair_rows()} == {"within", "cross_root", "cross_other"}
         assert (sizes.count(max(sizes)) > 1) == tied
     assert max(gap_decomposition(LONG).blocks.block_sizes) == 18 > 16
 

@@ -184,10 +184,10 @@ def test_antipodal_cycle_builds_distances_once(monkeypatch):
 
 
 def test_gap_decomposition_holds_no_decoded_distance_rows():
-    # C400 has two-byte distance fields.  What the result holds is the pair-order
-    # surpluses and categories (79,800 pointers each, some 1.2 MiB), the side masks
-    # and the packed distances: some 1.8 MiB.  Rows kept decoded as tuples of ints
-    # would add a pointer per vertex pair, another 1.2 MiB.
+    # C400 has two-byte distance fields.  What the result holds is one list in pair
+    # order, the surpluses (79,800 pointers, some 0.6 MiB), beside the side masks and
+    # the packed distances: some 1.1 MiB.  Any second pointer-per-pair list, a stored
+    # category per pair or rows kept decoded as tuples of ints, adds 0.6 MiB or more.
     g = cycle_graph(400)
     tracemalloc.start()
     try:
@@ -197,7 +197,7 @@ def test_gap_decomposition_holds_no_decoded_distance_rows():
     finally:
         tracemalloc.stop()
     assert d.total == 400**3 // 8
-    assert held < 2.5 * 2**20, f"{held / 2**10:.0f} KiB held after return"
+    assert held < 1.5 * 2**20, f"{held / 2**10:.0f} KiB held after return"
 
 
 def test_antipodal_cycle_gates(c5, p3):
@@ -277,7 +277,8 @@ def test_gap_decomposition_outward_walk_homes_and_gates():
     assert [sorted(b) for b in d.blocks.blocks] == [
         [0, 1, 2, 3, 4, 5], [0, 6, 7, 8], [0, 9], [3, 10], [7, 13], [10, 11], [11, 12]
     ]
-    # Homes: 6, 7, 8 -> 1; 9 -> 2; 10 -> 3; 13 -> 4; 11 -> 5; 12 -> 6.
+    assert d.home == [0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 3, 5, 6, 4]
+    assert d.gate == [-1, 0, 0, 3, 7, 10, 11]
     assert Counter(cat for *_, cat in d.pair_rows()) == {
         ("within", 0): 15, ("within", 1): 6,
         ("within", 2): 1, ("within", 3): 1, ("within", 4): 1, ("within", 5): 1, ("within", 6): 1,
@@ -328,8 +329,9 @@ def test_hypothesis_errors_name_the_first_violation():
 
 def test_gap_decomposition_categories_partition_pairs(c4_tail3):
     d = gap_decomposition(c4_tail3)
-    assert len(d.pair_category) == c4_tail3.n * (c4_tail3.n - 1) // 2
-    within = sum(s for s, cat in zip(d.surplus.surpluses, d.pair_category) if cat[0] == "within")
+    categories = [cat for *_, cat in d.pair_rows()]
+    assert len(categories) == c4_tail3.n * (c4_tail3.n - 1) // 2
+    within = sum(s for s, cat in zip(d.surplus.surpluses, categories) if cat[0] == "within")
     assert within == sum(d.within_block)
 
 
@@ -360,9 +362,10 @@ def test_gap_decomposition_blocks_of_size_two_contribute_zero(enumerated):
             if g.m < n:
                 continue
             d = gap_decomposition(g)
+            categories = [cat for *_, cat in d.pair_rows()]
             bridge_pairs = [
                 (x, y)
-                for (x, y), cat in zip(combinations(range(n), 2), d.pair_category, strict=True)
+                for (x, y), cat in zip(combinations(range(n), 2), categories, strict=True)
                 if cat[0] == "within" and d.blocks.block_sizes[cat[1]] == 2
             ]
             for x, y in bridge_pairs:
@@ -474,7 +477,7 @@ def _assert_categories_match_oracle(g):
     d = gap_decomposition(g)
     expected = pair_categories_brute(g, d.root_block)
     pairs = list(combinations(range(g.n), 2))
-    assert d.pair_category == [expected[p] for p in pairs]
+    assert [cat for *_, cat in d.pair_rows()] == [expected[p] for p in pairs]
     within = [0] * d.blocks.k
     cross_root = {i: 0 for i in range(d.blocks.k) if i != d.root_block}
     cross_other = 0

@@ -23,7 +23,8 @@ FIELDS = {
         "cross_other",
         "total",
         "surplus",
-        "pair_category",
+        "home",
+        "gate",
         "cross_pair_floor_ok",
         "cross_witness_ok",
     ),
