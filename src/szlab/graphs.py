@@ -233,7 +233,7 @@ def block_decomposition(g: Graph, depth: Sequence[int]) -> BlockDecomposition:
     return decomp
 
 
-def shortest_cycle(g: Graph, rows, verts) -> tuple[int, ...] | None:
+def shortest_cycle(g: Graph, rows) -> tuple[int, ...] | None:
     """A shortest cycle as a cyclically ordered vertex tuple, or None for forests.
 
     One scan of each source's distance row: a vertex at distance k with two
@@ -243,18 +243,13 @@ def shortest_cycle(g: Graph, rows, verts) -> tuple[int, ...] | None:
     the least neighbor one shell down.  Ties go to the least source, then the
     least vertex and its least two lower neighbors.  At the least length the
     descents meet only at the source, or a shorter cycle would exist, so the
-    result is simple.  `rows[s]` is source s's distance row, indexed by vertex;
-    a vertex s cannot reach may read -1 there, which the scan never takes for a shell.  Sources
-    and closing vertices come from the ascending `verts`: range(g.n), or a
-    block's vertices for the block's own cycle (a neighbor of a block vertex v
-    off the block lies beyond the cut vertex v, one shell further from every
-    source in the block, so no closing or descent steps to it).
+    result is simple.  `rows` is every vertex's distance row in turn, indexed by vertex;
+    a vertex s cannot reach may read -1 there, which the scan never takes for a shell.
     """
     neigh = g._neigh
     best, closing = 2 * g.n, None  # longer than any closing
-    for s in verts:
-        dist = rows[s]
-        for v in verts:
+    for s, dist in enumerate(rows):
+        for v in g.vertices():
             k = dist[v]
             if 0 < k and 2 * k < best:
                 near = [dist[w] for w in neigh[v]]

@@ -14,17 +14,17 @@ decomposes over the block structure:
 
 Those three groups partition the vertex pairs, so the subtotals reconcile
 exactly with Sz - W, which is how the lower bound 4n - 8 is verified here.
-The floors rest on two lemmas, checked on every block with >= 4 vertices:
-every pair inside the block has surplus >= 1, and every edge of the block's
-shortest cycle v_1..v_p separates each antipodal pair (v_i, v_{i+p/2}),
-which therefore has >= p separating edges and surplus >= p/2.
+The floors rest on two lemmas, checked off the surplus map of every block
+with >= 4 vertices as a graph of its own: every pair in it has surplus >= 1,
+and every edge of its shortest cycle v_1..v_p separates each antipodal pair
+(v_i, v_{i+p/2}), which so has >= p separating edges and surplus >= p/2.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import count, repeat
+from itertools import combinations, count, islice, repeat
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import HypothesisError, ensure
@@ -127,15 +127,8 @@ class GapDecomposition(NamedTuple):
         blocks = []
         for i, verts in enumerate(self.blocks.blocks):
             within, floor = self.within_block[i], _within_floor(sizes[i])
-            entry: dict = {
-                "index": i,
-                "size": sizes[i],
-                "vertices": sorted(verts),
-                "designated": i == self.root_block,
-                "within_surplus": within,
-                "within_floor": floor,
-                "within_slack": within - floor,
-            }
+            entry: dict = {"index": i, "size": sizes[i], "vertices": sorted(verts), "designated": i == self.root_block}
+            entry.update(within_surplus=within, within_floor=floor, within_slack=within - floor)
             if i != self.root_block:
                 cross, floor = self.cross_root.get(i, 0), _cross_floor(sizes[self.root_block], sizes[i])
                 entry.update(cross_surplus=cross, cross_floor=floor, cross_slack=cross - floor)
@@ -180,18 +173,21 @@ def _by_row(smap: SurplusMap, home: list[int], gate: list[int], root: int) -> It
     homed at h.  Otherwise a pair touching the designated block `root` is ("cross_root",
     the other end's home), and any other pair ("cross_other", (home[x], home[y])).
     """
+    k, gated = len(gate), {}
+    for h, w in enumerate(gate):
+        gated.setdefault(w, []).append(h)
+    within, cross = [("within", h) for h in range(k)], [("cross_root", h) for h in range(k)]
     end = 0
     for x in range(smap.n - 1):
         hx = home[x]
-        # Block h's category for the pairs (x, y) with y homed at h.
-        by_home = [
-            ("within", h) if h == hx or w == x else ("cross_root", h) if hx == root
-            else ("cross_root", hx) if h == root else ("cross_other", (hx, h))
-            for h, w in enumerate(gate)
-        ]
-        categories = [by_home[h] for h in home[x + 1 :]]
+        # Block h's category for the pairs (x, y) with y homed at h, built at C speed.
+        by_home = cross[:] if hx == root else list(zip(repeat("cross_other"), zip(repeat(hx), range(k))))
+        by_home[root], by_home[hx] = cross[hx], within[hx]
+        for h in gated.get(x, ()):
+            by_home[h] = within[h]
+        categories = list(map(by_home.__getitem__, home[x + 1 :]))
         if gate[hx] > x:  # x's home holds its gate too
-            categories[gate[hx] - x - 1] = by_home[hx]
+            categories[gate[hx] - x - 1] = within[hx]
         start, end = end, end + len(categories)
         yield x, smap.dist.row(x)[x + 1 :], smap.surpluses[start:end], categories
 
@@ -215,17 +211,14 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     vertex list: which tied block is designated, and with it the categories,
     depends on the input's labeling; the gap and floors do not.
 
-    After the floors, both lemmas of the module docstring are checked on
-    every block with >= 4 vertices, off the same surplus map and its side masks.
+    After the floors, each block with >= 4 vertices is checked as a graph of its own (a block
+    is isometric): its surplus map's total must equal its within sum, and both lemmas read it.
     """
     forest = bfs_forest(g)
     connected, bipartite = connected_and_bipartite(g, forest)
-    if not connected:
-        raise HypothesisError("connected violated")
-    if not bipartite:
-        raise HypothesisError("bipartite violated")
-    if g.m < g.n:
-        raise HypothesisError("m >= n violated")
+    for holds, hypothesis in ((connected, "connected"), (bipartite, "bipartite"), (g.m >= g.n, "m >= n")):
+        if not holds:
+            raise HypothesisError(f"{hypothesis} violated")
 
     smap = surplus_map(g)
     decomp = block_decomposition(g, forest[1])
@@ -256,14 +249,10 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     # surplus >= 1, and each far vertex has such a partner with surplus >= 2.
     floor_ok = True
     witnessed: set[int] = set()
-    # Each block's least within-block surplus and a pair attaining it.
-    least: dict[int, tuple[int, tuple[int, int]]] = {}
     for x, _, surpluses, categories in _by_row(smap, home, gate, root):
         for y, s, (kind, b) in zip(count(x + 1), surpluses, categories):
             if kind == "within":
                 within[b] += s
-                if b not in least or s < least[b][0]:
-                    least[b] = s, (x, y)
             elif kind == "cross_root":
                 cross_root[b] += s
                 near, far = (x, y) if home[x] == root else (y, x)
@@ -285,10 +274,14 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     for i, sub in cross_root.items():
         ensure(sub >= _cross_floor(sizes[root], sizes[i]), f"block {i}: cross surplus below n_1(n_i - 1)")
     ensure(cross_other >= 0, "negative cross-other surplus")
-    for i in big:
-        s, pair = least[i]
+    pieces = _block_graphs(g, decomp.blocks, home, gate, big) if decomp.k > 1 else [(g.vertices(), g)]
+    for i, (verts, block) in zip(big, pieces):
+        bmap = smap if block is g else surplus_map(block)
+        ensure(bmap.total == within[i], f"block {i}: within surplus differs from the block's own Sz - W")
+        s = min(bmap.surpluses)
+        pair = next(islice(combinations(verts, 2), bmap.surpluses.index(s), None))
         ensure(s >= 1, f"block {i}: pair {pair} has surplus {s}, below 1")
-        _check_antipodal_pairs(g, i, decomp.blocks[i], smap)
+        _check_antipodal_pairs(i, verts, block, bmap)
 
     return GapDecomposition(
         g, decomp, root, tuple(within), cross_root, cross_other, total, smap, home, gate,
@@ -296,24 +289,36 @@ def gap_decomposition(g: Graph) -> GapDecomposition:
     )
 
 
-def _check_antipodal_pairs(g: Graph, i: int, block: frozenset[int], smap: SurplusMap) -> None:
+def _block_graphs(g: Graph, blocks, home: list[int], gate: list[int], big: list[int]) -> Iterator[tuple]:
+    """Each block i in `big` as its ascending vertex tuple and a Graph labelled by position in it.
+
+    An edge lies in its ends' common home, or else in the home of the end the other gates.
+    The relabelling is monotone, so a block's pairs and edges run in the graph's order.
+    """
+    routed: list[list[tuple[int, int]]] = [[] for _ in blocks]
+    for u, v in g.edges:
+        routed[home[v] if gate[home[v]] == u else home[u]].append((u, v))
+    for i in big:
+        verts = tuple(sorted(blocks[i]))
+        yield verts, Graph(len(verts), [(bisect_left(verts, u), bisect_left(verts, v)) for u, v in routed[i]])
+
+
+def _check_antipodal_pairs(i: int, verts: tuple[int, ...], block: Graph, bmap: SurplusMap) -> None:
     """Every edge of block i's shortest cycle (shortest_cycle's tie-break) separates each antipodal pair.
 
-    The p cycle edges are distinct, so the pair then has >= p separating edges;
-    beyond that only its surplus >= p/2 is checked, since edges off the cycle
-    may separate the pair as well.
+    `block` is block i labelled by position in `verts`, `bmap` its surplus map.  The p
+    cycle edges are distinct, so the pair then has >= p separating edges; beyond that
+    only its surplus >= p/2 is checked, since edges off the cycle may separate it too.
     """
-    # A block is isometric: a shortest path between two of its vertices stays inside it.
-    verts = shortest_cycle(g, {s: smap.dist.row(s) for s in block}, sorted(block))
-    p, half = len(verts), len(verts) // 2
+    cycle = shortest_cycle(block, list(map(bmap.dist.row, block.vertices())))
+    p, half = len(cycle), len(cycle) // 2
     ensure(p % 2 == 0, f"block {i}: odd shortest cycle in a bipartite graph")
-    edges = smap.edges  # sorted, so an edge's index is its bisection point
-    cycle_mask = 0
-    for a, b in zip(verts, verts[1:] + verts[:1]):
-        cycle_mask |= 1 << bisect_left(edges, (a, b) if a < b else (b, a))
-    for x, y in zip(verts, verts[half:]):
-        pair = (x, y) if x < y else (y, x)
-        unseparated = cycle_mask & ~smap.separating(x, y)
-        missed = [edges[j] for j in range(unseparated.bit_length()) if unseparated >> j & 1]
+    edges = bmap.edges  # sorted, so an edge's index is its bisection point
+    cycle_mask = sum(1 << bisect_left(edges, (min(a, b), max(a, b))) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+    for x, y in zip(cycle, cycle[half:]):
+        pair = tuple(sorted((verts[x], verts[y])))
+        unseparated = cycle_mask & ~bmap.separating(x, y)
+        missed = [(verts[a], verts[b]) for j, (a, b) in enumerate(edges[: unseparated.bit_length()])
+                  if unseparated >> j & 1]
         ensure(not missed, f"block {i}: cycle edges {missed} do not separate antipodal pair {pair}")
-        ensure(smap.surplus(x, y) >= half, f"block {i}: antipodal pair {pair} surplus below p/2")
+        ensure(bmap.surplus(x, y) >= half, f"block {i}: antipodal pair {pair} surplus below p/2")

@@ -8,7 +8,8 @@ designated block instead of fundamental cycles and block gates read off one
 BFS row, 2-colorings by trying every coloring instead of BFS-depth parity,
 rooted-tree counting from labeled Prufer trees deduplicated by recursive
 subtree encoding, automorphism counts by trying every permutation, labeled bipartite
-counts from a generating function.  Keep it that way; the tests rely on the
+counts from a generating function, W and Sz of a Cartesian product from its
+factors' values by the product identities instead of the product's distances.  Keep it that way; the tests rely on the
 two routes being independent.
 """
 
@@ -78,6 +79,27 @@ def revised_szeged_times4_brute(g: Graph) -> int:
 
 def gap_brute(g: Graph) -> int:
     return szeged_brute(g) - wiener_brute(g)
+
+
+def cartesian_product(*factors: Graph) -> Graph:
+    """G_1 □ G_2 □ ...: vertex (a, b) of G □ H is a * |H| + b, adjacent when one coordinate is
+    equal and the other adjacent in its factor."""
+    g = Graph(1, [])
+    for h in factors:
+        edges = [(a * h.n + b, a * h.n + c) for a in range(g.n) for b, c in h.edges]
+        edges += [(a * h.n + b, c * h.n + b) for a, c in g.edges for b in range(h.n)]
+        g = Graph(g.n * h.n, edges)
+    return g
+
+
+def product_values(*factors: Graph) -> tuple[int, int, int]:
+    """(n, W, Sz) of the Cartesian product of connected factors from each factor's brute values,
+    by W(G □ H) = |H|^2 W(G) + |G|^2 W(H) (Yeh and Gutman, 1994) and Sz(G □ H) = |H|^3 Sz(G)
+    + |G|^3 Sz(H) (Klavzar, Rajapakse and Gutman, 1996); no distance of the product is computed."""
+    n, w, sz = 1, 0, 0  # the one-vertex graph, the product's unit
+    for h in factors:
+        n, w, sz = n * h.n, h.n**2 * w + n**2 * wiener_brute(h), h.n**3 * sz + n**3 * szeged_brute(h)
+    return n, w, sz
 
 
 def mu_brute(g: Graph, x: int, y: int, e: tuple[int, int], d=None) -> int:

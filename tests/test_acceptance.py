@@ -151,7 +151,7 @@ def test_criterion_6_pair_surplus_claims(enumerated):
                         assert min(d.surplus.surplus(x, y) for x, y in pairs) >= 1, g.edges
                         blocks += 1
                 smap = d.surplus
-                cycle = shortest_cycle(g, list(map(smap.dist.row, range(n))), range(n))
+                cycle = shortest_cycle(g, list(map(smap.dist.row, range(n))))
                 p, half, dist = len(cycle), len(cycle) // 2, floyd_warshall(g)
                 cycle_edges = [tuple(sorted((cycle[j], cycle[(j + 1) % p]))) for j in range(p)]
                 for x, y in zip(cycle, cycle[half:]):

@@ -37,16 +37,27 @@ def _shifted_partitions(monkeypatch, module, **delta):
 
 
 def _with_surpluses(monkeypatch, changes: dict, total_shift: int = 0):
-    real = proofs.surplus_map
+    """Shift each given pair of the graph's labels in every surplus map holding it: the
+    graph's own, and its block's, whose vertex tuple maps the block's labels to the graph's."""
+    real_map, real_blocks = proofs.surplus_map, proofs._block_graphs
+    seen = []  # (block graph, vertex tuple), held so that each block is matched by identity
+
+    def blocks(*args):
+        for verts, block in real_blocks(*args):
+            seen.append((block, verts))
+            yield verts, block
 
     def corrupted(g):
-        smap = real(g)
+        smap = real_map(g)
+        verts = next((verts for block, verts in seen if block is g), range(g.n))
         surpluses = list(smap.surpluses)
-        pairs = list(combinations(range(g.n), 2))
+        pairs = list(combinations(verts, 2))
         for pair, delta in changes.items():
-            surpluses[pairs.index(pair)] += delta
+            if pair in pairs:
+                surpluses[pairs.index(pair)] += delta
         return smap._replace(surpluses=surpluses, total=sum(surpluses) + total_shift)
 
+    monkeypatch.setattr(proofs, "_block_graphs", blocks)
     monkeypatch.setattr(proofs, "surplus_map", corrupted)
 
 
@@ -178,7 +189,7 @@ def test_antipodal_check_rejects_missed_cycle_edge(monkeypatch, c4):
 
 
 def test_antipodal_check_rejects_odd_cycle(monkeypatch, c4):
-    monkeypatch.setattr(proofs, "shortest_cycle", lambda g, rows, verts: (0, 1, 2))
+    monkeypatch.setattr(proofs, "shortest_cycle", lambda g, rows: (0, 1, 2))
     with pytest.raises(InvariantViolation, match="^block 0: odd shortest cycle"):
         gap_decomposition(c4)
 
@@ -199,6 +210,45 @@ def test_antipodal_check_reaches_the_last_pair(monkeypatch):
         gap_decomposition(cycle_graph(8))
 
 
+def test_antipodal_check_names_a_relabelled_blocks_vertices(monkeypatch):
+    # Block 1 of TWO_C4, 0-4-5-6, is checked as the 4-cycle 0-1-2-3 of its own
+    # labels.  Moving a unit from its antipodal pair (4, 6) to (4, 5) keeps the
+    # within sum and every pair >= 1, so only the antipodal floor p/2 = 2 fails.
+    _with_surpluses(monkeypatch, {(4, 6): -1, (4, 5): 1})
+    with pytest.raises(InvariantViolation, match=r"^block 1: antipodal pair \(4, 6\) surplus below p/2$"):
+        gap_decomposition(TWO_C4)
+    # A 6-cycle with the 4-cycle 0-6-7-8 on vertex 0: the block's local edge (0, 3) is (0, 8).
+    g = Graph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6), (6, 7), (7, 8), (0, 8)])
+    real = proofs.SurplusMap.separating
+
+    def missing(smap, x, y):
+        # Only block 1's map, the one with 4 vertices, misses its edge (0, 3).
+        drop = 1 << smap.edges.index((0, 3)) if smap.n == 4 else 0
+        return real(smap, x, y) & ~drop
+
+    monkeypatch.setattr(proofs.SurplusMap, "separating", missing)
+    message = r"^block 1: cycle edges \[\(0, 8\)\] do not separate antipodal pair \(0, 7\)$"
+    with pytest.raises(InvariantViolation, match=message):
+        gap_decomposition(g)
+
+
+def test_block_map_total_must_equal_the_within_sum(monkeypatch):
+    # The first block map after the graph's own, block 0's (within sum 8), passes
+    # as built and fails one unit off either way.
+    real = proofs.surplus_map
+    assert gap_decomposition(TWO_C4).within_block == (8, 8)
+    for shift in (1, -1):
+        maps = []
+
+        def shifted(g):
+            maps.append(real(g))
+            return maps[-1]._replace(total=maps[-1].total + shift) if len(maps) > 1 else maps[-1]
+
+        monkeypatch.setattr(proofs, "surplus_map", shifted)
+        with pytest.raises(InvariantViolation, match="^block 0: within surplus differs from the block's own Sz - W$"):
+            gap_decomposition(TWO_C4)
+
+
 def test_extremal_gaps_reject_corrupted_gap(monkeypatch):
     monkeypatch.setattr(extremal, "gap", lambda g: 4 * g.n - 9)
     with pytest.raises(InvariantViolation, match="4n - 8"):
@@ -214,13 +264,14 @@ def test_block_decomposition_rejects_missed_vertices():
 
 
 def test_shortest_cycle_rejects_descents_that_meet_early():
-    # A 4-cycle 1-2-4-3 with vertex 0 hanging off 1.  Scanning only vertices 0
-    # and 4 (not a block), the best closing is vertex 4 with lower neighbors 2
-    # and 3, whose descents to 0 meet at 1: a closed walk of length 6, not a cycle.
+    # A 4-cycle 1-2-4-3 with vertex 0 hanging off 1.  Rows that are not g's
+    # distances, every source but 0 reaching nothing, leave source 0's closing
+    # at vertex 4 with lower neighbors 2 and 3 the best, whose descents to 0
+    # meet at 1: a closed walk of length 6, not a cycle.
     g = Graph(5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)])
-    rows = list(map(all_pairs_distances(g).row, g.vertices()))
+    rows = [all_pairs_distances(g).row(0)] + [[-1] * 5] * 4
     with pytest.raises(InvariantViolation, match="^the descents of a closing of length 6 meet before its source$"):
-        graphs.shortest_cycle(g, rows, [0, 4])
+        graphs.shortest_cycle(g, rows)
 
 
 def test_package_has_no_bare_asserts():

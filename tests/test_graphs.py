@@ -189,11 +189,12 @@ def _bfs_calls(check, g):
 
 def test_hypotheses_come_from_one_bfs_forest(c4, c4_pendant):
     examine = lambda g: enumeration._examine(g, False)
-    # The hypothesis gate's forest and the surplus map's distances, nothing
+    # The hypothesis gate's forest and the surplus maps' distances, nothing
     # else: gap_decomposition builds the blocks on that forest's depths and
-    # reads each block's shortest cycle off the distances' rows.
+    # reads each block's shortest cycle off the rows of the block's own map,
+    # which is the graph's for the one block of c4.
     one_each = ["bfs_forest", "all_pairs_distances"]
-    assert _bfs_calls(proofs.gap_decomposition, c4_pendant) == one_each
+    assert _bfs_calls(proofs.gap_decomposition, c4_pendant) == one_each + ["all_pairs_distances"]
     assert _bfs_calls(proofs.gap_decomposition, c4) == one_each
     assert _bfs_calls(examine, cycle_graph(5)) == ["bfs_forest"]
     # An equality graph is also asked is_extremal_form, on the gate's forest.
@@ -288,7 +289,7 @@ def test_block_identity_and_cut_membership(enumerated):
 
 def _cycle(g):
     """shortest_cycle on Floyd-Warshall rows, -1 where unreachable, so disconnected g is in scope too."""
-    return shortest_cycle(g, [[-1 if d == INF else d for d in row] for row in floyd_warshall(g)], range(g.n))
+    return shortest_cycle(g, [[-1 if d == INF else d for d in row] for row in floyd_warshall(g)])
 
 
 def _assert_shortest_cycle(g):

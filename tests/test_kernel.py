@@ -9,6 +9,7 @@ them, checked on both sides of the one- to two-byte field switch.
 distances and plain loops.
 """
 
+import json
 import random
 from itertools import combinations
 
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from szlab.errors import DisconnectedGraphError, SizeLimitError
+from szlab.formats import to_graph6
 from szlab.graphs import (
     Graph,
     all_pairs_distances,
@@ -29,12 +31,15 @@ from szlab.invariants import compute_invariants, edge_partitions, wiener
 from szlab.proofs import surplus_map
 
 from .conftest import path_graph
+from .test_dump import _stdout
 from .oracles import (
     INF,
+    cartesian_product,
     edge_partition_brute,
     floyd_warshall,
     mu_brute,
     mu_pair_sum_brute,
+    product_values,
     revised_szeged_times4_brute,
     side_masks_brute,
     surplus_brute,
@@ -43,10 +48,10 @@ from .oracles import (
 
 
 @st.composite
-def connected_graphs(draw, max_n=12):
-    """A random spanning tree plus extra edges; `bipartite` keeps tree-depth parity."""
+def connected_graphs(draw, max_n=12, bipartite=None):
+    """A random spanning tree plus extra edges; `bipartite` (drawn when None) keeps tree-depth parity."""
     n = draw(st.integers(1, max_n))
-    bipartite = draw(st.booleans())
+    bipartite = draw(st.booleans()) if bipartite is None else bipartite
     parent = [draw(st.integers(0, v - 1)) for v in range(1, n)]
     depth = [0] * n
     for v in range(1, n):
@@ -201,3 +206,46 @@ def test_two_byte_fields_match_closed_forms(n):
         assert rows[0] == tuple(min(y, n - y) for y in range(n))
         report = compute_invariants(cycle_graph(n))
         assert (report.wiener, report.szeged) == (n**3 // 8, n**3 // 4)
+
+
+# A 6-cycle and a 4-cycle sharing vertex 0, and two 2-paths: six blocks.
+H13 = Graph(13, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (0, 6), (6, 7), (7, 8), (0, 8),
+                 (3, 9), (9, 10), (7, 11), (11, 12)])
+PRODUCTS = {
+    "C18xC16": (cycle_graph(18), cycle_graph(16)),  # n = 288, two-byte fields
+    "C20xH13": (cycle_graph(20), H13),  # n = 260
+    "P25xP12": (path_graph(25), path_graph(12)),  # n = 300, a grid
+    "K34xP2xC16": (complete_bipartite(3, 4), path_graph(2), cycle_graph(16)),  # n = 224, one-byte fields
+    "Q9": (path_graph(2),) * 9,  # n = 512
+}
+
+
+def _assert_product_identities(factors):
+    """compute's n, W and Sz of the product match the identities; decompose finds one block holding the gap."""
+    n, w, sz = product_values(*factors)
+    assert 200 <= n <= 600
+    g6 = to_graph6(cartesian_product(*factors))
+    report = json.loads(_stdout("compute", "--graph6", g6))
+    assert (report["n"], report["wiener"], report["szeged"], report["gap"]) == (n, w, sz, sz - w)
+    # Two connected factors with >= 2 vertices each make a 2-connected product.
+    decomp = json.loads(_stdout("decompose", "--graph6", g6))
+    (block,) = decomp["blocks"]
+    assert block["size"] == n and block["within_surplus"] == decomp["gap"] == sz - w
+
+
+@pytest.mark.parametrize("name", PRODUCTS)
+def test_products_match_their_identities(name):
+    _assert_product_identities(PRODUCTS[name])
+
+
+_FACTORS = connected_graphs(bipartite=True).filter(lambda g: g.n >= 2)
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True)
+@given(_FACTORS, _FACTORS)
+def test_random_factor_products_match_their_identities(g, h):
+    # Two random factors, which split their edges unequally, times a hypercube up to n >= 200.
+    factors = [g, h]
+    while g.n * h.n * 2 ** (len(factors) - 2) < 200:
+        factors.append(path_graph(2))
+    _assert_product_identities(factors)

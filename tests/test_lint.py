@@ -191,6 +191,17 @@ def test_distance_matrix_has_one_constructor_site():
     assert sites == ["graphs.py: all_pairs_distances"]
 
 
+def test_surplus_map_has_one_constructor_site():
+    # Every surplus map, a block's included, is built by surplus_map, so each one
+    # has its total reconciled with Sz - W from the per-edge partitions.
+    sites = [
+        f"{path.name}: {scope}"
+        for path in sorted(SRC.glob("*.py"))
+        for scope in _call_sites(ast.parse(path.read_text(), str(path)), "SurplusMap")
+    ]
+    assert sites == ["proofs.py: surplus_map"]
+
+
 _LAYOUT = {"packed", "width", "ones"}
 # Outside graphs, the packed distance fields are read only where edges separate vertices.
 _SEPARATION_KERNEL = {"_differences", "edge_partitions", "side_masks"}

@@ -4,7 +4,9 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
 
+from szlab import proofs
 from szlab.cli import main
 from szlab.errors import DisconnectedGraphError, HypothesisError
 from szlab.formats import to_graph6
@@ -22,6 +24,7 @@ from szlab.proofs import gap_decomposition, surplus_map
 from .conftest import path_graph
 from .oracles import floyd_warshall, gap_brute, mu_brute, pair_categories_brute, surplus_brute
 from .test_dump import block_tree
+from .test_kernel import connected_graphs
 
 
 def test_surplus_map_c4(c4):
@@ -80,14 +83,19 @@ def _rows(dist):
     return [dist.row(v) for v in range(dist.n)]
 
 
+def _induced(g, verts):
+    """The subgraph of g induced on `verts`, relabelled in sorted order, and that order."""
+    order = sorted(verts)
+    index = {v: i for i, v in enumerate(order)}
+    return Graph(len(order), [(index[u], index[v]) for u, v in g.edges if u in verts and v in verts]), order
+
+
 def _lemma_blocks(g, d):
     """Each block of d with >= 4 vertices, with the shortest cycle of the subgraph it induces in g."""
     for verts in d.blocks.blocks:
         if len(verts) >= 4:
-            order = sorted(verts)
-            index = {v: i for i, v in enumerate(order)}
-            block = Graph(len(order), [(index[u], index[v]) for u, v in g.edges if u in verts and v in verts])
-            cycle = shortest_cycle(block, _rows(all_pairs_distances(block)), range(block.n))
+            block, order = _induced(g, verts)
+            cycle = shortest_cycle(block, _rows(all_pairs_distances(block)))
             yield order, tuple(order[v] for v in cycle)
 
 
@@ -160,7 +168,7 @@ def test_antipodal_cycle_c6(c6):
 def test_antipodal_cycle_c4_pendant(c4_pendant):
     d = gap_decomposition(c4_pendant)
     ((order, cycle),) = _lemma_blocks(c4_pendant, d)
-    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant, _rows(d.surplus.dist), range(5))
+    assert order == [0, 1, 2, 3] and cycle == shortest_cycle(c4_pendant, _rows(d.surplus.dist))
     for x, y in [(0, 2), (1, 3)]:
         assert all(mu_brute(c4_pendant, x, y, e) == 1 for e in [(0, 1), (1, 2), (2, 3), (0, 3)])
         assert d.surplus.surplus(x, y) >= 2
@@ -208,31 +216,34 @@ def test_antipodal_cycle_gates(c5, p3):
         gap_decomposition(p3)
 
 
-def _assert_block_cycles_in_place(g):
-    """Assert each block's cycle found in g equals its induced block's; the decomposition and the cycles."""
+def _block_cycles(g):
+    """The decomposition of g and the shortest cycle of each block with >= 4 vertices, in g's labels.
+
+    Asserts that the block graphs gap_decomposition checks are those blocks induced in g."""
     d = gap_decomposition(g)
-    orders, cycles = zip(*_lemma_blocks(g, d))
-    assert [shortest_cycle(g, _rows(d.surplus.dist), order) for order in orders] == list(cycles)
-    return d, cycles
+    big = [i for i, verts in enumerate(d.blocks.blocks) if len(verts) >= 4]
+    pieces = proofs._block_graphs(g, d.blocks.blocks, d.home, d.gate, big)
+    assert [(list(verts), block) for verts, block in pieces] == [_induced(g, d.blocks.blocks[i])[::-1] for i in big]
+    return d, [cycle for _, cycle in _lemma_blocks(g, d)]
 
 
 def test_antipodal_cycle_exhaustive(enumerated):
-    # gap_decomposition checks the lemma on every block's shortest cycle,
-    # found in place: the same cycle as in the block induced and relabelled
-    # in sorted order.  The graph's own shortest cycle is one of them (the
-    # scan's least source, vertex and lower neighbors stay least when a block
-    # is relabelled in sorted order), and each of its edges separates each
-    # antipodal pair (brute-force mu).
+    # gap_decomposition checks the lemma on the shortest cycle of every block,
+    # induced and relabelled in sorted order (which _block_cycles asserts of
+    # the block graphs it builds).  The graph's own shortest cycle is
+    # one of them (the scan's least source, vertex and lower neighbors stay least
+    # when a block is relabelled in sorted order), and each of its edges
+    # separates each antipodal pair (brute-force mu).
     for seed in range(20):
         g = block_tree(random.Random(seed), 10 + 3 * seed)
-        d, cycles = _assert_block_cycles_in_place(g)
-        assert shortest_cycle(g, _rows(d.surplus.dist), range(g.n)) in cycles
+        d, cycles = _block_cycles(g)
+        assert shortest_cycle(g, _rows(d.surplus.dist)) in cycles
     for n in range(4, 9):
         for g in enumerated[n]:
             if g.m < n:
                 continue
-            d, cycles = _assert_block_cycles_in_place(g)
-            cycle = shortest_cycle(g, _rows(d.surplus.dist), range(n))
+            d, cycles = _block_cycles(g)
+            cycle = shortest_cycle(g, _rows(d.surplus.dist))
             assert cycle in cycles
             p, dist = len(cycle), floyd_warshall(g)
             for i in range(p // 2):
@@ -240,6 +251,23 @@ def test_antipodal_cycle_exhaustive(enumerated):
                 for j in range(p):
                     e = tuple(sorted((cycle[j], cycle[(j + 1) % p])))
                     assert mu_brute(g, x, y, e, dist) == 1
+
+
+# A 6-cycle, a 4-cycle and bridges; see test_gap_decomposition_rooted_tree_homes_and_gates.
+TREE_OF_BLOCKS = Graph(14, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 8), (8, 0),
+                            (0, 9), (3, 10), (10, 11), (11, 12), (7, 13)])
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(connected_graphs(max_n=16, bipartite=True).filter(lambda g: g.m >= g.n))
+@example(TREE_OF_BLOCKS)
+def test_within_sums_are_each_blocks_own_gap(g):
+    # A block is isometric and no edge off it separates two of its vertices, so
+    # its within sum is its own Sz - W, which gap_decomposition reconciles with
+    # the block's own surplus map.
+    d = gap_decomposition(g)
+    for i, verts in enumerate(d.blocks.blocks):
+        assert d.within_block[i] == gap_brute(_induced(g, verts)[0]), (g.edges, sorted(verts))
 
 
 def test_gap_decomposition_c4_pendant(c4_pendant):
@@ -265,14 +293,12 @@ def test_gap_decomposition_c4_tail3(c4_tail3):
     assert d.cross_other == 0
 
 
-def test_gap_decomposition_outward_walk_homes_and_gates():
+def test_gap_decomposition_rooted_tree_homes_and_gates():
     # Designated 6-cycle 0..5; cut vertex 0 is shared by the 6-cycle, the
     # 4-cycle 0-6-7-8 and the bridge 0-9; the bridge chain 3-10-11-12 puts
     # block (11, 12) three levels out, entered through gate 3; bridge 7-13
     # hangs off the 4-cycle.
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 8), (8, 0),
-             (0, 9), (3, 10), (10, 11), (11, 12), (7, 13)]
-    d = gap_decomposition(Graph(14, edges))
+    d = gap_decomposition(TREE_OF_BLOCKS)
     assert d.root_block == 0
     assert [sorted(b) for b in d.blocks.blocks] == [
         [0, 1, 2, 3, 4, 5], [0, 6, 7, 8], [0, 9], [3, 10], [7, 13], [10, 11], [11, 12]
@@ -466,9 +492,7 @@ def test_tied_designation_needs_no_canonical_labeling(monkeypatch):
 
 def test_pair_rows_ascend_on_relabelled_block_tree():
     # Blocks 6-cycle, 4-cycle and bridges, relabelled so blocks do not run in vertex order.
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (6, 7), (7, 8), (8, 0),
-             (0, 9), (3, 10), (10, 11), (11, 12), (7, 13)]
-    d = gap_decomposition(_relabeled(14, edges, 7))
+    d = gap_decomposition(_relabeled(14, TREE_OF_BLOCKS.edges, 7))
     assert [(x, y) for x, y, *_ in d.pair_rows()] == list(combinations(range(14), 2))
 
 
